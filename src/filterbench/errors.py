@@ -56,10 +56,6 @@ class NotContinuous(WorkbenchError):
         super().__init__(f"preimage of open {sorted(open_set)} is not open")
 
 
-class RepresentationMismatch(WorkbenchError):
-    pass
-
-
 class EmptySlice(WorkbenchError):
     pass
 
@@ -103,10 +99,6 @@ class SingularJacobian(WorkbenchError):
 
 
 class NoDirectionLimit(WorkbenchError):
-    pass
-
-
-class BudgetExhausted(WorkbenchError):
     pass
 
 

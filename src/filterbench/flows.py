@@ -3,9 +3,13 @@ filters, reversal, the aperture-transfer lemma recipe, diagonal and
 composition recipes, flow pushforward and the transport identity.
 
 Flows act on Euclidean carriers; all verdicts are sampled and seeded.
-Orbit arcs are discretized adaptively (polyline segments, doubling until
-the distance estimate stabilizes within 1e-9 or the subdivision cap is
-hit; a cap hit is reported, never silently passed).
+Pair membership goes through geometry.arc_membership: each orbit arc is a
+uniform polyline, doubled from 17 vertices towards a 2^14 cap, and a row
+is decided once its distance d, plus or minus the one-level change
+err = |d - d_previous|, falls on one side of mu * d(x, y), or once
+err <= 1e-9 (1 + d).  That change is an error estimate, not a certified
+chord bound; rows still undecided at the cap are reported through the
+converged flag, never silently passed.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from .errors import (
     DomainViolation,
     RecipeUnsatisfiable,
 )
+from .geometry import arc_membership
 from .maps import MapSpec
-
-ARC_CAP = 1 << 14
-ARC_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,45 +90,14 @@ BUILTIN_FLOWS: dict[str, Flow] = {
 }
 
 
-# --- orbit arc distances -----------------------------------------------------
+# --- orbit arc membership ---------------------------------------------------
 
-def _segment_rows(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row point-to-segment distance; all arguments (N, d)."""
-    ab = b - a
-    denom = np.einsum("nd,nd->n", ab, ab)
-    t = np.einsum("nd,nd->n", z - a, ab) / np.where(denom > 0, denom, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(z - proj, axis=-1)
-
-
-def _polyline_min(flow: Flow, x: np.ndarray, z: np.ndarray,
-                  eps: float, sign: str, k: int) -> np.ndarray:
-    ts = np.linspace(0.0, eps, k) if sign == "+" else np.linspace(-eps, 0.0, k)
-    best = None
-    prev = flow(ts[0], x)
-    for t in ts[1:]:
-        cur = flow(t, x)
-        d = _segment_rows(z, prev, cur)
-        best = d if best is None else np.minimum(best, d)
-        prev = cur
-    return best
-
-
-def orbit_arc_distance(flow: Flow, x: np.ndarray, z: np.ndarray, eps: float,
-                       sign: str = "+") -> tuple[np.ndarray, bool]:
-    """Distance from z to the orbit arc of x, with a convergence flag."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    k = 17
-    prev = _polyline_min(flow, x, z, eps, sign, k)
-    while k < ARC_CAP:
-        k = 2 * k - 1
-        cur = _polyline_min(flow, x, z, eps, sign, k)
-        if np.max(np.abs(cur - prev)) <= ARC_RTOL * (1.0 + float(np.max(cur))):
-            return cur, True
-        prev = cur
-    return prev, False
+def _orbit_arcs(flow: Flow, x: np.ndarray):
+    """Arc evaluator of geometry.arc_membership: the orbit arcs of x[rows]."""
+    def bind(rows):
+        xr = x[rows]
+        return lambda ts: np.stack([flow(t, xr) for t in ts])
+    return bind
 
 
 def flow_pair_contains(flow: Flow, eps: float, mu: float,
@@ -134,34 +105,17 @@ def flow_pair_contains(flow: Flow, eps: float, mu: float,
                        sign: str = "+") -> tuple[np.ndarray, bool]:
     """Membership of the pairs (x, y) in V+(F, eps, mu) (or V- for '-').
 
-    Refinement stops per row once the arc-distance error estimate can no
+    The distance from y to the orbit arc of x is refined per row by
+    geometry.arc_membership until its one-level error estimate can no
     longer flip the comparison against mu * d(x, y); rows still ambiguous
     at the subdivision cap make the converged flag false.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     d_xy = np.linalg.norm(y - x, axis=-1)
-    thresh = mu * d_xy
-
-    k = 17
-    dist = _polyline_min(flow, x, y, eps, sign, k)
-    active = np.arange(len(x))
-    converged = False
-    while True:
-        k = 2 * k - 1
-        cur = _polyline_min(flow, x[active], y[active], eps, sign, k)
-        err = np.abs(cur - dist[active])  # conservative one-level estimate
-        dist[active] = cur
-        decided = ((cur + err < thresh[active])
-                   | (cur - err > thresh[active])
-                   | (err <= ARC_RTOL * (1.0 + cur)))
-        active = active[~decided]
-        if len(active) == 0:
-            converged = True
-            break
-        if k >= ARC_CAP:
-            break
-    return (d_xy > 0) & (dist < thresh), converged
+    _, member, converged = arc_membership(_orbit_arcs(flow, x), y, mu * d_xy,
+                                          eps, sign)
+    return (d_xy > 0) & member, converged
 
 
 # --- condition checkers ------------------------------------------------------
@@ -206,14 +160,25 @@ def _sample_orbit_members(flow: Flow, x: np.ndarray, eps: float, mu: float,
 
 
 def _orbit_points(flow: Flow, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """F(ts[i], x[i]) batched by grouping equal quantized times."""
-    out = np.empty_like(x)
+    """F(ts[i], x[i]) batched by grouping equal quantized times.
+
+    The batch is sorted by group once (stably) instead of being scanned
+    once per distinct time, and each flow call sees its rows in increasing
+    order, as a mask over x would select them.
+    """
     # quantize to limit the number of flow evaluations
     scale = float(np.max(np.abs(ts))) or 1.0
     q = np.round(ts / scale, 3) * scale
-    for t in np.unique(q):
-        mask = q == t
-        out[mask] = flow(float(t), x[mask])
+    times, group = np.unique(q, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    grouped = x[order]
+    moved = np.empty_like(grouped)
+    start = 0
+    for t, end in zip(times, np.cumsum(np.bincount(group))):
+        moved[start:end] = flow(float(t), grouped[start:end])
+        start = end
+    out = np.empty_like(x)
+    out[order] = moved
     return out
 
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import (
     angle_between,
+    arc_membership,
     point_polyline_distance,
     point_segment_distance,
     segment_projection_parameter,
@@ -314,7 +315,11 @@ def arc_distance(
     y: np.ndarray, c: CurveSpec, eps: float, sign: str = "+", rtol: float = 1e-9,
 ) -> np.ndarray:
     """Distance to the arc image, polyline approximation refined until stable
-    or the subdivision cap is hit."""
+    or the subdivision cap is hit.
+
+    The slow reference for CurveFilter, which goes through
+    geometry.arc_membership instead; the two routes share no code.
+    """
     k = 33
     prev = point_polyline_distance(y, arc_points(c, eps, sign, k))
     while k < ARC_SUBDIVISION_CAP:
@@ -338,11 +343,22 @@ class CurveFilter:
     def x(self) -> np.ndarray:
         return self.curve.base
 
-    def contains(self, eps: float, mu: float, y: np.ndarray) -> np.ndarray:
+    def membership(self, eps: float, mu: float,
+                   y: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Membership of y (..., d) in the tube generator of (eps, mu), and
+        whether every point was decided below the subdivision cap."""
         y = np.asarray(y, dtype=float)
         d_xy = np.linalg.norm(y - self.x, axis=-1)
-        d_arc = arc_distance(y, self.curve, eps, self.sign)
-        return (d_xy > 0) & (d_arc < mu * d_xy)
+        c = self.curve
+        span = min(eps, c.b) if self.sign == "+" else min(eps, -c.a)
+        arc = lambda rows: lambda ts: c(ts)[:, None]  # one arc for every row
+        _, member, converged = arc_membership(
+            arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), span,
+            self.sign)
+        return (d_xy > 0) & member.reshape(d_xy.shape), converged
+
+    def contains(self, eps: float, mu: float, y: np.ndarray) -> np.ndarray:
+        return self.membership(eps, mu, y)[0]
 
 
 def curve_filter(c: CurveSpec, sign: str = "+") -> CurveFilter:

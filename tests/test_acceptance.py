@@ -190,7 +190,8 @@ def test_criterion_8_bound_invariant():
     w = w / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
     d_base = np.linalg.norm(on_arc - cf.x, axis=-1)
     ys = on_arc + (0.2 * mu * d_base)[:, None] * w
-    keep = cf.contains(eps, mu, ys)
+    keep, converged = cf.membership(eps, mu, ys)
+    assert converged  # no point left undecided at the subdivision cap
     witness_ok = np.linalg.norm(ys - on_arc, axis=-1) \
         < mu * np.linalg.norm(ys - cf.x, axis=-1)
     keep &= witness_ok

@@ -12,6 +12,7 @@ from filterbench.geometry import angle_between, unit
 from filterbench.maps import BUILTIN_MAPS, linear_map, rotation_map
 from filterbench.metric_filters import (
     ConeGenerator,
+    arc_distance,
     check_bound,
     check_commutation_directional,
     classify_sequence,
@@ -201,6 +202,31 @@ class TestCurveFilters:
         a = curve_filter(c2).contains(eps, 0.4, y)
         b = curve_filter(c).contains(eps ** 3 + eps, 0.4, y)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_membership_matches_arc_distance_oracle(self, sign):
+        c = CurveSpec("arc", lambda t: np.stack([np.sin(t), 1 - np.cos(t)], axis=-1),
+                      -1.0, 0.8)
+        rng = np.random.default_rng(8)
+        y = rng.uniform(-1, 1, size=(400, 2))
+        cf = curve_filter(c, sign)
+        for eps, mu in ((0.5, 0.4), (2.0, 0.2)):
+            member, converged = cf.membership(eps, mu, y)
+            assert converged
+            assert np.array_equal(cf.contains(eps, mu, y), member)
+            thresh = mu * np.linalg.norm(y - cf.x, axis=-1)
+            oracle = arc_distance(y, c, eps, sign)
+            clear = np.abs(oracle - thresh) > 1e-6
+            assert np.array_equal(member[clear], (oracle < thresh)[clear])
+            assert 0 < member.sum() < len(y)
+
+    def test_membership_keeps_leading_axes(self):
+        cf = curve_filter(line_curve(ORIGIN, E1))
+        y = np.array([[[0.3, 0.01], [0.3, 0.5]], [[-0.2, 0.0], [0.0, 0.0]]])
+        member, converged = cf.membership(0.5, 0.4, y)
+        assert converged
+        assert member.tolist() == [[True, False], [False, False]]
+        assert cf.contains(0.5, 0.4, y[0, 0]).shape == ()
 
     def test_bilipschitz_gate(self):
         from filterbench.errors import CurveNotBiLipschitz
