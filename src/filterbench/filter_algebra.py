@@ -8,6 +8,18 @@ An A-class filter is a 0/1 table over the opens satisfying
 
 B-class filters carry the same axioms with values in [0,1].  Proper mode
 (mu(empty) = 0, on by default) excludes the all-ones filter.
+
+An ``IndicatorFilter`` stores its table as one int bitset: bit i is the
+value on ``opens[i]``.  ``values`` is a read-only tuple view of it for JSON
+and callers that index by position.  On that encoding the order test is a
+subset test, a principal filter is the AND of the per-point masks
+``FiniteTopology.point_opens``, and a pushforward is a gather through the
+map's cached preimage index map.  The set-level routes
+(``enumerate_filters_bruteforce``, ``b_polytope_vertices_bruteforce``)
+stay as independent oracles.
+
+B-polytope vertices come from an exact double-description method over
+``Fraction`` (Motzkin; Fukuda & Prodon 1996).
 """
 
 from __future__ import annotations
@@ -15,7 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     FilterAxiomViolation,
@@ -35,25 +49,66 @@ from .finite_topology import (
 
 ENUMERATION_MAX_OPENS = 20
 GRADED_TOL = 1e-12
+POLYTOPE_MAX_OPENS = 8
+POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
+TAU_E_CACHE_SIZE = 64
+
+# maps the ASCII digits of format(bits, "b") to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class IndicatorFilter:
     topology: FiniteTopology
-    values: tuple[int, ...]
+    bits: int  # bit i is the value on topology.opens[i]
+
+    @classmethod
+    def from_values(cls, topology: FiniteTopology, values: Sequence[int]) -> "IndicatorFilter":
+        """Build from a 0/1 table in the canonical opens order."""
+        bits = 0
+        for i, v in enumerate(values):
+            if v not in (0, 1):
+                raise FilterAxiomViolation("A", None, "values must be 0 or 1")
+            if v:
+                bits |= 1 << i
+        return cls(topology, bits)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The 0/1 table over the opens, as a tuple view of ``bits``."""
+        digits = format(self.bits, f"0{len(self.topology.opens)}b")
+        return tuple(digits[::-1].encode().translate(_DIGIT_VALUES))
+
+    def __repr__(self) -> str:
+        return f"IndicatorFilter(topology={self.topology!r}, values={self.values!r})"
 
     def __call__(self, mask: int) -> int:
-        return self.values[self.topology.index_of(mask)]
+        return self.bits >> self.topology.index_of(mask) & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(d for d, v in zip(self.topology.opens, self.values) if v)
+        return tuple(d for i, d in enumerate(self.topology.opens) if self.bits >> i & 1)
 
     def minimal_support_mask(self) -> int:
-        """Intersection of the support; lies in the support (axiom (c))."""
-        m = self.topology.full_mask
-        for d in self.support():
-            m &= d
+        """Intersection of the support; lies in the support (axiom (c)).
+
+        A point lies in every supported open iff the support is a subset of
+        the opens containing that point."""
+        m = 0
+        for p, containing in enumerate(self.topology.point_opens):
+            if not self.bits & ~containing:
+                m |= 1 << p
         return m
+
+
+def principal_filter(t: FiniteTopology, base: int) -> IndicatorFilter:
+    """The filter of every open containing the point set ``base``."""
+    bits = (1 << len(t.opens)) - 1
+    point_opens = t.point_opens
+    while base:
+        low = base & -base
+        bits &= point_opens[low.bit_length() - 1]
+        base ^= low
+    return IndicatorFilter(t, bits)
 
 
 @dataclass(frozen=True)
@@ -95,7 +150,7 @@ def check_filter_axioms(
                     "C", (a, b),
                     f"supermodularity fails on {sorted(set_of(a))}, {sorted(set_of(b))}",
                 )
-    return IndicatorFilter(topology, values)
+    return IndicatorFilter.from_values(topology, values)
 
 
 def support(mu: IndicatorFilter) -> tuple[int, ...]:
@@ -109,10 +164,7 @@ def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
         raise NotContinuous(witness)
     if mu.topology != f.source:
         raise TopologyMismatch("filter does not live on the source topology")
-    table = dict(zip(f.source.opens, mu.values))
-    return IndicatorFilter(
-        f.target, tuple(table[f.preimage_mask(d)] for d in f.target.opens)
-    )
+    return IndicatorFilter(f.target, f.pushforward_bits(mu.bits))
 
 
 def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorFilter]:
@@ -130,12 +182,12 @@ def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorF
     for base in t.opens:
         if proper and base == 0:
             continue
-        values = tuple(1 if d & base == base else 0 for d in t.opens)
+        values = principal_filter(t, base).values
         out.append(check_filter_axioms(t, values, proper=proper))
     out.sort(key=lambda mu: mu.values)
     # distinct opens can generate equal filters only if they have equal up-sets,
     # impossible for distinct masks; still dedupe defensively
-    deduped = [mu for i, mu in enumerate(out) if i == 0 or mu.values != out[i - 1].values]
+    deduped = [mu for i, mu in enumerate(out) if i == 0 or mu.bits != out[i - 1].bits]
     return deduped
 
 
@@ -159,20 +211,20 @@ def filter_leq(mu: IndicatorFilter, nu: IndicatorFilter) -> bool:
     """mu <= nu iff mu(D) <= nu(D) for every open D (nu is finer)."""
     if mu.topology != nu.topology:
         raise TopologyMismatch("filters live on different topologies")
-    return all(a <= b for a, b in zip(mu.values, nu.values))
+    return not mu.bits & ~nu.bits
 
 
 def is_open_in_tau_e(
     V: Sequence[IndicatorFilter], universe: Sequence[IndicatorFilter]
 ) -> tuple[bool, IndicatorFilter | None]:
     """Openness in the filter-space topology; witness is a mu without a separating D."""
-    members = {mu.values for mu in V}
+    members = {mu.bits for mu in V}
     for mu in V:
         found = False
-        for i, d in enumerate(mu.topology.opens):
-            if not mu.values[i]:
+        for i in range(len(mu.topology.opens)):
+            if not mu.bits >> i & 1:
                 continue
-            if all(nu.values in members for nu in universe if nu.values[i]):
+            if all(nu.bits in members for nu in universe if nu.bits >> i & 1):
                 found = True
                 break
         if not found:
@@ -193,6 +245,26 @@ def tau_e_opens(universe: Sequence[IndicatorFilter]) -> list[frozenset[int]]:
     return out
 
 
+@dataclass(frozen=True)
+class _TauE:
+    universe: tuple[IndicatorFilter, ...]   # proper filters, canonical order
+    index: Mapping[int, int]                # filter bits -> universe index
+    opens: tuple[frozenset[int], ...]       # tau^e-opens, canonical order
+    open_set: frozenset[frozenset[int]]
+
+
+@lru_cache(maxsize=TAU_E_CACHE_SIZE)
+def _tau_e_structure(t: FiniteTopology) -> _TauE:
+    """Filter universe and tau^e-opens of t, shared by every map touching t.
+
+    Entries are immutable, so concurrent suite workers may share them."""
+    universe = tuple(enumerate_filters(t, proper=True))
+    opens = tuple(tau_e_opens(universe))
+    return _TauE(universe,
+                 MappingProxyType({mu.bits: i for i, mu in enumerate(universe)}),
+                 opens, frozenset(opens))
+
+
 def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | None]:
     """Exhaustively verify that f* pulls tau^e-opens back to tau^e-opens.
 
@@ -202,14 +274,12 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
     ok, witness = is_continuous(f)
     if not ok:
         raise NotContinuous(witness)
-    source_universe = enumerate_filters(f.source, proper=True)
-    target_universe = enumerate_filters(f.target, proper=True)
-    target_index = {mu.values: i for i, mu in enumerate(target_universe)}
-    push = [target_index[pushforward(f, mu).values] for mu in source_universe]
-    source_opens = set(tau_e_opens(source_universe))
-    for v_prime in tau_e_opens(target_universe):
+    source = _tau_e_structure(f.source)
+    target = _tau_e_structure(f.target)
+    push = [target.index[pushforward(f, mu).bits] for mu in source.universe]
+    for v_prime in target.opens:
         preimage = frozenset(i for i, j in enumerate(push) if j in v_prime)
-        if preimage not in source_opens:
+        if preimage not in source.open_set:
             return False, v_prime
     return True, None
 
@@ -264,17 +334,15 @@ def convex_combine(filters: Sequence, weights: Sequence) -> GradedFilter:
     return check_graded_axioms(t, values)
 
 
-def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fraction, ...]]:
-    """Exact vertex enumeration of the B-class polytope (small topologies only).
+def _b_polytope_system(t: FiniteTopology, proper: bool):
+    """Rows of the B-polytope over the canonical opens order.
 
-    Coordinates follow the canonical opens order.  The vertex set must equal
-    the A-class filters ("extremal points").
+    Returns (equalities, inequalities): equality rows (a, b) mean a.v = b
+    and fix mu(X)=1 and, in proper mode, mu(empty)=0; inequality rows mean
+    a.v <= b: the [0,1] box, then monotonicity and supermodularity.
     """
     opens = t.opens
     k = len(opens)
-    if k > 8:
-        raise SizeLimitExceeded("vertex enumeration supports at most 8 opens")
-    # equality rows fix mu(X)=1 and, in proper mode, mu(empty)=0
     equalities: list[tuple[list[Fraction], Fraction]] = []
     e = [Fraction(0)] * k
     e[opens.index(t.full_mask)] = Fraction(1)
@@ -283,7 +351,6 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
         e = [Fraction(0)] * k
         e[opens.index(0)] = Fraction(1)
         equalities.append((e, Fraction(0)))
-    # inequality rows a.v <= b
     ineqs: list[tuple[list[Fraction], Fraction]] = []
     for i in range(k):
         row = [Fraction(0)] * k
@@ -307,6 +374,91 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
             row[index[a & b]] -= 1
             if any(row):
                 ineqs.append((row, Fraction(0)))
+    return equalities, ineqs
+
+
+def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fraction, ...]]:
+    """Exact vertex enumeration of the B-class polytope by double description.
+
+    Coordinates follow the canonical opens order.  The A-class filters are
+    always vertices, and on every topology on at most 4 points with at most
+    7 opens they are all of them.  Not so at 8: the discrete 3-point space
+    also has the fractional vertex (0, 0, 0, 1/2, 0, 1/2, 1/2, 1), and so
+    does every topology whose opens form the same Boolean lattice.
+
+    The fixed coordinates are eliminated, the free ones start as the
+    vertices of the [0,1] box, and each row cuts the current polytope in
+    turn: vertices on the violated side are dropped, and every edge from a
+    strictly satisfied vertex to a violated one contributes its crossing
+    point.  Two vertices span an edge iff no third vertex is tight on every
+    row they share.  b_polytope_vertices_bruteforce is the independent
+    oracle.
+    """
+    k = len(t.opens)
+    if k > POLYTOPE_MAX_OPENS:
+        raise SizeLimitExceeded(
+            f"vertex enumeration supports at most {POLYTOPE_MAX_OPENS} opens")
+    equalities, ineqs = _b_polytope_system(t, proper)
+    fixed: dict[int, Fraction] = {}
+    for row, b in equalities:
+        i = row.index(1)
+        if fixed.setdefault(i, b) != b:
+            return []                         # n = 0: X is empty, so mu(X) = 1 = 0
+    free = [i for i in range(k) if i not in fixed]
+    d = len(free)
+    # sparse rows over the free coordinates: ((position, coefficient), ...), rhs
+    cuts = []
+    for row, b in ineqs:
+        b = int(b - sum(row[i] * v for i, v in fixed.items()))
+        sparse = tuple((j, int(row[i])) for j, i in enumerate(free) if row[i])
+        if sparse:
+            cuts.append((sparse, b))
+        elif b < 0:
+            return []
+    # box vertices; tight-set bit 2j is x_j >= 0, bit 2j+1 is x_j <= 1
+    vertices = [
+        (corner, sum(1 << (2 * j + x) for j, x in enumerate(corner)))
+        for corner in itertools.product((0, 1), repeat=d)
+    ]
+    for c, (sparse, b) in enumerate(cuts, start=2 * d):
+        bit = 1 << c
+        slack = [sum(a * x[j] for j, a in sparse) - b for x, _ in vertices]
+        kept = [(x, tight | bit if s == 0 else tight)
+                for (x, tight), s in zip(vertices, slack) if s <= 0]
+        inside = [(v, s) for v, s in zip(vertices, slack) if s < 0]
+        outside = [(v, s) for v, s in zip(vertices, slack) if s > 0]
+        for (u, tu), su in inside:
+            for (w, tw), sw in outside:
+                common = tu & tw
+                if common.bit_count() < d - 1:
+                    continue
+                if any(tz & common == common and z is not u and z is not w
+                       for z, tz in vertices):
+                    continue
+                lam = Fraction(su, su - sw)
+                kept.append((tuple(ui + lam * (wi - ui) for ui, wi in zip(u, w)),
+                             common | bit))
+        vertices = kept
+        if not vertices:
+            return []
+    out = []
+    for x, _ in vertices:
+        coords = {**fixed, **dict(zip(free, x))}
+        out.append(tuple(Fraction(coords[i]) for i in range(k)))
+    return sorted(out)
+
+
+def b_polytope_vertices_bruteforce(
+    t: FiniteTopology, proper: bool = True
+) -> list[tuple[Fraction, ...]]:
+    """Vertices by solving every basis of the row system; the oracle for
+    b_polytope_vertices.  C(rows, dim) grows fast, hence the tighter guard."""
+    k = len(t.opens)
+    if k > POLYTOPE_BRUTEFORCE_MAX_OPENS:
+        raise SizeLimitExceeded(
+            f"brute-force vertex enumeration supports at most "
+            f"{POLYTOPE_BRUTEFORCE_MAX_OPENS} opens")
+    equalities, ineqs = _b_polytope_system(t, proper)
     dim = k - len(equalities)
     vertices: set[tuple[Fraction, ...]] = set()
     for combo in itertools.combinations(range(len(ineqs)), dim):
@@ -346,6 +498,7 @@ def _solve_exact(rows, rhs):
 
 # --- refinements and derivability --------------------------------------------
 
+
 def check_refinement(r: Refinement) -> tuple[bool, object]:
     """Verify the two refinement axioms; witness names the failing (x, mu, D)."""
     t = r.topology
@@ -362,10 +515,10 @@ def check_refinement(r: Refinement) -> tuple[bool, object]:
         for mu in members:
             if mu.topology != t:
                 return False, ("topology mismatch", x)
-            for i, d in enumerate(t.opens):
-                if mu.values[i] < px.values[i]:
-                    return False, (x, mu, set_of(d))
-            if mu.values == px.values:
+            missing = px.bits & ~mu.bits
+            if missing:
+                return False, (x, mu, set_of(t.first_open(missing)))
+            if mu.bits == px.bits:
                 return False, (x, mu, "no open distinguishes mu from the point filter")
     return True, None
 
@@ -378,9 +531,9 @@ def check_derivable(
     if not ok:
         raise NotContinuous(witness)
     for x in range(f.source.n):
-        targets = {mu.values for mu in r2.assignment[f.image[x]]}
+        targets = {mu.bits for mu in r2.assignment[f.image[x]]}
         for mu in r.assignment[x]:
-            if pushforward(f, mu).values not in targets:
+            if pushforward(f, mu).bits not in targets:
                 return False, (x, mu)
     return True, None
 
@@ -392,7 +545,7 @@ def refinement_candidates(t: FiniteTopology) -> list[list[IndicatorFilter]]:
     for x in range(t.n):
         px = point_filter(t, x)
         out.append(
-            [mu for mu in universe if filter_leq(px, mu) and mu.values != px.values]
+            [mu for mu in universe if filter_leq(px, mu) and mu.bits != px.bits]
         )
     return out
 

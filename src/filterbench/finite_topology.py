@@ -3,12 +3,22 @@
 Open sets are stored as integer bitmasks over point indices 0..n-1; the
 canonical form keeps the masks sorted ascending, so equal topologies compare
 equal bit-for-bit.
+
+A family of opens is an int bitset over open indices: bit i stands for
+``opens[i]``.  Filters use this encoding (see filter_algebra), and the
+tables that serve it are built lazily, once per object, and then reused:
+``FiniteTopology.point_opens`` holds, per point, the bitset of opens
+containing it, and ``PointMap.pushforward_bits`` gathers a source bitset
+through the preimage index map ``PointMap.open_preimages``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -32,6 +42,16 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _gather_bits(src_of: Sequence[int], width: int) -> Callable[[int], int]:
+    """The map taking a ``width``-bit set to the set whose bit j is bit
+    ``src_of[j]`` of the input, run as one C-level string gather."""
+    # format() writes bit i at position width-1-i, and int(..., 2) reads the
+    # picked characters back most significant first
+    pick = operator.itemgetter(*[width - 1 - i for i in reversed(src_of)])
+    spec = f"0{width}b"
+    return lambda bits: int("".join(pick(format(bits, spec))), 2)
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     """A topology on points 0..n-1; ``opens`` is the canonical sorted mask tuple."""
@@ -43,9 +63,26 @@ class FiniteTopology:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def open_index(self) -> Mapping[int, int]:
+        """Read-only map from an open mask to its index in ``opens``."""
+        return MappingProxyType({d: i for i, d in enumerate(self.opens)})
+
+    @cached_property
+    def point_opens(self) -> tuple[int, ...]:
+        """Per point p, the bitset over open indices of the opens containing p."""
+        return tuple(
+            sum(1 << i for i, d in enumerate(self.opens) if d >> p & 1)
+            for p in range(self.n)
+        )
+
     def index_of(self, mask: int) -> int:
-        # opens is sorted ascending, but linear scan is fine at desk scale
-        return self.opens.index(mask)
+        return self.open_index[mask]
+
+    def first_open(self, bits: int) -> int:
+        """The open of a nonempty open-index bitset that comes first in
+        canonical order."""
+        return self.opens[(bits & -bits).bit_length() - 1]
 
     def open_sets(self) -> list[frozenset[int]]:
         return [set_of(m) for m in self.opens]
@@ -78,6 +115,19 @@ class PointMap:
             if target_mask >> fi & 1:
                 m |= 1 << i
         return m
+
+    @cached_property
+    def open_preimages(self) -> tuple[int | None, ...]:
+        """Per target open, the index of its preimage among the source opens,
+        or None where the preimage is not open."""
+        index = self.source.open_index
+        return tuple(index.get(self.preimage_mask(d)) for d in self.target.opens)
+
+    @cached_property
+    def pushforward_bits(self) -> Callable[[int], int]:
+        """Source open-index bitset -> target bitset, bit j taken from the
+        preimage of ``target.opens[j]``; needs a continuous map."""
+        return _gather_bits(self.open_preimages, len(self.source.opens))
 
 
 def validate_topology(n: int, family: Iterable[Iterable[int]]) -> FiniteTopology:
@@ -144,9 +194,8 @@ def is_t0(t: FiniteTopology) -> tuple[bool, tuple[int, int] | None]:
 
 def is_continuous(f: PointMap) -> tuple[bool, frozenset[int] | None]:
     """True iff the preimage of every target open is a source open."""
-    source_opens = set(f.source.opens)
-    for d in f.target.opens:
-        if f.preimage_mask(d) not in source_opens:
+    for d, i in zip(f.target.opens, f.open_preimages):
+        if i is None:
             return False, set_of(d)
     return True, None
 
@@ -177,9 +226,9 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FiniteTopolo
 
 
 def point_filter(t: FiniteTopology, x: int):
-    """The filter of open neighborhoods of x, as a 0/1 table over the opens."""
+    """The filter of open neighborhoods of x: the opens containing x."""
     from .filter_algebra import IndicatorFilter
 
     if not 0 <= x < t.n:
         raise IndexOutOfRange(f"point {x} out of range")
-    return IndicatorFilter(t, tuple(1 if d >> x & 1 else 0 for d in t.opens))
+    return IndicatorFilter(t, t.point_opens[x])

@@ -82,11 +82,12 @@ def _load_refinement(payload: dict, where: str) -> Refinement:
     for i, row in enumerate(assignment):
         filters = []
         for j, values in enumerate(row):
-            if not isinstance(values, list) or len(values) != len(t.opens):
+            if (not isinstance(values, list) or len(values) != len(t.opens)
+                    or any(v not in (0, 1) for v in values)):
                 raise SchemaViolation(
                     f"{where}.assignment[{i}][{j}]: expected "
                     f"{len(t.opens)} 0/1 entries")
-            filters.append(IndicatorFilter(t, tuple(values)))
+            filters.append(IndicatorFilter.from_values(t, values))
         rows.append(tuple(filters))
     return Refinement(t, tuple(rows))
 

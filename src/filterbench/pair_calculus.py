@@ -4,6 +4,11 @@ A pair on an n-point space is encoded as the index i*n + j; relations are
 bitmasks over those n*n indices.  Pair filters reuse IndicatorFilter over the
 product topology, so a single axiom checker covers everything.
 
+On the bitset encoding a principal pair filter is an AND of point masks,
+composition runs on the two minimal support masks, and the swap is a gather
+through an open-index permutation that ``ProductSpace.swap_bits`` builds on
+first use, from one ``transpose_mask`` call per open, and keeps.
+
 Metric-space pair filters (generator-based) live in metric_filters; the
 functions here are the exact finite half of the calculus.
 """
@@ -11,7 +16,8 @@ functions here are the exact finite half of the calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySlice, NotContinuous, SizeLimitExceeded, TopologyMismatch
 from .filter_algebra import (
@@ -19,8 +25,16 @@ from .filter_algebra import (
     Refinement,
     check_refinement,
     filter_leq,
+    principal_filter,
+    pushforward,
 )
-from .finite_topology import FiniteTopology, PointMap, is_continuous, set_of
+from .finite_topology import (
+    FiniteTopology,
+    PointMap,
+    _gather_bits,
+    is_continuous,
+    set_of,
+)
 
 PRODUCT_MAX_POINTS = 4
 
@@ -97,6 +111,18 @@ class ProductSpace:
     base: FiniteTopology
     topology: FiniteTopology  # on base.n ** 2 points
 
+    @cached_property
+    def swap_bits(self) -> Callable[[int], int]:
+        """Open-index bitset -> its pushforward along the swap.
+
+        sigma is an involution and a homeomorphism, so sigma* mu(D) is
+        mu at the transpose of D, which is open."""
+        index = self.topology.open_index
+        n = self.base.n
+        return _gather_bits(
+            [index[transpose_mask(n, d)] for d in self.topology.opens],
+            len(self.topology.opens))
+
 
 def product_topology(t: FiniteTopology) -> ProductSpace:
     """Opens of the square: all unions of rectangles A x B with A, B open."""
@@ -124,9 +150,7 @@ def product_topology(t: FiniteTopology) -> ProductSpace:
 
 def principal_pair_filter(ps: ProductSpace, rel_mask: int) -> IndicatorFilter:
     """Filter whose support is every open containing the relation."""
-    top = ps.topology
-    values = tuple(1 if d & rel_mask == rel_mask else 0 for d in top.opens)
-    return IndicatorFilter(top, values)
+    return principal_filter(ps.topology, rel_mask)
 
 
 def diagonal_filter(ps: ProductSpace) -> IndicatorFilter:
@@ -148,10 +172,7 @@ def compose_filters(
         raise TopologyMismatch("pair filters must live on the product topology")
     n = ps.base.n
     composed = compose_masks(n, mu.minimal_support_mask(), nu.minimal_support_mask())
-    return IndicatorFilter(
-        ps.topology,
-        tuple(1 if d & composed == composed else 0 for d in ps.topology.opens),
-    )
+    return principal_filter(ps.topology, composed)
 
 
 def compose_filters_bruteforce(
@@ -163,18 +184,12 @@ def compose_filters_bruteforce(
     values = tuple(
         1 if any(d & c == c for c in comps) else 0 for d in ps.topology.opens
     )
-    return IndicatorFilter(ps.topology, values)
+    return IndicatorFilter.from_values(ps.topology, values)
 
 
 def swap_pushforward(mu: IndicatorFilter, ps: ProductSpace) -> IndicatorFilter:
     """Pushforward along sigma(x, y) = (y, x); an involution."""
-    n = ps.base.n
-    table = dict(zip(ps.topology.opens, mu.values))
-    # sigma is a homeomorphism: transpose of an open is open
-    return IndicatorFilter(
-        ps.topology,
-        tuple(table[transpose_mask(n, d)] for d in ps.topology.opens),
-    )
+    return IndicatorFilter(ps.topology, ps.swap_bits(mu.bits))
 
 
 # --- uniformities ------------------------------------------------------------
@@ -196,12 +211,10 @@ class UniformityReport:
 
 def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityReport:
     n = ps.base.n
-    diag = diagonal_filter(ps)
-    a_ok, a_wit = True, None
-    for i, d in enumerate(ps.topology.opens):
-        if diag.values[i] > omega.values[i]:
-            a_ok, a_wit = False, set_of(d)
-            break
+    top = ps.topology
+    missing = diagonal_filter(ps).bits & ~omega.bits
+    a_ok = not missing
+    a_wit = None if a_ok else set_of(top.first_open(missing))
     b_ok, b_wit = True, None
     m = omega.minimal_support_mask()
     mm = compose_masks(n, m, m)
@@ -210,16 +223,10 @@ def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityRepo
         if d & mm != mm:
             b_ok, b_wit = False, set_of(d)
             break
-    sigma_omega = swap_pushforward(omega, ps)
-    c_ok = sigma_omega.values == omega.values
-    c_wit = None
-    if not c_ok:
-        for i, d in enumerate(ps.topology.opens):
-            if sigma_omega.values[i] != omega.values[i]:
-                c_wit = set_of(d)
-                break
-    composed = compose_filters(omega, omega, ps)
-    remark = all(c >= o for c, o in zip(composed.values, omega.values))
+    moved = swap_pushforward(omega, ps).bits ^ omega.bits
+    c_ok = not moved
+    c_wit = None if c_ok else set_of(top.first_open(moved))
+    remark = filter_leq(omega, compose_filters(omega, omega, ps))
     return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok, c_wit, remark)
 
 
@@ -256,10 +263,10 @@ def check_uniform_refinement(
                 break
         if not half_ok:
             break
-    value_set = {mu.values for mu in members}
+    member_bits = {mu.bits for mu in members}
     swap_ok, swap_wit = True, None
     for k, mu in enumerate(members):
-        if swap_pushforward(mu, ps).values not in value_set:
+        if swap_pushforward(mu, ps).bits not in member_bits:
             swap_ok, swap_wit = False, k
             break
     return UniformRefinementReport(pre_ok, pre_wit, half_ok, half_wit, swap_ok, swap_wit)
@@ -283,10 +290,7 @@ def induced_refinement(
                     slice_mask |= 1 << y
             if slice_mask == 0:
                 raise EmptySlice(f"member {k} has an empty proper slice at point {x}")
-            values = tuple(
-                1 if d & slice_mask == slice_mask else 0 for d in t.opens
-            )
-            fils.append(IndicatorFilter(t, values))
+            fils.append(principal_filter(t, slice_mask))
         assignment.append(tuple(fils))
     r = Refinement(t, tuple(assignment))
     return r, check_refinement(r)
@@ -314,15 +318,13 @@ def check_uniform_derivable(
     if not ok:
         raise NotContinuous(witness)
     f2 = square_map(f, ps_source, ps_target)
-    from .filter_algebra import pushforward
-
-    pushed = {pushforward(f2, mu).values: k for k, mu in enumerate(members)}
-    target = {mu.values for mu in members2}
-    for values, k in pushed.items():
-        if values not in target:
+    pushed = {pushforward(f2, mu).bits: k for k, mu in enumerate(members)}
+    target = {mu.bits for mu in members2}
+    for bits, k in pushed.items():
+        if bits not in target:
             return False, ("pushed member missing from target set", k)
     for k, mu in enumerate(members2):
-        if mu.values not in pushed:
+        if mu.bits not in pushed:
             return False, ("target member not hit", k)
     return True, None
 
@@ -331,11 +333,7 @@ def check_commutation(
     mu: IndicatorFilter, nu: IndicatorFilter, ps: ProductSpace
 ) -> tuple[str, object]:
     """Exact finite verdict: 'commute' or ('counterexample', open set)."""
-    ab = compose_filters(mu, nu, ps)
-    ba = compose_filters(nu, mu, ps)
-    if ab.values == ba.values:
+    differ = compose_filters(mu, nu, ps).bits ^ compose_filters(nu, mu, ps).bits
+    if not differ:
         return "commute", None
-    for i, d in enumerate(ps.topology.opens):
-        if ab.values[i] != ba.values[i]:
-            return "counterexample", set_of(d)
-    return "commute", None
+    return "counterexample", set_of(ps.topology.first_open(differ))

@@ -410,4 +410,4 @@ def box_counting_dimension(m: int, radii=None, grid: int = 200_000) -> dict:
     logs = np.log(1.0 / radii)
     slope, _ = np.polyfit(logs, np.log(counts), 1)
     return {"radii": radii, "counts": np.array(counts),
-            "dimension": float(slope)}
+            "dimension": float(slope), "grid": grid}

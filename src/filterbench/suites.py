@@ -593,7 +593,7 @@ def _snowflake_tasks():
             ok = abs(out["dimension"] - m) <= 0.2
             return record(f"box-dimension-m{m}", "sec:2.3:dim", ok,
                           witness={"estimate": out["dimension"]}, seed=seed,
-                          samples=out.get("grid", 0) or 200_000)
+                          samples=out["grid"])
         return run
 
     tasks = [(f"metric-axioms-snowflake-m{m}", axioms(m)) for m in (2, 3, 4)]

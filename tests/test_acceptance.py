@@ -63,6 +63,7 @@ def test_criterion_3_pushforward_exhaustive():
 
 
 def test_criterion_4_pair_calculus_oracle():
+    t0 = time.perf_counter()
     mismatches = 0
     checked = 0
     for n in (1, 2, 3):
@@ -83,8 +84,10 @@ def test_criterion_4_pair_calculus_oracle():
                 rhs = pc.compose_filters(swapped[rb], swapped[ra], ps)
                 if lhs.values != rhs.values:
                     mismatches += 1
+    elapsed = time.perf_counter() - t0
     assert mismatches == 0
-    print(f"criterion 4: PASS ({checked} pairs exhaustive)")
+    assert elapsed < 40.0, elapsed
+    print(f"criterion 4: PASS ({checked} pairs exhaustive, {elapsed:.1f}s)")
 
 
 def test_criterion_5_convergence_characterization():

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from filterbench.errors import FilterAxiomViolation, WeightSumInvalid
+from filterbench.errors import (
+    FilterAxiomViolation,
+    SizeLimitExceeded,
+    WeightSumInvalid,
+)
 from filterbench.filter_algebra import (
+    _b_polytope_system,
+    _solve_exact,
     b_polytope_vertices,
+    b_polytope_vertices_bruteforce,
     check_derivable,
     check_filter_axioms,
     check_graded_axioms,
@@ -258,6 +265,72 @@ class TestBPolytope:
         t = indiscrete(2)
         vertices = b_polytope_vertices(t, proper=True)
         assert vertices == [(Fraction(0), Fraction(1))]
+
+    def test_double_description_matches_bruteforce(self):
+        # every topology on <= 3 points with <= 5 opens, and the 6-open
+        # topology of the benchmark's polytope batch
+        tops = [t for n in (1, 2, 3) for t in enumerate_topologies(n)
+                if len(t.opens) <= 5]
+        tops.append(validate_topology(3, [0, 1, 2, 3, 5, 7]))
+        for t in tops:
+            for proper in (True, False):
+                assert b_polytope_vertices(t, proper) == \
+                    b_polytope_vertices_bruteforce(t, proper), (t.opens, proper)
+
+    def test_guards(self):
+        with pytest.raises(SizeLimitExceeded):
+            # a chain of 7 opens on 6 points
+            b_polytope_vertices_bruteforce(
+                validate_topology(6, [(1 << i) - 1 for i in range(7)]))
+        with pytest.raises(SizeLimitExceeded):
+            b_polytope_vertices(discrete(4))
+
+    def test_vertices_are_a_filters_except_on_boolean_lattices(self):
+        # exhaustive within the guard: every topology on <= 4 points with
+        # <= 8 opens, in both modes
+        exceptions = set()
+        for n in (1, 2, 3, 4):
+            for t in enumerate_topologies(n):
+                if len(t.opens) > 8:
+                    continue
+                for proper in (True, False):
+                    filters = sorted(tuple(Fraction(v) for v in mu.values)
+                                     for mu in enumerate_filters(t, proper))
+                    vertices = b_polytope_vertices(t, proper)
+                    if vertices != filters:
+                        assert set(filters) < set(vertices)
+                        exceptions.add(t)
+        # the discrete 3-point space and the six 4-point topologies whose
+        # opens form the same 8-element Boolean lattice
+        assert len(exceptions) == 7
+        for t in exceptions:
+            assert len(t.opens) == 8
+            assert all(t.full_mask ^ d in t.opens for d in t.opens)
+
+    def test_fractional_vertex_of_discrete_three_point_space(self):
+        # certified without the vertex enumerators: the point is feasible,
+        # and some full-rank subsystem of its tight rows has it as the
+        # unique solution
+        t = discrete(3)
+        assert t.opens == tuple(range(8))
+        half = Fraction(1, 2)
+        p = (0, 0, 0, half, 0, half, half, 1)
+        for proper in (True, False):
+            check_graded_axioms(t, p, proper=proper)
+            equalities, ineqs = _b_polytope_system(t, proper)
+            tight = [(row, b) for row, b in ineqs
+                     if sum(a * x for a, x in zip(row, p)) == b]
+            dim = len(t.opens) - len(equalities)
+            certified = False
+            for combo in itertools.combinations(tight, dim):
+                rows = equalities + list(combo)
+                sol = _solve_exact([r for r, _ in rows], [b for _, b in rows])
+                if sol is not None:
+                    assert tuple(sol) == p
+                    certified = True
+                    break
+            assert certified
+            assert p in b_polytope_vertices(t, proper)
 
 
 class TestRefinement:

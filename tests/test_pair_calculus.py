@@ -1,10 +1,18 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from filterbench import pair_calculus
 from filterbench.errors import EmptySlice
-from filterbench.filter_algebra import check_filter_axioms, enumerate_filters
+from filterbench.filter_algebra import (
+    IndicatorFilter,
+    check_filter_axioms,
+    enumerate_filters,
+    filter_leq,
+    pushforward,
+)
 from filterbench.finite_topology import PointMap, validate_topology
 from filterbench.pair_calculus import (
     check_commutation,
@@ -18,6 +26,7 @@ from filterbench.pair_calculus import (
     diagonal_filter,
     diagonal_mask,
     induced_refinement,
+    pair_index,
     principal_pair_filter,
     product_topology,
     relation_mask,
@@ -188,6 +197,61 @@ class TestSwap:
                 rhs = compose_filters(
                     swap_pushforward(nu, ps), swap_pushforward(mu, ps), ps)
                 assert lhs.values == rhs.values
+
+
+    def test_swap_table_is_built_once(self, monkeypatch):
+        ps = product_topology(discrete(2))
+        mu = principal_pair_filter(ps, relation_mask(2, [(0, 1)]))
+        calls = []
+
+        def counted(n, mask):
+            calls.append(mask)
+            return transpose_mask(n, mask)
+
+        monkeypatch.setattr(pair_calculus, "transpose_mask", counted)
+        swap_pushforward(mu, ps)
+        assert len(calls) == len(ps.topology.opens)
+        swap_pushforward(mu, ps)
+        swap_pushforward(diagonal_filter(ps), ps)
+        assert len(calls) == len(ps.topology.opens)
+
+
+@pytest.mark.parametrize("base", [sierpinski(), discrete(2)],
+                         ids=["sierpinski", "discrete2"])
+class TestBitsetOracles:
+    """The int-bitset routes against set-level and elementwise definitions,
+    on every filter of the square."""
+
+    @staticmethod
+    def filters(ps):
+        return (enumerate_filters(ps.topology, proper=True)
+                + enumerate_filters(ps.topology, proper=False))
+
+    def test_swap_matches_pushforward_along_swap_map(self, base):
+        ps = product_topology(base)
+        n = base.n
+        sigma = PointMap(ps.topology, ps.topology, tuple(
+            pair_index(n, j, i) for i in range(n) for j in range(n)))
+        for mu in self.filters(ps):
+            assert swap_pushforward(mu, ps) == pushforward(sigma, mu)
+
+    def test_filter_leq_is_elementwise(self, base):
+        ps = product_topology(base)
+        universe = self.filters(ps)
+        for mu in universe:
+            for nu in universe:
+                assert filter_leq(mu, nu) == all(
+                    a <= b for a, b in zip(mu.values, nu.values))
+
+    def test_values_round_trip(self, base):
+        ps = product_topology(base)
+        assert [f.name for f in dataclasses.fields(IndicatorFilter)] == \
+            ["topology", "bits"]
+        for mu in self.filters(ps):
+            assert len(mu.values) == len(ps.topology.opens)
+            assert IndicatorFilter.from_values(ps.topology, mu.values) == mu
+            assert check_filter_axioms(ps.topology, mu.values,
+                                       proper=False) == mu
 
 
 class TestDiagonalFilter:
