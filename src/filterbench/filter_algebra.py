@@ -25,6 +25,7 @@ B-polytope vertices come from an exact double-description method over
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -477,23 +478,42 @@ def _dot(row, v):
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over the rationals; None if singular."""
+    """Exact solution of the square system rows . v = rhs as Fractions;
+    None if singular.
+
+    Fraction-free (Bareiss) elimination on the system scaled to integers:
+    every division is exact, so no Fraction is built until the end.
+    """
     n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if n != len(a[0]) - 1:
+    if n != len(rows[0]):
         return None
+    a = []
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        scale = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return None
         a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        top = a[col]
+        pv = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            a[r] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+    # a is upper triangular with det = +-prev; back-substitute the integer
+    # Cramer numerators det * v, again with exact divisions only
+    det = prev
+    num = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = det * row[n] - sum(row[j] * num[j] for j in range(r + 1, n))
+        num[r] = acc // row[r]
+    return [Fraction(v, det) for v in num]
 
 
 # --- refinements and derivability --------------------------------------------

@@ -2,15 +2,19 @@
 separation, plus order-m derivability desk-checks.
 
 Polynomial coefficients are exact rationals; coefficient equality is exact.
-Everything metric is numerical: arc distances are minimized on dense grids
-with golden-section refinement, and separation witnesses are finite-scale
-(a tail of on-arc points plus a generator whose aperture lies strictly
-below every observed distance ratio of that tail).
+Everything metric is numerical: arc distances come from one row-batched
+kernel, `arc_distances`. It scans all rows against one shared grid of
+ARC_GRID arc parameters, in blocks of ARC_ROWS rows, then refines each
+row's grid minimum by golden-section search on the bracket around it, all
+rows advancing together. Separation witnesses are finite-scale (a tail of
+on-arc points plus a generator whose aperture lies strictly below every
+observed distance ratio of that tail).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -24,7 +28,10 @@ from .errors import (
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 60
 ARC_GRID = 2048
+# rows per kernel block: one (ARC_ROWS, ARC_GRID) float64 temporary is 1 MiB
+ARC_ROWS = 64
 
 
 def snowflake_distance(m: int, x, y):
@@ -82,11 +89,16 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients as floats, constant-first, converted once."""
+        return tuple(float(c) for c in self.coeffs)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for c in reversed(self.coeffs):
-            out = out * t + float(c)
+        for c in reversed(self.float_coeffs):
+            out = out * t + c
         return out
 
     def __eq__(self, other):
@@ -121,77 +133,110 @@ class PolynomialGenerator:
             raise DegenerateGenerator("need eps > 0 and lam in (0, 1)")
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = 60) -> float:
-    a, b = lo, hi
+def _arc_cost(offsets: np.ndarray, p: Polynomial, ts, m: int,
+              graph: bool) -> np.ndarray:
+    """Distance from offsets y - x to the arc points at parameters ts: the
+    mixed distance |dx - t| + |dy - p(t)|^(1/m) for graph offsets (..., 2),
+    the snowflake distance |dy - p(t)|^(1/m) for line offsets."""
+    if graph:
+        return (np.abs(offsets[..., 0] - ts)
+                + np.abs(offsets[..., 1] - p(ts)) ** (1.0 / m))
+    return np.abs(offsets - p(ts)) ** (1.0 / m)
+
+
+def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray, m: int,
+               graph: bool) -> np.ndarray:
+    """One block of arc_distances: grid scan, then golden-section
+    refinement of every row's bracket at once."""
+    # each row against the whole grid, as one (rows, ARC_GRID) array
+    vals = _arc_cost(offsets[:, None], p, ts, m, graph)
+    i = np.argmin(vals, axis=1)
+    best = vals[np.arange(len(i)), i]
+    a = ts[np.maximum(i - 1, 0)]
+    b = ts[np.minimum(i + 1, ARC_GRID - 1)]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+    fc = _arc_cost(offsets, p, c, m, graph)
+    fd = _arc_cost(offsets, p, d, m, graph)
+    for _ in range(GOLDEN_ITERS):
+        # left rows keep [a, d] and probe a new c; the others keep [c, b]
+        # and probe a new d
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        kept = np.where(left, c, d)
+        f_kept = np.where(left, fc, fd)
+        s = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fs = _arc_cost(offsets, p, s, m, graph)
+        c = np.where(left, s, kept)
+        d = np.where(left, kept, s)
+        fc = np.where(left, fs, f_kept)
+        fd = np.where(left, f_kept, fs)
+    return np.minimum(best, np.minimum(fc, fd))
 
 
-def _arc_min(point_cost: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """Global grid scan plus local golden-section refinement of the arc
-    parameter; the mixed metric is not smooth, so the scan comes first."""
+def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
+    """Distance from each row of offsets (y - x) to the arc traced by p
+    over [0, eps]: (N, 2) offsets in the mixed product, where the arc is
+    {x + (t, p(t))}, or (N,) offsets on the snowflake line, where it is
+    {x + p(t)}.
+
+    The mixed metric is not smooth, so a global grid scan over ARC_GRID
+    parameters comes first; golden-section search then refines the
+    bracket around each row's grid minimum.
+    """
+    offsets = np.asarray(offsets, float)
+    graph = offsets.ndim == 2
+    if not (offsets.ndim == 1 or graph and offsets.shape[1] == 2):
+        raise ValueError(
+            f"offsets must be (N, 2) or (N,), not {offsets.shape}")
     ts = np.linspace(0.0, eps, ARC_GRID)
-    vals = point_cost(ts)
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, ARC_GRID - 1)]
-    refined = _golden_min(lambda s: float(point_cost(np.array([s]))[0]), lo, hi)
-    return min(float(vals[i]), refined)
+    out = np.empty(len(offsets))
+    for lo in range(0, len(offsets), ARC_ROWS):
+        out[lo:lo + ARC_ROWS] = _arc_block(offsets[lo:lo + ARC_ROWS], p, ts,
+                                           m, graph)
+    return out
 
 
 def arc_distance_graph(y, x, p: Polynomial, eps: float, m: int) -> float:
     """Mixed-product distance from y to {x + (t, p(t)) : t in [0, eps]}."""
-    y = np.asarray(y, float)
-    x = np.asarray(x, float)
-
-    def cost(ts):
-        return (np.abs(y[0] - x[0] - ts)
-                + np.abs(y[1] - x[1] - p(ts)) ** (1.0 / m))
-
-    return _arc_min(cost, eps)
+    offset = np.asarray(y, float) - np.asarray(x, float)
+    return float(arc_distances(offset[None], p, eps, m)[0])
 
 
 def arc_distance_line(y: float, x: float, p: Polynomial, eps: float, m: int) -> float:
     """Snowflake-line distance from y to {x + p(t) : t in [0, eps]}."""
-
-    def cost(ts):
-        return np.abs(y - x - p(ts)) ** (1.0 / m)
-
-    return _arc_min(cost, eps)
+    return float(arc_distances([y - x], p, eps, m)[0])
 
 
 Space = Union[SnowflakeSpace, MixedProductSpace]
 
 
-def polynomial_filter_contains(g: PolynomialGenerator, y, space: Space) -> bool:
+def polynomial_filter_contains(g: PolynomialGenerator, y,
+                               space: Space) -> bool | np.ndarray:
     """Membership in V+(x, p, eps, lam); the space argument selects the
     graph reading (mixed product) or the one-dimensional reading
-    (snowflake line)."""
+    (snowflake line).
+
+    y is one point, giving a bool, or a batch, giving a bool array: (N, 2)
+    points in the mixed product, (N,) on the line.
+    """
+    y = np.asarray(y, float)
     if isinstance(space, MixedProductSpace):
-        d_xy = float(space.distance(np.asarray(y, float), np.asarray(g.x, float)))
-        if d_xy == 0.0:
-            return False
-        d_arc = arc_distance_graph(y, g.x, g.p, g.eps, space.m)
+        x = np.asarray(g.x, float)
+        single = y.ndim == 1
+        rows = y.reshape(-1, 2)
+        # per point, as a scalar: the array power differs in the last bit
+        d_xy = np.array([float(space.distance(r, x)) for r in rows])
     else:
-        y0 = float(np.asarray(y, float).reshape(()))
-        x0 = float(np.asarray(g.x, float).reshape(()))
-        d_xy = float(snowflake_distance(space.m, y0, x0))
-        if d_xy == 0.0:
-            return False
-        d_arc = arc_distance_line(y0, x0, g.p, g.eps, space.m)
-    return d_arc < g.lam * d_xy
+        x = float(np.asarray(g.x, float).reshape(()))
+        single = y.ndim == 0
+        rows = y.reshape(-1)
+        d_xy = np.array([float(snowflake_distance(space.m, float(r), x))
+                         for r in rows])
+    d_arc = arc_distances(rows - x, g.p, g.eps, space.m)
+    member = (d_xy != 0.0) & (d_arc < g.lam * d_xy)
+    return bool(member[0]) if single else member
 
 
 def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
@@ -202,10 +247,8 @@ def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
     space = MixedProductSpace(m)
     t_h = t0 / np.arange(1, count + 1, dtype=float)
     seq = np.stack([x[0] + t_h, x[1] + p1(t_h)], axis=-1)
-    ratios = np.empty(count)
-    for i, y in enumerate(seq):
-        d_xy = float(space.distance(y, x))
-        ratios[i] = arc_distance_graph(y, x, p2, 2.0 * t0, m) / d_xy
+    d_xy = np.array([float(space.distance(y, x)) for y in seq])
+    ratios = arc_distances(seq - x, p2, 2.0 * t0, m) / d_xy
     return seq, ratios, 2.0 * t0
 
 
@@ -229,7 +272,8 @@ def separate_polynomials(p1, p2, m: int, x=(0.0, 0.0),
     lam0 = min(0.9 * min_ratio, 0.99)
     gen = PolynomialGenerator(np.asarray(x, float), p2, eps0, lam0, m)
     space = MixedProductSpace(m)
-    verified = all(not polynomial_filter_contains(gen, y, space) for y in seq)
+    # an explicit membership check of the whole tail, not a reuse of ratios
+    verified = not polynomial_filter_contains(gen, seq, space).any()
     return {
         "status": "separated",
         "sequence": seq,
@@ -299,7 +343,7 @@ def truncated_composition(f: Func1D, x: float, p: Polynomial, m: int) -> np.ndar
     coefficients (constant is 0 since p(0) = 0). Ground-truth oracle for
     check_poly_derivable."""
     a = f.taylor_coeffs(x, m)
-    pc = np.array([float(c) for c in p.coeffs])
+    pc = np.array(p.float_coeffs)
     q = np.zeros(m + 1)
     power = np.array([1.0])  # p^0
     for i, ai in enumerate(a, start=1):
@@ -331,19 +375,18 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int,
     space = MixedProductSpace(m)
     t_h = t0 / 2.0 ** np.arange(count, dtype=float)
     origin = np.zeros(2)
-    ratios = np.empty(count)
     # image points (t, f(x + p(t)) - f(x)) relative to the image of x
     vals = f(x + p(t_h)) - f(x)
     imgs = np.stack([t_h, vals], axis=-1)
-    for i, y in enumerate(imgs):
-        d_xy = float(space.distance(y, origin))
-        # the image parameter itself gives an exact distance upper bound
-        # (the pure Taylor residual); the grid search loses it to the
-        # square-root cusp at tiny scales
-        at_param = abs(vals[i] - q_poly(t_h[i])) ** (1.0 / m)
-        d_arc = min(arc_distance_graph(y, origin, q_poly, 2.0 * t0, m),
-                    float(at_param))
-        ratios[i] = d_arc / d_xy
+    d_xy = np.array([float(space.distance(y, origin)) for y in imgs])
+    # the image parameter itself gives an exact distance upper bound (the
+    # pure Taylor residual); the grid search loses it to the square-root
+    # cusp at tiny scales. Per point, as a scalar, like d_xy.
+    at_param = np.array([float(abs(v - q_poly(t)) ** (1.0 / m))
+                         for v, t in zip(vals, t_h)])
+    d_arc = np.minimum(arc_distances(imgs - origin, q_poly, 2.0 * t0, m),
+                       at_param)
+    ratios = d_arc / d_xy
     ok = bool(ratios[-1] < tol and ratios[-1] <= ratios[0] + tol)
     return {
         "oracle_coeffs": q,
@@ -398,14 +441,22 @@ def box_counting_dimension(m: int, radii=None, grid: int = 200_000) -> dict:
     pts = np.linspace(0.0, 1.0, grid)
     counts = []
     for r in radii:
+        # a ball of radius r spans about r^m (grid - 1) grid steps; the
+        # window doubles only while the whole window lies inside the ball
+        w = int(r ** m * (grid - 1)) + 2
         n = 0
         i = 0
         while i < grid:
             center = pts[i]
             n += 1
             # covered prefix: consecutive points within distance r of center
-            j = np.searchsorted(sp.distance(pts[i:], center), r, side="left")
-            i += max(int(j), 1)
+            while True:
+                j = int(np.searchsorted(sp.distance(pts[i:i + w], center), r,
+                                        side="left"))
+                if j < w or i + w >= grid:
+                    break
+                w *= 2
+            i += max(j, 1)
         counts.append(n)
     logs = np.log(1.0 / radii)
     slope, _ = np.polyfit(logs, np.log(counts), 1)

@@ -208,6 +208,7 @@ def test_criterion_8_bound_invariant():
 
 
 def test_criterion_9_snowflake_separation():
+    t0 = time.perf_counter()
     assert len(SEPARATION_PAIRS) == 20
     for c1, c2, m in SEPARATION_PAIRS:
         out = sf.separate_polynomials(Polynomial.from_coeffs(c1),
@@ -225,8 +226,11 @@ def test_criterion_9_snowflake_separation():
         assert sf.separate_polynomials(p, Polynomial.from_coeffs(coeffs),
                                        m) == "equal"
     dim = sf.box_counting_dimension(2)["dimension"]
+    elapsed = time.perf_counter() - t0
     assert abs(dim - 2) <= 0.2, dim
-    print(f"criterion 9: PASS (20+20 pairs, dimension {dim:.2f})")
+    assert elapsed < 0.8, elapsed
+    print(f"criterion 9: PASS (20+20 pairs, dimension {dim:.2f}, "
+          f"{elapsed:.2f}s)")
 
 
 def test_criterion_10_flow_theorems():

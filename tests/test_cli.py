@@ -187,6 +187,17 @@ class TestMain:
         assert code == 0
         assert out["records"][0]["witness"]["status"] == "equal"
 
+    def test_snowflake_separate_distinct(self, capsys):
+        code = main(["snowflake", "separate", "--p1", "0,1", "--p2", "0,1,1",
+                     "--m", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        rec = out["records"][0]
+        witness = rec["witness"]
+        assert witness["status"] == "separated"
+        assert rec["verdict"] == "pass"
+        assert 0 < witness["generator_aperture"] < witness["min_ratio"]
+
     def test_flow_lemacon(self, capsys):
         code = main(["flow", "lemacon", "translation", "--samples", "300"])
         out = json.loads(capsys.readouterr().out)
