@@ -235,8 +235,10 @@ def _cmd_flow(args) -> int:
                             "group_residual": rep.group_residual,
                             "m_table": {str(k): v for k, v
                                         in rep.m_table.items()},
-                            "c_constant": rep.c_constant},
-                   seed=config.seed, samples=config.samples)])
+                            "c_constant": rep.c_constant,
+                            "converged": rep.converged},
+                   seed=config.seed, samples=config.samples,
+                   inconclusive=not rep.converged)])
     flow = _flow_of(args)
     rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
                                    seed=config.seed)

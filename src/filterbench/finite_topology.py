@@ -84,17 +84,6 @@ class FiniteTopology:
         canonical order."""
         return self.opens[(bits & -bits).bit_length() - 1]
 
-    def open_sets(self) -> list[frozenset[int]]:
-        return [set_of(m) for m in self.opens]
-
-    def minimal_neighborhood(self, x: int) -> int:
-        """Intersection of all opens containing x (open, since the family is finite)."""
-        m = self.full_mask
-        for d in self.opens:
-            if d >> x & 1:
-                m &= d
-        return m
-
 
 @dataclass(frozen=True)
 class PointMap:

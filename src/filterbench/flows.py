@@ -3,6 +3,9 @@ filters, reversal, the aperture-transfer lemma recipe, diagonal and
 composition recipes, flow pushforward and the transport identity.
 
 Flows act on Euclidean carriers; all verdicts are sampled and seeded.
+A flow is evaluated at an array of times in one call, the times broadcast
+against the leading axes of the points: per-row times for orbit points,
+a column of times against a batch for orbit arcs.
 Pair membership goes through geometry.arc_membership: each orbit arc is a
 uniform polyline, doubled from 17 vertices towards a 2^14 cap, and a row
 is decided once its distance d, plus or minus the one-level change
@@ -29,17 +32,25 @@ from .maps import MapSpec
 
 @dataclass(frozen=True)
 class Flow:
-    """Evaluator F(t, x) on [a, b] x R^dim, vectorized over x (N, d)."""
+    """Evaluator F(t, x) on [a, b] x R^dim.
+
+    x has shape (..., dim); t is a time or an array of times broadcast
+    against the leading axes of x, so t (N,) with x (N, dim) moves each row
+    by its own time and t (B, 1) with x (N, dim) gives (B, N, dim).
+    """
 
     name: str
     dim: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     a: float = -1.0
     b: float = 1.0
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        if not self.a <= t <= self.b:
-            raise DomainViolation(f"t={t} outside [{self.a}, {self.b}]")
+    def __call__(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        inside = (self.a <= t) & (t <= self.b)
+        if not inside.all():
+            raise DomainViolation(
+                f"t={t[~inside].flat[0]} outside [{self.a}, {self.b}]")
         return self.fn(t, np.asarray(x, dtype=float))
 
     def reversed(self) -> "Flow":
@@ -49,26 +60,29 @@ class Flow:
 
 def translation_flow(u) -> Flow:
     u = np.asarray(u, dtype=float)
-    return Flow("translation", len(u), lambda t, x: x + t * u)
+    return Flow("translation", len(u), lambda t, x: x + t[..., None] * u)
 
 
 def rotation_flow(omega: float = 1.0) -> Flow:
     def fn(t, x):
         c, s = np.cos(omega * t), np.sin(omega * t)
-        return x @ np.array([[c, s], [-s, c]])
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=-1)
     return Flow("rotation", 2, fn)
 
 
 def scaling_flow(rate: float = 1.0) -> Flow:
-    return Flow("scaling", 2, lambda t, x: np.exp(rate * t) * x)
+    return Flow("scaling", 2, lambda t, x: np.exp(rate * t)[..., None] * x)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential for small matrices."""
-    n = max(0, int(np.ceil(np.log2(max(np.abs(a).sum(), 1e-16)))) + 4)
+    """Scaling-and-squaring Taylor exponential of each matrix of a stack
+    (..., n, n), with the squaring count of the largest one."""
+    norm = float(np.max(np.abs(a).sum(axis=(-2, -1)), initial=0.0))
+    n = max(0, int(np.ceil(np.log2(max(norm, 1e-16)))) + 4)
     b = a / (2 ** n)
-    out = np.eye(len(a))
-    term = np.eye(len(a))
+    out = np.eye(a.shape[-1])
+    term = np.eye(a.shape[-1])
     for k in range(1, 20):
         term = term @ b / k
         out = out + term
@@ -79,7 +93,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def linear_flow(generator) -> Flow:
     g = np.asarray(generator, dtype=float)
-    return Flow("linear", g.shape[0], lambda t, x: x @ _expm(t * g).T)
+    return Flow("linear", g.shape[0],
+                lambda t, x: (_expm(t[..., None, None] * g)
+                              @ x[..., None])[..., 0])
 
 
 BUILTIN_FLOWS: dict[str, Flow] = {
@@ -96,7 +112,7 @@ def _orbit_arcs(flow: Flow, x: np.ndarray):
     """Arc evaluator of geometry.arc_membership: the orbit arcs of x[rows]."""
     def bind(rows):
         xr = x[rows]
-        return lambda ts: np.stack([flow(t, xr) for t in ts])
+        return lambda ts: flow(ts[:, None], xr)
     return bind
 
 
@@ -129,6 +145,7 @@ class FlowConditionsReport:
     c_grid: dict
     c_constant: float
     passes: dict = field(default_factory=dict)
+    converged: bool = True  # every check (e) membership decided
 
     @property
     def all_pass(self) -> bool:
@@ -150,36 +167,13 @@ def _sample_orbit_members(flow: Flow, x: np.ndarray, eps: float, mu: float,
     ts = rng.uniform(0.2 * eps, eps, len(x))
     if sign == "-":
         ts = -ts
-    on_orbit = _orbit_points(flow, x, ts)
+    on_orbit = flow(ts, x)
     d_base = np.linalg.norm(on_orbit - x, axis=-1)
     w = rng.normal(size=x.shape)
     w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
     y = on_orbit + (0.25 * mu * d_base)[:, None] * w
     member, converged = flow_pair_contains(flow, abs(eps), mu, x, y, sign)
     return y, member, converged
-
-
-def _orbit_points(flow: Flow, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """F(ts[i], x[i]) batched by grouping equal quantized times.
-
-    The batch is sorted by group once (stably) instead of being scanned
-    once per distinct time, and each flow call sees its rows in increasing
-    order, as a mask over x would select them.
-    """
-    # quantize to limit the number of flow evaluations
-    scale = float(np.max(np.abs(ts))) or 1.0
-    q = np.round(ts / scale, 3) * scale
-    times, group = np.unique(q, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    grouped = x[order]
-    moved = np.empty_like(grouped)
-    start = 0
-    for t, end in zip(times, np.cumsum(np.bincount(group))):
-        moved[start:end] = flow(float(t), grouped[start:end])
-        start = end
-    out = np.empty_like(x)
-    out[order] = moved
-    return out
 
 
 def check_flow_conditions(
@@ -200,15 +194,14 @@ def check_flow_conditions(
     # (a) identity at t = 0
     ident = float(np.max(np.linalg.norm(flow(0.0, x) - x, axis=-1)))
 
-    # (b) modulus of t -> F(t, x), uniform over sampled x
-    equi = {}
-    for dt in (0.2, 0.1, 0.05, 0.01, 0.001):
-        base_ts = np.linspace(flow.a * 0.5, flow.b * 0.5, 9)
-        worst = 0.0
-        for t in base_ts:
-            worst = max(worst, float(np.max(np.linalg.norm(
-                flow(t + dt, x) - flow(t, x), axis=-1))))
-        equi[dt] = worst
+    # (b) modulus of t -> F(t, x), uniform over sampled x; one call per
+    # base time moves x by every dt, so temporaries stay at (5, N, d)
+    dts = np.array([0.2, 0.1, 0.05, 0.01, 0.001])
+    worst = np.zeros(len(dts))
+    for t in np.linspace(flow.a * 0.5, flow.b * 0.5, 9):
+        moved = np.linalg.norm(flow(t + dts[:, None], x) - flow(t, x), axis=-1)
+        worst = np.maximum(worst, moved.max(axis=1))
+    equi = dict(zip(dts.tolist(), worst.tolist()))
 
     # (c) two-sided difference-quotient ratios at shrinking separations
     m_table = {}
@@ -226,25 +219,24 @@ def check_flow_conditions(
             m_table[tt] = (lo, hi, max(hi, 1.0 / lo))
 
     # (d) local group law
-    s = rng.uniform(flow.a * 0.5, flow.b * 0.5, 64)
-    t = rng.uniform(flow.a * 0.5, flow.b * 0.5, 64)
-    group = 0.0
+    s = rng.uniform(flow.a * 0.5, flow.b * 0.5, 64)[:, None]
+    t = rng.uniform(flow.a * 0.5, flow.b * 0.5, 64)[:, None]
     xs = x[:256]
-    for si, ti in zip(s, t):
-        lhs = flow(si + ti, xs)
-        rhs = flow(si, flow(ti, xs))
-        group = max(group, float(np.max(np.linalg.norm(lhs - rhs, axis=-1))))
+    group = float(np.max(np.linalg.norm(
+        flow(s + t, xs) - flow(s, flow(t, xs)), axis=-1)))
 
     # (e) chain-comparability constant over the parameter grid
     c_grid = {}
     c_max = 1.0
+    converged = True
     eps_list, mu_list = DEFAULT_C_GRID
     rev = flow.reversed()
     y0 = x[: min(samples, 1000)]
     for eps_p in eps_list:
         for mu_p in mu_list:
-            z, mz, _ = _sample_orbit_members(flow, y0, eps_p, mu_p, rng)
-            xb, mx, _ = _sample_orbit_members(rev, y0, eps_p, mu_p, rng)
+            z, mz, cz = _sample_orbit_members(flow, y0, eps_p, mu_p, rng)
+            xb, mx, cx = _sample_orbit_members(rev, y0, eps_p, mu_p, rng)
+            converged = converged and cz and cx
             ok = mz & mx
             d_xy = np.linalg.norm(y0 - xb, axis=-1)
             d_yz = np.linalg.norm(z - y0, axis=-1)
@@ -265,7 +257,7 @@ def check_flow_conditions(
         "e": np.isfinite(c_max) and bool(c_grid),
     }
     return FlowConditionsReport(ident, equi, m_table, group, c_grid,
-                                c_max, passes)
+                                c_max, passes, converged)
 
 
 # --- proof-step recipes ------------------------------------------------------
@@ -296,14 +288,10 @@ def _ratio_radius(flow: Flow, lam0: float, rng: np.random.Generator,
         y = x + rng.uniform(-1.0, 1.0, size=x.shape) * eps1 / np.sqrt(flow.dim)
         keep = np.linalg.norm(y - x, axis=-1) < eps1
         x, y = x[keep], y[keep]
-        ok = True
-        for t in rng.uniform(-lam0, lam0, 8):
-            lhs = 0.25 * np.linalg.norm(flow(t, y) - x, axis=-1)
-            rhs = np.linalg.norm(y - flow(-t, x), axis=-1)
-            if np.any(lhs > rhs + 1e-12):
-                ok = False
-                break
-        if ok:
+        t = rng.uniform(-lam0, lam0, 8)[:, None]
+        lhs = 0.25 * np.linalg.norm(flow(t, y) - x, axis=-1)
+        rhs = np.linalg.norm(y - flow(-t, x), axis=-1)
+        if not np.any(lhs > rhs + 1e-12):
             return eps1
     raise RecipeUnsatisfiable(
         "no sampled radius validates the two-sided ratio inequality")

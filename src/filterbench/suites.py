@@ -5,15 +5,23 @@ Checks may execute on several worker threads; records are assembled in
 check-id order and each check derives its own RNG seed from (config seed,
 check id), so reports are byte-identical for equal (suite, config)
 regardless of worker count.
+
+Within one run, each suite flow's conditions report is computed once,
+seeded from the report id ``flow-report-<name>``, and shared by the checks
+that take it as input.  The ``trad2`` suite runs no checks of its own: its
+records are the flow-theorem records of ``flows`` (TRAD2_CHECKS) under
+``trad2-`` ids, and ``all`` runs each of those checks once.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,8 +33,8 @@ from . import pair_calculus as pc
 from . import snowflake as sf
 from .errors import ConfigInvalid, UnknownSuite
 from .geometry import segment_projection_parameter, unit
-from .maps import BUILTIN_MAPS, MapSpec, linear_map
-from .reporting import CheckRecord, SuiteReport, record
+from .maps import BUILTIN_MAPS, linear_map
+from .reporting import SuiteReport, record
 from .snowflake import Polynomial
 
 SUITE_NAMES = ("finite-axioms", "finite-pushforward", "pair-composition",
@@ -615,22 +623,41 @@ TRANSPORT_MAPS = ("identity2d", "rotation_quarter", "shear_half",
                   "parabolic_shear", "sine_shear")
 
 
-def _flow_report(name, config, seed):
-    return fl.check_flow_conditions(
-        fl.BUILTIN_FLOWS[name], samples=min(config.samples, 2000), seed=seed)
+# thm:trad2 reuses these flows records under "trad2-" ids
+TRAD2_CHECKS = tuple(
+    [f"{kind}-{name}" for name in FLOW_NAMES
+     for kind in ("lemacon", "step1", "step3")]
+    + ["pushforward-conditions"]
+    + [f"transport-{mname}" for mname in TRANSPORT_MAPS])
 
 
-def _flows_tasks(prefix="", include_conditions=True):
+def _flows_tasks():
     tasks = []
+    # one conditions report per flow, seeded from its report id and shared
+    # by the conditions, lemacon, step1 and step3 checks of that flow; each
+    # run_suite call builds its own task list, so no report outlives its run
+    reports = {}
+    locks = {name: threading.Lock() for name in FLOW_NAMES}
+
+    def report(name, config):
+        with locks[name]:
+            if name not in reports:
+                seed = _check_seed(config, f"flow-report-{name}")
+                reports[name] = seed, fl.check_flow_conditions(
+                    fl.BUILTIN_FLOWS[name], samples=min(config.samples, 2000),
+                    seed=seed)
+            return reports[name]
 
     def conditions(name):
         def run(config, seed):
-            rep = _flow_report(name, config, seed)
-            return record(f"{prefix}conditions-{name}", "sec:2.4:conditions",
+            rep_seed, rep = report(name, config)
+            return record(f"conditions-{name}", "sec:2.4:conditions",
                           rep.all_pass,
                           witness={"passes": rep.passes,
-                                   "c_constant": rep.c_constant},
-                          seed=seed, samples=min(config.samples, 2000))
+                                   "c_constant": rep.c_constant,
+                                   "converged": rep.converged},
+                          seed=rep_seed, samples=min(config.samples, 2000),
+                          inconclusive=not rep.converged)
         return run
 
     def reversal(name):
@@ -643,8 +670,7 @@ def _flows_tasks(prefix="", include_conditions=True):
                                                    x, y)
             bwd, c2 = fl.flow_pair_contains(flow, 0.1, 0.3, x, y, sign="-")
             ok = bool(np.array_equal(fwd_of_rev, bwd))
-            return record(f"{prefix}reversal-identity-{name}",
-                          "sec:2.4:reversal", ok,
+            return record(f"reversal-identity-{name}", "sec:2.4:reversal", ok,
                           witness={"disagreements":
                                    int(np.count_nonzero(fwd_of_rev != bwd))},
                           seed=seed, samples=len(x),
@@ -662,41 +688,16 @@ def _flows_tasks(prefix="", include_conditions=True):
         via_flow, conv = fl.flow_pair_contains(flow, 0.1, 0.3, x, y)
         via_pair = pf.contains(0.1, 0.3, x, y)
         bad = int(np.count_nonzero(via_flow != via_pair))
-        return record(f"{prefix}translation-pair-agreement", "sec:2.4",
-                      bad == 0, witness={"disagreements": bad}, seed=seed,
-                      samples=n, inconclusive=not conv)
+        return record("translation-pair-agreement", "sec:2.4", bad == 0,
+                      witness={"disagreements": bad}, seed=seed, samples=n,
+                      inconclusive=not conv)
 
-    def lemacon(name):
+    def recipe(kind, anchor, check, name):
         def run(config, seed):
-            rep = _flow_report(name, config, seed)
-            out = fl.lemacon_construct(fl.BUILTIN_FLOWS[name], 0.1, 0.5, rep,
-                                       samples=config.samples, seed=seed)
-            return record(f"{prefix}lemacon-{name}", "lem:lemacon",
-                          out["violations"] == 0, witness=out, seed=seed,
-                          samples=out["checked"],
-                          inconclusive=not out["converged"])
-        return run
-
-    def step1(name):
-        def run(config, seed):
-            rep = _flow_report(name, config, seed)
-            out = fl.step1_diagonal_check(fl.BUILTIN_FLOWS[name], 0.01, rep,
-                                          samples=config.samples, seed=seed)
-            return record(f"{prefix}step1-{name}", "thm:trad2:step1",
-                          out["violations"] == 0, witness=out, seed=seed,
-                          samples=out["checked"],
-                          inconclusive=not out["converged"])
-        return run
-
-    def step3(name):
-        def run(config, seed):
-            rep = _flow_report(name, config, seed)
-            out = fl.step3_composition_check(fl.BUILTIN_FLOWS[name], 0.2, 0.5,
-                                             rep, samples=config.samples,
-                                             seed=seed)
-            return record(f"{prefix}step3-{name}", "thm:trad2:step3",
-                          out["violations"] == 0, witness=out, seed=seed,
-                          samples=out["checked"],
+            out = check(fl.BUILTIN_FLOWS[name], report=report(name, config)[1],
+                        samples=config.samples, seed=seed)
+            return record(f"{kind}-{name}", anchor, out["violations"] == 0,
+                          witness=out, seed=seed, samples=out["checked"],
                           inconclusive=not out["converged"])
         return run
 
@@ -707,7 +708,7 @@ def _flows_tasks(prefix="", include_conditions=True):
                                        samples=min(config.samples, 1000),
                                        seed=seed)
         ok = rep.passes["a"] and rep.passes["b"] and rep.passes["d"]
-        return record(f"{prefix}pushforward-conditions", "lem:lem2", ok,
+        return record("pushforward-conditions", "lem:lem2", ok,
                       witness={"passes": rep.passes}, seed=seed,
                       samples=min(config.samples, 1000))
 
@@ -716,25 +717,30 @@ def _flows_tasks(prefix="", include_conditions=True):
             verdict, witness = fl.check_flow_transport(
                 BUILTIN_MAPS[mname], fl.BUILTIN_FLOWS["translation"],
                 samples=min(config.samples, 2000), seed=seed)
-            return record(f"{prefix}transport-{mname}", "lem:lem3",
+            return record(f"transport-{mname}", "lem:lem3",
                           verdict != "counterexample",
                           witness={"verdict": verdict, "pair": witness},
                           seed=seed, samples=min(config.samples, 2000),
                           inconclusive=verdict == "inconclusive")
         return run
 
-    if include_conditions:
-        for name in FLOW_NAMES:
-            tasks.append((f"{prefix}conditions-{name}", conditions(name)))
-            tasks.append((f"{prefix}reversal-identity-{name}", reversal(name)))
-        tasks.append((f"{prefix}translation-pair-agreement", pair_agreement))
     for name in FLOW_NAMES:
-        tasks.append((f"{prefix}lemacon-{name}", lemacon(name)))
-        tasks.append((f"{prefix}step1-{name}", step1(name)))
-        tasks.append((f"{prefix}step3-{name}", step3(name)))
-    tasks.append((f"{prefix}pushforward-conditions", pushforward_conditions))
+        tasks.append((f"conditions-{name}", conditions(name)))
+        tasks.append((f"reversal-identity-{name}", reversal(name)))
+    tasks.append(("translation-pair-agreement", pair_agreement))
+    recipes = (
+        ("lemacon", "lem:lemacon",
+         partial(fl.lemacon_construct, eps=0.1, mu=0.5)),
+        ("step1", "thm:trad2:step1",
+         partial(fl.step1_diagonal_check, eps_target=0.01)),
+        ("step3", "thm:trad2:step3",
+         partial(fl.step3_composition_check, eps=0.2, mu=0.5)))
+    for name in FLOW_NAMES:
+        for kind, anchor, check in recipes:
+            tasks.append((f"{kind}-{name}", recipe(kind, anchor, check, name)))
+    tasks.append(("pushforward-conditions", pushforward_conditions))
     for mname in TRANSPORT_MAPS:
-        tasks.append((f"{prefix}transport-{mname}", transport(mname)))
+        tasks.append((f"transport-{mname}", transport(mname)))
     return tasks
 
 
@@ -756,12 +762,11 @@ def _suite_tasks(name: str):
     if name == "flows":
         return _flows_tasks()
     if name == "trad2":
-        return _flows_tasks(prefix="trad2-", include_conditions=False)
+        return [task for task in _flows_tasks() if task[0] in TRAD2_CHECKS]
     if name == "all":
-        tasks = []
-        for sub in SUITE_NAMES[:-1]:
-            tasks.extend(_suite_tasks(sub))
-        return tasks
+        # trad2 records are relabelled flows records, so trad2 is not run
+        return [task for sub in SUITE_NAMES if sub not in ("trad2", "all")
+                for task in _suite_tasks(sub)]
     raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
 
 
@@ -783,4 +788,8 @@ def run_suite(name: str, config: RunConfig | None = None,
             records = list(pool.map(execute, tasks))
     else:
         records = [execute(t) for t in tasks]
+    if name in ("trad2", "all"):
+        trad2 = [replace(r, check_id=f"trad2-{r.check_id}") for r in records
+                 if r.check_id in TRAD2_CHECKS]
+        records = trad2 if name == "trad2" else records + trad2
     return SuiteReport(name, config.as_dict(), tuple(records)).sorted()

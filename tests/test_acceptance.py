@@ -259,8 +259,12 @@ def test_criterion_10_flow_theorems():
 
 
 def test_criterion_11_determinism():
+    t0 = time.perf_counter()
     cfg = RunConfig(seed=123, samples=500)
     single = run_suite("all", cfg, workers=1).to_json()
     multi = run_suite("all", cfg, workers=4).to_json()
+    elapsed = time.perf_counter() - t0
     assert single == multi
-    print(f"criterion 11: PASS (byte-identical, {len(single)} bytes)")
+    assert elapsed < 7.0, elapsed
+    print(f"criterion 11: PASS (byte-identical, {len(single)} bytes, "
+          f"{elapsed:.1f}s)")

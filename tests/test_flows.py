@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from filterbench import flows as fl
+from filterbench import suites
+from filterbench.cli import main
 from filterbench.errors import (
     DomainViolation,
     InverseResidualTooLarge,
@@ -24,6 +29,7 @@ from filterbench.flows import (
 )
 from filterbench.maps import BUILTIN_MAPS, MapSpec, linear_map
 from filterbench.metric_filters import pair_directional_filter
+from filterbench.suites import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,7 @@ class TestConditions:
     def test_all_conditions_pass(self, reports, name):
         rep = reports[name]
         assert rep.all_pass, rep.passes
+        assert rep.converged
 
     def test_isometries_have_unit_m(self, reports):
         for name in ("translation", "rotation"):
@@ -61,6 +68,72 @@ class TestConditions:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             BUILTIN_FLOWS["translation"](2.0, np.zeros((1, 2)))
+
+
+class TestUnconvergedCheckE:
+    """Check (e) rows left undecided at the subdivision cap make the
+    conditions verdict inconclusive instead of passing."""
+
+    @pytest.fixture
+    def unconverged(self, monkeypatch):
+        real = fl.arc_membership
+        monkeypatch.setattr(fl, "arc_membership",
+                            lambda *args: (*real(*args)[:2], False))
+
+    def test_report_carries_the_flag(self, unconverged):
+        rep = check_flow_conditions(BUILTIN_FLOWS["translation"], samples=200,
+                                    seed=1)
+        assert rep.all_pass and not rep.converged
+
+    def test_suite_record_is_inconclusive(self, unconverged):
+        tasks = dict(suites._flows_tasks())
+        rec = tasks["conditions-translation"](RunConfig(samples=200), 0)
+        assert rec.verdict == "inconclusive"
+        assert rec.witness["converged"] is False
+
+    def test_cli_record_is_inconclusive(self, unconverged, capsys):
+        code = main(["flow", "conditions", "translation", "--samples", "200"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["records"][0]["verdict"] == "inconclusive"
+
+
+# the built-in flows, their reversals, a non-nilpotent linear flow and a
+# pushed-forward flow
+TIME_ARRAY_FLOWS = {
+    **BUILTIN_FLOWS,
+    **{f"{name}_reversed": f.reversed() for name, f in BUILTIN_FLOWS.items()},
+    "linear_spiral": linear_flow([[0.3, -1.0], [1.0, -0.2]]),
+    "shear_half_pushforward_rotation": pushforward_flow(
+        BUILTIN_MAPS["shear_half"], BUILTIN_FLOWS["rotation"]),
+}
+
+
+class TestTimeArrays:
+    @pytest.mark.parametrize("name", sorted(TIME_ARRAY_FLOWS))
+    def test_matches_per_time_calls(self, name):
+        flow = TIME_ARRAY_FLOWS[name]
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (300, 2))
+        ts = rng.uniform(flow.a, flow.b, len(x))
+        grid = rng.uniform(flow.a, flow.b, 7)
+        got = [flow(ts, x), flow(grid[:, None], x)]
+        want = [np.stack([flow(float(t), xi[None])[0] for t, xi in zip(ts, x)]),
+                np.stack([flow(float(t), x) for t in grid])]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            if name == "linear_spiral":
+                # a stack of matrix exponentials shares one squaring count
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(g, w)
+
+    def test_one_time_outside_the_domain_raises(self):
+        flow = BUILTIN_FLOWS["rotation"]
+        with pytest.raises(DomainViolation):
+            flow(np.array([0.1, 1.5, -0.2]), np.zeros((3, 2)))
+        with pytest.raises(DomainViolation):
+            flow(np.array([[0.1], [np.nan]]), np.zeros((4, 2)))
 
 
 class TestPairMembership:

@@ -151,30 +151,3 @@ def test_row_ambiguous_at_the_cap_is_not_converged():
     _, member, converged = arc_membership(_curve_arc(circle), z,
                                           np.array([0.9]), 3.0)
     assert converged and not member[0]
-
-
-def _orbit_points_by_mask(flow, x, ts):
-    """The per-time mask loop that _orbit_points replaces."""
-    out = np.empty_like(x)
-    scale = float(np.max(np.abs(ts))) or 1.0
-    q = np.round(ts / scale, 3) * scale
-    for t in np.unique(q):
-        mask = q == t
-        out[mask] = flow(float(t), x[mask])
-    return out
-
-
-@pytest.mark.parametrize("name", sorted(fl.BUILTIN_FLOWS))
-def test_grouped_orbit_points_are_bit_identical(name):
-    flow = fl.BUILTIN_FLOWS[name]
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-1.0, 1.0, (3000, 2))
-    ts = -rng.uniform(0.02, 0.1, len(x))
-    got = fl._orbit_points(flow, x, ts)
-    assert np.array_equal(got, _orbit_points_by_mask(flow, x, ts))
-    if name != "linear_shear":  # a matrix product may round by batch shape
-        scale = float(np.max(np.abs(ts)))
-        q = np.round(ts / scale, 3) * scale
-        rows = np.stack([flow(float(q[i]), x[i:i + 1])[0]
-                         for i in range(len(x))])
-        assert np.array_equal(got, rows)
