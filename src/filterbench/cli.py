@@ -19,8 +19,8 @@ from . import flows as fl
 from . import metric_filters as mf
 from . import pair_calculus as pc
 from . import snowflake as sf
-from .errors import SchemaViolation, WorkbenchError
-from .iofiles import RelationSpec, SequenceSpec, ingest
+from .errors import FilterAxiomViolation, SchemaViolation, WorkbenchError
+from .iofiles import ingest
 from .maps import BUILTIN_MAPS
 from .reporting import SuiteReport, jsonify, record
 from .suites import SUITE_NAMES, RunConfig, run_suite
@@ -59,9 +59,7 @@ def _config(args) -> RunConfig:
 def _cmd_check(args) -> int:
     proper = not args.improper_filters
     if args.what == "topology":
-        t = ingest(args.file)
-        if not isinstance(t, ft.FiniteTopology):
-            raise SchemaViolation(f"{args.file}: expected kind topology")
+        t = ingest(args.file, "topology")
         t0, witness = ft.is_t0(t)
         return _single(args, "check:topology", [
             record("topology-valid", "sec:2.1", True,
@@ -71,9 +69,7 @@ def _cmd_check(args) -> int:
                    inconclusive=False),
         ])
     if args.what == "map":
-        f = ingest(args.file)
-        if not isinstance(f, ft.PointMap):
-            raise SchemaViolation(f"{args.file}: expected kind map")
+        f = ingest(args.file, "map")
         cont, witness = ft.is_continuous(f)
         records = [record("map-continuous", "sec:2.1", cont,
                           witness={"open_preimage_witness": witness})]
@@ -84,24 +80,23 @@ def _cmd_check(args) -> int:
         return _single(args, "check:map", records)
     if args.what == "filter":
         try:
-            mu = ingest(args.file, proper=proper)
+            mu = ingest(args.file, "filter", proper=proper)
+        except FilterAxiomViolation as e:
+            rec = record("filter-axioms", "def:dfilta", False,
+                         witness={"axiom": e.axiom, "error": str(e)})
+        else:
             rec = record("filter-axioms", "def:dfilta", True,
                          witness={"support": [sorted(ft.set_of(s))
                                               for s in fa.support(mu)]})
-        except WorkbenchError as e:
-            rec = record("filter-axioms", "def:dfilta", False,
-                         witness={"error": str(e)})
         return _single(args, "check:filter", [rec])
     if args.what == "refinement":
-        r = ingest(args.file)
+        r = ingest(args.file, "refinement")
         ok, witness = fa.check_refinement(r)
         return _single(args, "check:refinement", [
             record("refinement-valid", "def:def27", ok,
                    witness={"witness": witness})])
     if args.what == "uniformity":
-        rel = ingest(args.file)
-        if not isinstance(rel, RelationSpec):
-            raise SchemaViolation(f"{args.file}: expected kind relation")
+        rel = ingest(args.file, "relation")
         t = ft.validate_topology(
             rel.n, [[i for i in range(rel.n) if mask >> i & 1]
                     for mask in range(1 << rel.n)])
@@ -129,9 +124,7 @@ def _cmd_enumerate(args) -> int:
             record(f"topologies-n{args.n}", "sec:2.1", True, witness=witness,
                    samples=len(tops))])
     if args.what == "filters":
-        t = ingest(args.file)
-        if not isinstance(t, ft.FiniteTopology):
-            raise SchemaViolation(f"{args.file}: expected kind topology")
+        t = ingest(args.file, "topology")
         proper = not args.improper_filters
         filters = fa.enumerate_filters(t, proper=proper)
         witness = {"count": len(filters),
@@ -146,9 +139,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_geom(args) -> int:
     if args.what == "classify":
-        seq = ingest(args.file)
-        if not isinstance(seq, SequenceSpec):
-            raise SchemaViolation(f"{args.file}: expected kind sequence")
+        seq = ingest(args.file, "sequence")
         v = mf.classify_sequence(seq.points, seq.x, seq.u)
         return _single(args, "geom:classify", [
             record("sequence-classification", "sec:1:step7", v.agreement,
@@ -219,7 +210,7 @@ def _cmd_snowflake(args) -> int:
 def _flow_of(args) -> fl.Flow:
     if args.flow in fl.BUILTIN_FLOWS:
         return fl.BUILTIN_FLOWS[args.flow]
-    return ingest(args.flow)  # spec file path
+    return ingest(args.flow, "flow")  # spec file path
 
 
 def _cmd_flow(args) -> int:

@@ -9,6 +9,13 @@ An A-class filter is a 0/1 table over the opens satisfying
 B-class filters carry the same axioms with values in [0,1].  Proper mode
 (mu(empty) = 0, on by default) excludes the all-ones filter.
 
+The axioms are stated once, as the integer row system of the B-polytope
+(``_b_polytope_system``): sparse rows over the open indices, each tagged
+with the axiom and the witness it encodes.  Both checkers raise from the
+first row a table violates; double description and the basis-enumeration
+oracle read the same rows.  All of it runs in integers; ``Fraction`` is
+left only at the boundary, in returned vertices and graded values.
+
 An ``IndicatorFilter`` stores its table as one int bitset: bit i is the
 value on ``opens[i]``.  ``values`` is a read-only tuple view of it for JSON
 and callers that index by position.  On that encoding the order test is a
@@ -18,14 +25,14 @@ map's cached preimage index map.  The set-level routes
 (``enumerate_filters_bruteforce``, ``b_polytope_vertices_bruteforce``)
 stay as independent oracles.
 
-B-polytope vertices come from an exact double-description method over
-``Fraction`` (Motzkin; Fukuda & Prodon 1996).
+B-polytope vertices come from an exact double-description method
+(Motzkin; Fukuda & Prodon 1996); the oracle solves every basis by
+fraction-free elimination (Bareiss 1968).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +59,7 @@ ENUMERATION_MAX_OPENS = 20
 GRADED_TOL = 1e-12
 POLYTOPE_MAX_OPENS = 8
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
-TAU_E_CACHE_SIZE = 64
+TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e, axiom rows
 
 # maps the ASCII digits of format(bits, "b") to the bytes 0 and 1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -65,7 +72,8 @@ class IndicatorFilter:
 
     @classmethod
     def from_values(cls, topology: FiniteTopology, values: Sequence[int]) -> "IndicatorFilter":
-        """Build from a 0/1 table in the canonical opens order."""
+        """Build from a 0/1 table in the canonical opens order; any other
+        value, 0.9 or "1" included, is rejected, not converted."""
         bits = 0
         for i, v in enumerate(values):
             if v not in (0, 1):
@@ -128,30 +136,13 @@ def check_filter_axioms(
     topology: FiniteTopology, values: Sequence[int], proper: bool = True
 ) -> IndicatorFilter:
     """Validate a 0/1 assignment; raises FilterAxiomViolation with a witness."""
-    values = tuple(int(v) for v in values)
+    values = tuple(values)
     if len(values) != len(topology.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
-    if any(v not in (0, 1) for v in values):
-        raise FilterAxiomViolation("A", None, "values must be 0 or 1")
-    full = topology.full_mask
-    table = dict(zip(topology.opens, values))
-    if table[full] != 1:
-        raise FilterAxiomViolation("A", full, "mu(X) must be 1")
-    if proper and table[0] != 0:
-        raise FilterAxiomViolation("proper", 0, "mu(empty) must be 0 in proper mode")
-    opens = topology.opens
-    for i, a in enumerate(opens):
-        for b in opens[i + 1:]:
-            if a & b == a and table[a] > table[b]:  # a subset of b
-                raise FilterAxiomViolation(
-                    "B", (a, b), f"mu({sorted(set_of(a))}) > mu({sorted(set_of(b))})"
-                )
-            if table[a | b] + table[a & b] < table[a] + table[b]:
-                raise FilterAxiomViolation(
-                    "C", (a, b),
-                    f"supermodularity fails on {sorted(set_of(a))}, {sorted(set_of(b))}",
-                )
-    return IndicatorFilter.from_values(topology, values)
+    mu = IndicatorFilter.from_values(topology, values)  # 0/1 values meet the box rows
+    _, equalities, pairs = _b_polytope_system(topology, proper)
+    _raise_first_violation(mu.values, 0, (), equalities, pairs)
+    return mu
 
 
 def support(mu: IndicatorFilter) -> tuple[int, ...]:
@@ -247,7 +238,7 @@ class _TauE:
     open_set: frozenset[frozenset[int]]
 
 
-@lru_cache(maxsize=TAU_E_CACHE_SIZE)
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def _tau_e_structure(t: FiniteTopology) -> _TauE:
     """Filter universe and tau^e-opens of t, shared by every map touching t.
 
@@ -283,25 +274,13 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
 def check_graded_axioms(
     t: FiniteTopology, values: Sequence, proper: bool = True, tol: float = GRADED_TOL
 ) -> GradedFilter:
+    """Validate a [0,1] table; exact on int and Fraction values, within tol
+    otherwise.  Raises FilterAxiomViolation like check_filter_axioms."""
     values = tuple(values)
     if len(values) != len(t.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
     exact = all(isinstance(v, (Fraction, int)) for v in values)
-    eps = 0 if exact else tol
-    table = dict(zip(t.opens, values))
-    if any(v < -eps or v > 1 + eps for v in values):
-        raise FilterAxiomViolation("A", None, "values must lie in [0, 1]")
-    if abs(table[t.full_mask] - 1) > eps:
-        raise FilterAxiomViolation("A", t.full_mask, "mu(X) must be 1")
-    if proper and abs(table[0]) > eps:
-        raise FilterAxiomViolation("proper", 0, "mu(empty) must be 0 in proper mode")
-    opens = t.opens
-    for i, a in enumerate(opens):
-        for b in opens[i + 1:]:
-            if a & b == a and table[a] > table[b] + eps:
-                raise FilterAxiomViolation("B", (a, b), "monotonicity fails")
-            if table[a | b] + table[a & b] < table[a] + table[b] - eps:
-                raise FilterAxiomViolation("C", (a, b), "supermodularity fails")
+    _raise_first_violation(values, 0 if exact else tol, *_b_polytope_system(t, proper))
     return GradedFilter(t, values)
 
 
@@ -328,47 +307,65 @@ def convex_combine(filters: Sequence, weights: Sequence) -> GradedFilter:
     return check_graded_axioms(t, values)
 
 
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def _b_polytope_system(t: FiniteTopology, proper: bool):
-    """Rows of the B-polytope over the canonical opens order.
+    """The filter axioms as integer rows over the canonical opens order.
 
-    Returns (equalities, inequalities): equality rows (a, b) mean a.v = b
-    and fix mu(X)=1 and, in proper mode, mu(empty)=0; inequality rows mean
-    a.v <= b: the [0,1] box, then monotonicity and supermodularity.
+    Returns (box, equalities, pairs), each a tuple of rows
+    (((open index, coef), ...), rhs, axiom, witness).  Box and pair rows
+    mean terms . v <= rhs; equality rows fix one coordinate, terms . v = rhs.
+
+    - box: 0 <= v_i <= 1, tagged "A" with witness None;
+    - equalities: mu(X) = 1 ("A", X) and, in proper mode, mu(empty) = 0
+      ("proper", 0);
+    - pairs, for each pair a < b of opens: v_a - v_b <= 0 ("B", (a, b))
+      when a is a subset of b, else v_a + v_b - v_{a|b} - v_{a&b} <= 0
+      ("C", (a, b)); nested pairs have a zero supermodularity row.
+
+    Opens ascend as ints, so b is never a proper subset of a.  Rows are
+    immutable, so concurrent suite workers may share them.
     """
     opens = t.opens
-    k = len(opens)
-    equalities: list[tuple[list[Fraction], Fraction]] = []
-    e = [Fraction(0)] * k
-    e[opens.index(t.full_mask)] = Fraction(1)
-    equalities.append((e, Fraction(1)))
+    index = t.open_index
+    box = tuple(row for i in range(len(opens))
+                for row in ((((i, -1),), 0, "A", None), (((i, 1),), 1, "A", None)))
+    equalities = ((((index[t.full_mask], 1),), 1, "A", t.full_mask),)
     if proper:
-        e = [Fraction(0)] * k
-        e[opens.index(0)] = Fraction(1)
-        equalities.append((e, Fraction(0)))
-    ineqs: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(k):
-        row = [Fraction(0)] * k
-        row[i] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))          # v_i >= 0
-        row = [Fraction(0)] * k
-        row[i] = Fraction(1)
-        ineqs.append((row, Fraction(1)))          # v_i <= 1
-    index = {m: i for i, m in enumerate(opens)}
+        equalities += ((((index[0], 1),), 0, "proper", 0),)
+    pairs = []
     for i, a in enumerate(opens):
-        for b in opens[i + 1:]:
-            if a & b == a:                        # a subset b: v_a - v_b <= 0
-                row = [Fraction(0)] * k
-                row[index[a]] += 1
-                row[index[b]] -= 1
-                ineqs.append((row, Fraction(0)))
-            row = [Fraction(0)] * k               # v_a + v_b - v_{a|b} - v_{a&b} <= 0
-            row[index[a]] += 1
-            row[index[b]] += 1
-            row[index[a | b]] -= 1
-            row[index[a & b]] -= 1
-            if any(row):
-                ineqs.append((row, Fraction(0)))
-    return equalities, ineqs
+        for j in range(i + 1, len(opens)):
+            b = opens[j]
+            if a & b == a:
+                pairs.append((((i, 1), (j, -1)), 0, "B", (a, b)))
+            else:
+                pairs.append((((i, 1), (j, 1), (index[a | b], -1), (index[a & b], -1)),
+                              0, "C", (a, b)))
+    return box, equalities, tuple(pairs)
+
+
+def _raise_first_violation(values, eps, box, equalities, pairs) -> None:
+    """Raise FilterAxiomViolation from the first row, in the order box,
+    equalities, pairs, that values violate by more than eps."""
+    for rows, two_sided in ((box, False), (equalities, True), (pairs, False)):
+        for terms, b, axiom, witness in rows:
+            excess = -b
+            for i, c in terms:
+                excess += c * values[i]
+            if excess > eps or two_sided and -excess > eps:
+                raise FilterAxiomViolation(axiom, witness, _violation_message(axiom, witness))
+
+
+def _violation_message(axiom: str, witness) -> str:
+    if axiom == "B":
+        a, b = witness
+        return f"mu({sorted(set_of(a))}) > mu({sorted(set_of(b))})"
+    if axiom == "C":
+        a, b = witness
+        return f"supermodularity fails on {sorted(set_of(a))}, {sorted(set_of(b))}"
+    if axiom == "proper":
+        return "mu(empty) must be 0 in proper mode"
+    return "values must lie in [0, 1]" if witness is None else "mu(X) must be 1"
 
 
 def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fraction, ...]]:
@@ -380,10 +377,10 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
     also has the fractional vertex (0, 0, 0, 1/2, 0, 1/2, 1/2, 1), and so
     does every topology whose opens form the same Boolean lattice.
 
-    The fixed coordinates are eliminated, the free ones start as the
-    vertices of the [0,1] box, and each row cuts the current polytope in
-    turn: vertices on the violated side are dropped, and every edge from a
-    strictly satisfied vertex to a violated one contributes its crossing
+    The equalities fix their coordinates, the box rows give the starting
+    polytope over the free ones, and each pair row cuts the current polytope
+    in turn: vertices on the violated side are dropped, and every edge from
+    a strictly satisfied vertex to a violated one contributes its crossing
     point.  Two vertices span an edge iff no third vertex is tight on every
     row they share.  b_polytope_vertices_bruteforce is the independent
     oracle.
@@ -392,31 +389,23 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
     if k > POLYTOPE_MAX_OPENS:
         raise SizeLimitExceeded(
             f"vertex enumeration supports at most {POLYTOPE_MAX_OPENS} opens")
-    equalities, ineqs = _b_polytope_system(t, proper)
-    fixed: dict[int, Fraction] = {}
-    for row, b in equalities:
-        i = row.index(1)
+    _, equalities, pairs = _b_polytope_system(t, proper)
+    fixed: dict[int, int] = {}
+    for ((i, _),), b, _, _ in equalities:
         if fixed.setdefault(i, b) != b:
             return []                         # n = 0: X is empty, so mu(X) = 1 = 0
     free = [i for i in range(k) if i not in fixed]
     d = len(free)
-    # sparse rows over the free coordinates: ((position, coefficient), ...), rhs
-    cuts = []
-    for row, b in ineqs:
-        b = int(b - sum(row[i] * v for i, v in fixed.items()))
-        sparse = tuple((j, int(row[i])) for j, i in enumerate(free) if row[i])
-        if sparse:
-            cuts.append((sparse, b))
-        elif b < 0:
-            return []
-    # box vertices; tight-set bit 2j is x_j >= 0, bit 2j+1 is x_j <= 1
-    vertices = [
-        (corner, sum(1 << (2 * j + x) for j, x in enumerate(corner)))
-        for corner in itertools.product((0, 1), repeat=d)
-    ]
-    for c, (sparse, b) in enumerate(cuts, start=2 * d):
+    # box vertices, fixed coordinates in place; tight-set bit 2j is
+    # x_free[j] >= 0, bit 2j+1 is x_free[j] <= 1
+    vertices = []
+    for corner in itertools.product((0, 1), repeat=d):
+        x = {**fixed, **dict(zip(free, corner))}
+        vertices.append((tuple(x[i] for i in range(k)),
+                         sum(1 << (2 * j + c) for j, c in enumerate(corner))))
+    for c, (terms, b, _, _) in enumerate(pairs, start=2 * d):
         bit = 1 << c
-        slack = [sum(a * x[j] for j, a in sparse) - b for x, _ in vertices]
+        slack = [sum(a * x[i] for i, a in terms) - b for x, _ in vertices]
         kept = [(x, tight | bit if s == 0 else tight)
                 for (x, tight), s in zip(vertices, slack) if s <= 0]
         inside = [(v, s) for v, s in zip(vertices, slack) if s < 0]
@@ -435,78 +424,74 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
         vertices = kept
         if not vertices:
             return []
-    out = []
-    for x, _ in vertices:
-        coords = {**fixed, **dict(zip(free, x))}
-        out.append(tuple(Fraction(coords[i]) for i in range(k)))
-    return sorted(out)
+    return sorted(tuple(Fraction(v) for v in x) for x, _ in vertices)
 
 
 def b_polytope_vertices_bruteforce(
     t: FiniteTopology, proper: bool = True
 ) -> list[tuple[Fraction, ...]]:
     """Vertices by solving every basis of the row system; the oracle for
-    b_polytope_vertices.  C(rows, dim) grows fast, hence the tighter guard."""
+    b_polytope_vertices.  A basis solution num / det is kept when
+    row . num <= rhs * det on every inequality row, tested in integers.
+    C(rows, dim) grows fast, hence the tighter guard."""
     k = len(t.opens)
     if k > POLYTOPE_BRUTEFORCE_MAX_OPENS:
         raise SizeLimitExceeded(
             f"brute-force vertex enumeration supports at most "
             f"{POLYTOPE_BRUTEFORCE_MAX_OPENS} opens")
-    equalities, ineqs = _b_polytope_system(t, proper)
-    dim = k - len(equalities)
+    box, equalities, pairs = _b_polytope_system(t, proper)
+    ineqs = box + pairs
     vertices: set[tuple[Fraction, ...]] = set()
-    for combo in itertools.combinations(range(len(ineqs)), dim):
-        rows = [eq[0] for eq in equalities] + [ineqs[j][0] for j in combo]
-        rhs = [eq[1] for eq in equalities] + [ineqs[j][1] for j in combo]
-        sol = _solve_exact(rows, rhs)
+    for combo in itertools.combinations(ineqs, k - len(equalities)):
+        sol = _solve_exact(equalities + combo)
         if sol is None:
             continue
-        if all(_dot(row, sol) <= b for row, b in ineqs):
-            vertices.add(tuple(sol))
+        num, det = sol
+        if all(sum([a * num[i] for i, a in terms]) <= b * det
+               for terms, b, _, _ in ineqs):
+            vertices.add(tuple(Fraction(v, det) for v in num))
     return sorted(vertices)
 
 
-def _dot(row, v):
-    return sum(a * x for a, x in zip(row, v))
+def _solve_exact(rows):
+    """Solve the square system of sparse integer rows, terms . v = rhs.
 
-
-def _solve_exact(rows, rhs):
-    """Exact solution of the square system rows . v = rhs as Fractions;
-    None if singular.
-
-    Fraction-free (Bareiss) elimination on the system scaled to integers:
-    every division is exact, so no Fraction is built until the end.
+    Returns (num, det) with v = num / det and det > 0, or None if singular.
+    Fraction-free (Bareiss) elimination: every division is exact, and num
+    holds the integer Cramer numerators.
     """
     n = len(rows)
-    if n != len(rows[0]):
-        return None
     a = []
-    for row, b in zip(rows, rhs):
-        row = [*row, b]
-        scale = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    for terms, b, *_ in rows:
+        row = [0] * n + [b]
+        for i, c in terms:
+            row[i] += c
+        a.append(row)
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return None
         a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        pv = top[col]
-        for r in range(col + 1, n):
+        pv = a[col][col]
+        tail = a[col][col + 1:]
+        for r in range(col + 1, n):  # columns up to col are not read again
             row = a[r]
             f = row[col]
-            a[r] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+            row[col + 1:] = [(x * pv - f * y) // prev for x, y in zip(row[col + 1:], tail)]
         prev = pv
-    # a is upper triangular with det = +-prev; back-substitute the integer
-    # Cramer numerators det * v, again with exact divisions only
+    # the upper triangle of a is the eliminated system, with det = +-prev;
+    # back-substitute the integer Cramer numerators det * v, again with
+    # exact divisions only
     det = prev
     num = [0] * n
     for r in range(n - 1, -1, -1):
         row = a[r]
         acc = det * row[n] - sum(row[j] * num[j] for j in range(r + 1, n))
         num[r] = acc // row[r]
-    return [Fraction(v, det) for v in num]
+    if det < 0:
+        return [-v for v in num], -det
+    return num, det
 
 
 # --- refinements and derivability --------------------------------------------

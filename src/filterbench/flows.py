@@ -458,24 +458,16 @@ def check_flow_transport(
     for eps in eps_grid:
         for mu in (min(0.2, 0.35 / factor), min(0.1, 0.2 / factor)):
             mu_img = factor * mu
-            # forward: members of the source filter map into the image one
-            x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
-            y, member, conv = _sample_orbit_members(flow, x, eps, mu, rng)
-            fx, fy = f(x[member]), f(y[member])
-            ok, conv2 = flow_pair_contains(pushed, eps, mu_img, fx, fy)
-            if not (conv and conv2):
-                inconclusive = True
-            elif not bool(ok.all()):
-                i = int(np.nonzero(~ok)[0][0])
-                return "counterexample", (x[member][i], y[member][i])
-            # reverse direction through the inverse map
-            xi = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
-            yi, mi, conv3 = _sample_orbit_members(pushed, xi, eps, mu, rng)
-            gx, gy = f.inverse(xi[mi]), f.inverse(yi[mi])
-            ok2, conv4 = flow_pair_contains(flow, eps, mu_img, gx, gy)
-            if not (conv3 and conv4):
-                inconclusive = True
-            elif not bool(ok2.all()):
-                i = int(np.nonzero(~ok2)[0][0])
-                return "counterexample", (xi[mi][i], yi[mi][i])
+            # forward: members of the source filter map into the image one;
+            # then the reverse direction through the inverse map
+            for source, image, g in ((flow, pushed, f), (pushed, flow, f.inverse)):
+                x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
+                y, member, conv = _sample_orbit_members(source, x, eps, mu, rng)
+                ok, conv2 = flow_pair_contains(image, eps, mu_img,
+                                               g(x[member]), g(y[member]))
+                if not (conv and conv2):
+                    inconclusive = True
+                elif not bool(ok.all()):
+                    i = int(np.nonzero(~ok)[0][0])
+                    return "counterexample", (x[member][i], y[member][i])
     return ("inconclusive" if inconclusive else "commute"), None

@@ -42,22 +42,22 @@ def point_segment_distance(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     """
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(y - a, axis=-1)
-    t = np.clip((y - a) @ ab / denom, 0.0, 1.0)
-    closest = a + t[..., None] * ab
+    ab = np.asarray(b, dtype=float) - a
+    closest = a + _clamped_parameter(y, a, ab)[..., None] * ab
     return np.linalg.norm(y - closest, axis=-1)
 
 
 def segment_projection_parameter(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Clamped projection parameter in [0, 1] of y onto [a, b]."""
-    y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
+    return _clamped_parameter(np.asarray(y, dtype=float), a, np.asarray(b, dtype=float) - a)
+
+
+def _clamped_parameter(y: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Projection parameter of y onto a + [0, 1] ab, clamped; 0 when ab = 0.
+
+    Shared by both public kernels rather than one calling the other, so a
+    profiler that wraps the public names counts each call once."""
     denom = float(ab @ ab)
     if denom == 0.0:
         return np.zeros(y.shape[:-1])

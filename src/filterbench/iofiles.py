@@ -18,10 +18,6 @@ from .finite_topology import FiniteTopology, PointMap, validate_topology
 from .flows import Flow, linear_flow, rotation_flow, scaling_flow, \
     translation_flow
 
-KINDS = ("topology", "map", "filter", "refinement", "relation", "flow",
-         "sequence")
-
-
 @dataclass(frozen=True)
 class RelationSpec:
     n: int
@@ -143,8 +139,9 @@ _LOADERS = {
 }
 
 
-def ingest(path: str, proper: bool = True):
-    """Load and validate a spec file; returns the typed domain object."""
+def ingest(path: str, kind: str, proper: bool = True):
+    """Load and validate a spec file of the given kind; returns the typed
+    domain object.  A file of another kind is a SchemaViolation."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -154,10 +151,9 @@ def ingest(path: str, proper: bool = True):
         raise ParseError(f"{path}: {e.strerror}") from e
     if not isinstance(payload, dict):
         raise SchemaViolation(f"{path}: top level must be an object")
-    kind = payload.get("kind")
-    if kind not in _LOADERS:
-        raise SchemaViolation(
-            f"{path}.kind: expected one of {KINDS}, got {kind!r}")
+    got = payload.get("kind")
+    if got != kind:
+        raise SchemaViolation(f"{path}.kind: expected {kind!r}, got {got!r}")
     if kind == "filter":
         return _load_filter(payload, path, proper=proper)
     return _LOADERS[kind](payload, path)

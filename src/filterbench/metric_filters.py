@@ -151,13 +151,9 @@ class PairDirectionalFilter:
             raise NonUnitDirection(f"|u| = {np.linalg.norm(self.u)}")
 
     def contains(self, eps: float, sigma: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rel = y - x
-        d_xy = np.linalg.norm(rel, axis=-1)
-        origin = np.zeros(len(np.atleast_1d(np.asarray(self.u))))
-        d_seg = point_segment_distance(rel, origin, eps * np.asarray(self.u, float))
-        return (d_xy > 0) & (d_seg < sigma * d_xy)
+        """(x, y) is a member iff y - x lies in the cone at the origin."""
+        cone = ConeGenerator(np.zeros(len(self.u)), self.u, eps, sigma)
+        return v_plus_contains(cone, np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
     def swapped(self) -> "PairDirectionalFilter":
         # sigma * mu_u = mu_{-u}

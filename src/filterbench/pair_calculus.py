@@ -209,20 +209,26 @@ class UniformityReport:
         return self.axiom_a and self.axiom_b and self.axiom_c
 
 
+def _half_composition(mu: IndicatorFilter, n: int) -> tuple[bool, object]:
+    """Every D in the support contains some E o E with E in the support.
+
+    By monotonicity of composition, E = m, the minimal support mask, is the
+    best choice, and every D contains m; on a filter m is also the first
+    supported open.  So the test is m o m within m, and m is the witness.
+    """
+    m = mu.minimal_support_mask()
+    if compose_masks(n, m, m) & ~m:
+        return False, set_of(m)
+    return True, None
+
+
 def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityReport:
     n = ps.base.n
     top = ps.topology
     missing = diagonal_filter(ps).bits & ~omega.bits
     a_ok = not missing
     a_wit = None if a_ok else set_of(top.first_open(missing))
-    b_ok, b_wit = True, None
-    m = omega.minimal_support_mask()
-    mm = compose_masks(n, m, m)
-    for d in omega.support():
-        # exists E in support with E o E in D  <=>  m o m in D (monotonicity)
-        if d & mm != mm:
-            b_ok, b_wit = False, set_of(d)
-            break
+    b_ok, b_wit = _half_composition(omega, n)
     moved = swap_pushforward(omega, ps).bits ^ omega.bits
     c_ok = not moved
     c_wit = None if c_ok else set_of(top.first_open(moved))
@@ -255,13 +261,9 @@ def check_uniform_refinement(
             break
     half_ok, half_wit = True, None
     for k, mu in enumerate(members):
-        m = mu.minimal_support_mask()
-        mm = compose_masks(n, m, m)
-        for d in mu.support():
-            if d & mm != mm:
-                half_ok, half_wit = False, (k, set_of(d))
-                break
-        if not half_ok:
+        ok, witness = _half_composition(mu, n)
+        if not ok:
+            half_ok, half_wit = False, (k, witness)
             break
     member_bits = {mu.bits for mu in members}
     swap_ok, swap_wit = True, None

@@ -80,27 +80,32 @@ class TestSuites:
 
 class TestIngest:
     def test_topology(self, tmp_path):
-        t = ingest(write(tmp_path, "t.json", SIERPINSKI))
+        t = ingest(write(tmp_path, "t.json", SIERPINSKI), "topology")
         assert t.n == 2 and len(t.opens) == 3
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
-            ingest(str(path))
+            ingest(str(path), "topology")
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(SchemaViolation):
-            ingest(write(tmp_path, "k.json", {"kind": "mystery"}))
+            ingest(write(tmp_path, "k.json", {"kind": "mystery"}), "topology")
+
+    def test_wrong_kind_names_both_kinds(self, tmp_path):
+        with pytest.raises(SchemaViolation, match="expected 'filter', got 'topology'"):
+            ingest(write(tmp_path, "t.json", SIERPINSKI), "filter")
 
     def test_point_out_of_range_delegated(self, tmp_path):
         bad = {"kind": "topology", "n": 2, "opens": [[], [0, 5], [0, 1]]}
         with pytest.raises(IndexOutOfRange):
-            ingest(write(tmp_path, "r.json", bad))
+            ingest(write(tmp_path, "r.json", bad), "topology")
 
     def test_relation(self, tmp_path):
         rel = ingest(write(tmp_path, "rel.json",
-                           {"kind": "relation", "n": 2, "pairs": [[0, 1]]}))
+                           {"kind": "relation", "n": 2, "pairs": [[0, 1]]}),
+                     "relation")
         assert isinstance(rel, RelationSpec)
         assert rel.pairs == ((0, 1),)
 
@@ -108,18 +113,18 @@ class TestIngest:
         bad = {"kind": "sequence", "x": [0, 0], "u": [1, 0],
                "points": [[1.0], [0.5]]}
         with pytest.raises(SchemaViolation):
-            ingest(write(tmp_path, "s.json", bad))
+            ingest(write(tmp_path, "s.json", bad), "sequence")
 
     def test_flow(self, tmp_path):
         flow = ingest(write(tmp_path, "f.json",
                             {"kind": "flow", "name": "translation",
-                             "u": [1.0, 0.0]}))
+                             "u": [1.0, 0.0]}), "flow")
         assert np.allclose(flow(0.5, np.zeros((1, 2))), [[0.5, 0.0]])
 
     def test_filter_axioms_enforced(self, tmp_path):
         bad = {"kind": "filter", "topology": SIERPINSKI, "values": [1, 0, 1]}
         with pytest.raises(Exception):
-            ingest(write(tmp_path, "mu.json", bad))
+            ingest(write(tmp_path, "mu.json", bad), "filter")
 
 
 class TestMain:
@@ -143,6 +148,36 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert code == 2
         assert err["error"] == "ParseError"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "filter"], ["check", "refinement"],
+        ["flow", "conditions"], ["flow", "lemacon"],
+    ], ids=" ".join)
+    def test_wrong_kind_is_input_error(self, tmp_path, capsys, argv):
+        code = main([*argv, write(tmp_path, "t.json", SIERPINSKI)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "SchemaViolation"
+        assert "got 'topology'" in err["message"]
+
+    def test_missing_filter_file_is_input_error(self, tmp_path, capsys):
+        code = main(["check", "filter", str(tmp_path / "nope.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("values", [[0, 0.9, 1], [0, "1", 1.7]],
+                             ids=["fraction", "string-and-float"])
+    def test_non_binary_filter_values_fail_axiom_a(self, tmp_path, capsys,
+                                                   values):
+        # values are not truncated to int before the 0/1 test
+        payload = {"kind": "filter", "topology": SIERPINSKI, "values": values}
+        code = main(["check", "filter", write(tmp_path, "mu.json", payload)])
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert code == 1
+        assert rec["verdict"] == "fail"
+        assert rec["witness"]["axiom"] == "A"
 
     def test_suite_writes_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -9,6 +9,7 @@ from filterbench.errors import (
     WeightSumInvalid,
 )
 from filterbench.filter_algebra import (
+    GRADED_TOL,
     _b_polytope_system,
     _solve_exact,
     b_polytope_vertices,
@@ -252,6 +253,35 @@ class TestGraded:
             convex_combine([g, g], [0.7, 0.7])
 
 
+class TestGradedTolerance:
+    def test_float_table_within_tol_of_a_filter_passes(self):
+        t = discrete(2)
+        for proper in (True, False):
+            for mu in enumerate_filters(t, proper):
+                noisy = tuple(v + s * GRADED_TOL / 8
+                              for v, s in zip(mu.values, (1, -1, -1, 1)))
+                assert check_graded_axioms(t, noisy, proper).values == noisy
+
+    @pytest.mark.parametrize("proper, i, axiom, witness", [
+        (False, 0, "B", (0, 0b10)),      # mu(empty) above mu({1})
+        (True, 2, "C", (0b01, 0b10)),    # mu({0}) + mu({1}) above mu(X)
+    ], ids=["monotonicity", "supermodularity"])
+    def test_breach_by_twice_tol_matches_exact_counterpart(
+            self, proper, i, axiom, witness):
+        t = discrete(2)
+        base = point_filter(t, 0).values  # (0, 1, 0, 1)
+
+        def bumped(delta):
+            return tuple(v + delta * (j == i) for j, v in enumerate(base))
+
+        with pytest.raises(FilterAxiomViolation) as exact:
+            check_graded_axioms(t, bumped(Fraction(1, 2)), proper)
+        with pytest.raises(FilterAxiomViolation) as near:
+            check_graded_axioms(t, bumped(2 * GRADED_TOL), proper)
+        assert (near.value.axiom, near.value.witness) == (axiom, witness)
+        assert (exact.value.axiom, exact.value.witness) == (axiom, witness)
+
+
 class TestBPolytope:
     def test_sierpinski_vertices_are_proper_a_filters(self):
         t = sierpinski()
@@ -317,16 +347,16 @@ class TestBPolytope:
         p = (0, 0, 0, half, 0, half, half, 1)
         for proper in (True, False):
             check_graded_axioms(t, p, proper=proper)
-            equalities, ineqs = _b_polytope_system(t, proper)
-            tight = [(row, b) for row, b in ineqs
-                     if sum(a * x for a, x in zip(row, p)) == b]
+            box, equalities, pairs = _b_polytope_system(t, proper)
+            tight = [row for row in box + pairs
+                     if sum(a * p[i] for i, a in row[0]) == row[1]]
             dim = len(t.opens) - len(equalities)
             certified = False
             for combo in itertools.combinations(tight, dim):
-                rows = equalities + list(combo)
-                sol = _solve_exact([r for r, _ in rows], [b for _, b in rows])
+                sol = _solve_exact(equalities + combo)
                 if sol is not None:
-                    assert tuple(sol) == p
+                    num, det = sol
+                    assert tuple(Fraction(v, det) for v in num) == p
                     certified = True
                     break
             assert certified

@@ -102,6 +102,9 @@ class TestEnumeration:
         assert len(list(enumerate_topologies(2, t0_only=True))) == 3
         assert len(list(enumerate_topologies(3))) == 29
         assert len(list(enumerate_topologies(3, t0_only=True))) == 19
+        # OEIS A000798 and A001035: counts that no shared closure test sets
+        assert len(list(enumerate_topologies(4))) == 355
+        assert len(list(enumerate_topologies(4, t0_only=True))) == 219
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):

@@ -13,7 +13,12 @@ from filterbench.filter_algebra import (
     filter_leq,
     pushforward,
 )
-from filterbench.finite_topology import PointMap, validate_topology
+from filterbench.finite_topology import (
+    PointMap,
+    enumerate_topologies,
+    set_of,
+    validate_topology,
+)
 from filterbench.pair_calculus import (
     check_commutation,
     check_uniform_derivable,
@@ -298,6 +303,35 @@ class TestUniformity:
             report = check_uniformity(principal_pair_filter(ps, bits), ps)
             if report.axiom_b:
                 assert report.composition_remark
+
+
+def _half_composition_by_scan(mu, n):
+    """Support scan: the first D in the support not containing m o m."""
+    m = mu.minimal_support_mask()
+    mm = compose_masks(n, m, m)
+    for d in mu.support():
+        if d & mm != mm:
+            return False, set_of(d)
+    return True, None
+
+
+def test_half_composition_matches_support_scan():
+    # every principal pair filter over the square of every topology on at
+    # most 3 points, against the scan of the whole support
+    count = 0
+    for n in (1, 2, 3):
+        for t in enumerate_topologies(n):
+            ps = product_topology(t)
+            for r in range(1 << n * n):
+                omega = principal_pair_filter(ps, r)
+                ok, witness = _half_composition_by_scan(omega, n)
+                report = check_uniformity(omega, ps)
+                assert (report.axiom_b, report.axiom_b_witness) == (ok, witness)
+                refinement = check_uniform_refinement([omega], omega, ps)
+                assert refinement.half_composition == ok
+                assert refinement.half_witness == (None if ok else (0, witness))
+                count += 1
+    assert count == 14_914
 
 
 class TestUniformRefinement:
