@@ -23,7 +23,8 @@ from .errors import FilterAxiomViolation, SchemaViolation, WorkbenchError
 from .iofiles import ingest
 from .maps import BUILTIN_MAPS
 from .reporting import SuiteReport, jsonify, record
-from .suites import SUITE_NAMES, RunConfig, run_suite
+from .suites import (SUITE_NAMES, RunConfig, flow_transport, recipe_outcome,
+                     run_suite)
 
 
 def _parse_coeffs(text: str):
@@ -32,6 +33,13 @@ def _parse_coeffs(text: str):
 
 def _parse_vector(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
+
+
+def _builtin(table: dict, name: str, what: str):
+    if name not in table:
+        raise SchemaViolation(
+            f"unknown {what} {name!r}; choose from {sorted(table)}")
+    return table[name]
 
 
 def _emit(report: SuiteReport, args) -> int:
@@ -57,7 +65,6 @@ def _config(args) -> RunConfig:
 # --- check -------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    proper = not args.improper_filters
     if args.what == "topology":
         t = ingest(args.file, "topology")
         t0, witness = ft.is_t0(t)
@@ -80,7 +87,8 @@ def _cmd_check(args) -> int:
         return _single(args, "check:map", records)
     if args.what == "filter":
         try:
-            mu = ingest(args.file, "filter", proper=proper)
+            mu = ingest(args.file, "filter",
+                        proper=not args.improper_filters)
         except FilterAxiomViolation as e:
             rec = record("filter-axioms", "def:dfilta", False,
                          witness={"axiom": e.axiom, "error": str(e)})
@@ -97,10 +105,7 @@ def _cmd_check(args) -> int:
                    witness={"witness": witness})])
     if args.what == "uniformity":
         rel = ingest(args.file, "relation")
-        t = ft.validate_topology(
-            rel.n, [[i for i in range(rel.n) if mask >> i & 1]
-                    for mask in range(1 << rel.n)])
-        ps = pc.product_topology(t)
+        ps = pc.product_topology(ft.validate_topology(rel.n, range(1 << rel.n)))
         omega = pc.principal_pair_filter(
             ps, pc.relation_mask(rel.n, list(rel.pairs)))
         rep = pc.check_uniformity(omega, ps)
@@ -125,8 +130,7 @@ def _cmd_enumerate(args) -> int:
                    samples=len(tops))])
     if args.what == "filters":
         t = ingest(args.file, "topology")
-        proper = not args.improper_filters
-        filters = fa.enumerate_filters(t, proper=proper)
+        filters = fa.enumerate_filters(t, proper=not args.improper_filters)
         witness = {"count": len(filters),
                    "values": [list(mu.values) for mu in filters]}
         return _single(args, "enumerate:filters", [
@@ -156,11 +160,7 @@ def _cmd_geom(args) -> int:
             record("cone-membership", "sec:1:step7", True,
                    witness={"member": inside})])
     if args.what == "transport":
-        if args.map not in BUILTIN_MAPS:
-            raise SchemaViolation(
-                f"unknown map {args.map!r}; choose from "
-                f"{sorted(BUILTIN_MAPS)}")
-        spec = BUILTIN_MAPS[args.map]
+        spec = _builtin(BUILTIN_MAPS, args.map, "map")
         rng = np.random.default_rng(args.seed)
         out = mf.transport_via_sequences(spec, _parse_vector(args.x),
                                          _parse_vector(args.u), rng=rng)
@@ -192,12 +192,9 @@ def _cmd_snowflake(args) -> int:
             record("polynomial-separation", "sec:2.3:prop", ok,
                    witness=witness)])
     if args.what == "derive":
-        if args.f not in sf.BUILTIN_FUNCS:
-            raise SchemaViolation(
-                f"unknown function {args.f!r}; choose from "
-                f"{sorted(sf.BUILTIN_FUNCS)}")
-        out = sf.check_poly_derivable(sf.BUILTIN_FUNCS[args.f], args.x,
-                                      _parse_coeffs(args.p), args.m)
+        out = sf.check_poly_derivable(
+            _builtin(sf.BUILTIN_FUNCS, args.f, "function"), args.x,
+            _parse_coeffs(args.p), args.m)
         return _single(args, "snowflake:derive", [
             record("polynomial-derivability", "sec:2.3:thm", out["matches"],
                    witness={"truncation": out["oracle_coeffs"],
@@ -213,10 +210,17 @@ def _flow_of(args) -> fl.Flow:
     return ingest(args.flow, "flow")  # spec file path
 
 
+_FLOW_RECIPES = {
+    "lemacon": (fl.lemacon_construct, "aperture-transfer", "lem:lemacon"),
+    "step3": (fl.step3_composition_check, "composition-recipe",
+              "thm:trad2:step3"),
+}
+
+
 def _cmd_flow(args) -> int:
     config = _config(args)
+    flow = _flow_of(args)
     if args.what == "conditions":
-        flow = _flow_of(args)
         rep = fl.check_flow_conditions(flow, samples=config.samples,
                                        seed=config.seed)
         return _single(args, "flow:conditions", [
@@ -230,38 +234,19 @@ def _cmd_flow(args) -> int:
                             "converged": rep.converged},
                    seed=config.seed, samples=config.samples,
                    inconclusive=not rep.converged)])
-    flow = _flow_of(args)
-    rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
-                                   seed=config.seed)
-    if args.what == "lemacon":
-        out = fl.lemacon_construct(flow, args.eps, args.mu, rep,
-                                   samples=config.samples, seed=config.seed)
-        return _single(args, "flow:lemacon", [
-            record("aperture-transfer", "lem:lemacon", out["violations"] == 0,
-                   witness=out, seed=config.seed, samples=out["checked"],
-                   inconclusive=not out["converged"])])
-    if args.what == "step3":
-        out = fl.step3_composition_check(flow, args.eps, args.mu, rep,
-                                         samples=config.samples,
-                                         seed=config.seed)
-        return _single(args, "flow:step3", [
-            record("composition-recipe", "thm:trad2:step3",
-                   out["violations"] == 0, witness=out, seed=config.seed,
-                   samples=out["checked"],
-                   inconclusive=not out["converged"])])
     if args.what == "transport":
-        if args.map not in BUILTIN_MAPS:
-            raise SchemaViolation(
-                f"unknown map {args.map!r}; choose from "
-                f"{sorted(BUILTIN_MAPS)}")
-        verdict, witness = fl.check_flow_transport(
-            BUILTIN_MAPS[args.map], flow, samples=min(config.samples, 2000),
-            seed=config.seed)
+        out = flow_transport(_builtin(BUILTIN_MAPS, args.map, "map"), flow,
+                             config.samples, config.seed)
         return _single(args, "flow:transport", [
-            record("flow-transport", "lem:lem3", verdict != "counterexample",
-                   witness={"verdict": verdict, "pair": witness},
-                   seed=config.seed,
-                   inconclusive=verdict == "inconclusive")])
+            out.record("flow-transport", "lem:lem3", config.seed)])
+    if args.what in _FLOW_RECIPES:
+        recipe, check_id, anchor = _FLOW_RECIPES[args.what]
+        rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
+                                       seed=config.seed)
+        out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
+                     seed=config.seed)
+        return _single(args, f"flow:{args.what}", [
+            recipe_outcome(out).record(check_id, anchor, config.seed)])
     raise SchemaViolation(f"unknown flow command {args.what!r}")
 
 
@@ -352,13 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     fc = flow_sub.add_parser("conditions")
     fc.add_argument("flow")
     fle = flow_sub.add_parser("lemacon")
-    fle.add_argument("flow")
-    fle.add_argument("--eps", type=float, default=0.1)
-    fle.add_argument("--mu", type=float, default=0.5)
     fs3 = flow_sub.add_parser("step3")
-    fs3.add_argument("flow")
-    fs3.add_argument("--eps", type=float, default=0.2)
-    fs3.add_argument("--mu", type=float, default=0.5)
+    for leaf, eps in ((fle, 0.1), (fs3, 0.2)):
+        leaf.add_argument("flow")
+        leaf.add_argument("--eps", type=float, default=eps)
+        leaf.add_argument("--mu", type=float, default=0.5)
     ftr = flow_sub.add_parser("transport")
     ftr.add_argument("map")
     ftr.add_argument("flow")

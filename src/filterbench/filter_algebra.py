@@ -33,6 +33,7 @@ fraction-free elimination (Bareiss 1968).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -280,6 +281,8 @@ def check_graded_axioms(
     if len(values) != len(t.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
     exact = all(isinstance(v, (Fraction, int)) for v in values)
+    if any(v != v for v in values):  # NaN fails every row comparison
+        raise FilterAxiomViolation("A", None, _violation_message("A", None))
     _raise_first_violation(values, 0 if exact else tol, *_b_polytope_system(t, proper))
     return GradedFilter(t, values)
 
@@ -295,6 +298,8 @@ def convex_combine(filters: Sequence, weights: Sequence) -> GradedFilter:
         isinstance(w, (Fraction, int)) for w in weights
     ) and all(all(isinstance(v, (Fraction, int)) for v in g.values) for g in filters)
     weights = [Fraction(w) if exact else float(w) for w in weights]
+    if not all(math.isfinite(w) for w in weights):
+        raise WeightSumInvalid(f"weights must be finite, got {weights}")
     total = sum(weights)
     if any(w < 0 for w in weights) or abs(total - 1) > 1e-12:
         raise WeightSumInvalid(f"weights must be nonnegative and sum to 1, got {total}")

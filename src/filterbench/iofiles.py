@@ -8,6 +8,7 @@ delegated to the corresponding constructors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,30 @@ def _field(payload: dict, name: str, where: str):
     if name not in payload:
         raise SchemaViolation(f"{where}: missing field {name!r}")
     return payload[name]
+
+
+def _number(value, where: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SchemaViolation(f"{where}: expected a finite number")
+    return float(value)
+
+
+def _vector(value, where: str, dim: int | None = None) -> np.ndarray:
+    if (not isinstance(value, list) or not value
+            or dim is not None and len(value) != dim):
+        size = "a nonempty" if dim is None else f"a length-{dim}"
+        raise SchemaViolation(f"{where}: expected {size} list of numbers")
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def _matrix(value, where: str, cols: int | None = None) -> np.ndarray:
+    """A nonempty list of numeric rows of length cols (default: square)."""
+    if not isinstance(value, list) or not value:
+        raise SchemaViolation(f"{where}: expected a nonempty list of rows")
+    cols = len(value) if cols is None else cols
+    return np.array([_vector(row, f"{where}[{i}]", cols)
+                     for i, row in enumerate(value)])
 
 
 def _load_topology(payload: dict, where: str) -> FiniteTopology:
@@ -93,6 +118,8 @@ def _load_relation(payload: dict, where: str) -> RelationSpec:
     pairs = _field(payload, "pairs", where)
     if not isinstance(n, int) or n < 1:
         raise SchemaViolation(f"{where}.n: expected a positive integer")
+    if not isinstance(pairs, list):
+        raise SchemaViolation(f"{where}.pairs: expected a list of [i, j] pairs")
     out = []
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2
@@ -106,25 +133,26 @@ def _load_relation(payload: dict, where: str) -> RelationSpec:
 def _load_flow(payload: dict, where: str) -> Flow:
     name = _field(payload, "name", where)
     if name == "translation":
-        return translation_flow(_field(payload, "u", where))
+        return translation_flow(_vector(_field(payload, "u", where),
+                                        f"{where}.u"))
     if name == "rotation":
-        return rotation_flow(float(payload.get("omega", 1.0)))
+        return rotation_flow(_number(payload.get("omega", 1.0),
+                                     f"{where}.omega"))
     if name == "scaling":
-        return scaling_flow(float(payload.get("rate", 1.0)))
+        return scaling_flow(_number(payload.get("rate", 1.0), f"{where}.rate"))
     if name == "linear":
-        return linear_flow(_field(payload, "generator", where))
+        return linear_flow(_matrix(_field(payload, "generator", where),
+                                   f"{where}.generator"))
     raise SchemaViolation(
         f"{where}.name: unknown flow {name!r} "
         "(translation, rotation, scaling, linear)")
 
 
 def _load_sequence(payload: dict, where: str) -> SequenceSpec:
-    x = np.asarray(_field(payload, "x", where), dtype=float)
-    u = np.asarray(_field(payload, "u", where), dtype=float)
-    points = np.asarray(_field(payload, "points", where), dtype=float)
-    if points.ndim != 2 or points.shape[1] != len(x):
-        raise SchemaViolation(
-            f"{where}.points: expected an (N, {len(x)}) array")
+    x = _vector(_field(payload, "x", where), f"{where}.x")
+    u = _vector(_field(payload, "u", where), f"{where}.u", len(x))
+    points = _matrix(_field(payload, "points", where), f"{where}.points",
+                     len(x))
     return SequenceSpec(x, u, points)
 
 

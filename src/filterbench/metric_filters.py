@@ -41,19 +41,6 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)
 
 
-@dataclass(frozen=True)
-class MetricSpace:
-    """Pluggable distance; metric axioms are property-tested on samples."""
-
-    name: str
-    dim: int
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def euclidean_space(dim: int) -> MetricSpace:
-    return MetricSpace(f"euclidean{dim}d", dim, euclidean)
-
-
 # --- cone generators ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -111,7 +98,6 @@ class DirectionalFilter:
 
     x: np.ndarray
     u: np.ndarray
-    kind: str = "directional"
 
     def __post_init__(self):
         if abs(np.linalg.norm(self.u) - 1.0) > UNIT_TOL:
@@ -143,8 +129,6 @@ class PairDirectionalFilter:
     sigma d(x, y).  Translation invariant; sigma-swap gives mu_{-u}."""
 
     u: np.ndarray
-    kind: str = "pair-directional"
-    translation_invariant: bool = True
 
     def __post_init__(self):
         if abs(np.linalg.norm(self.u) - 1.0) > UNIT_TOL:
@@ -333,7 +317,6 @@ class CurveFilter:
 
     curve: CurveSpec
     sign: str = "+"
-    kind: str = "curve"
 
     @property
     def x(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from filterbench import flows as fl
 from filterbench.cli import main
 from filterbench.errors import (
     ConfigInvalid,
@@ -160,6 +161,28 @@ class TestMain:
         assert err["error"] == "SchemaViolation"
         assert "got 'topology'" in err["message"]
 
+    @pytest.mark.parametrize("command, payload, field", [
+        (["flow", "conditions"],
+         {"kind": "flow", "name": "rotation", "omega": "fast"}, ".omega"),
+        (["check", "uniformity"],
+         {"kind": "relation", "n": 2, "pairs": 5}, ".pairs"),
+        (["flow", "conditions"],
+         {"kind": "flow", "name": "translation", "u": "ab"}, ".u"),
+        (["geom", "classify"],
+         {"kind": "sequence", "x": [0, 0], "u": "q", "points": [[1, 0]]},
+         ".u"),
+        (["flow", "conditions"],
+         {"kind": "flow", "name": "linear", "generator": [[1, 2, 3]]},
+         ".generator[0]"),
+    ], ids=["omega", "pairs", "translation-u", "sequence-u", "generator"])
+    def test_bad_spec_field_is_input_error(self, tmp_path, capsys, command,
+                                           payload, field):
+        code = main([*command, write(tmp_path, "spec.json", payload)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "SchemaViolation"
+        assert f"spec.json{field}:" in err["message"]
+
     def test_missing_filter_file_is_input_error(self, tmp_path, capsys):
         code = main(["check", "filter", str(tmp_path / "nope.json")])
         captured = capsys.readouterr()
@@ -238,6 +261,18 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["records"][0]["witness"]["violations"] == 0
+
+    def test_flow_transport_reads_no_conditions_report(self, capsys,
+                                                       monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("flow transport computed a conditions report")
+
+        monkeypatch.setattr(fl, "check_flow_conditions", unused)
+        code = main(["flow", "transport", "shear_half", "translation"])
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert code == 0
+        assert rec["verdict"] == "pass"
+        assert rec["samples"] == 2000
 
     def test_unknown_suite_name_rejected(self):
         with pytest.raises(SystemExit):

@@ -252,6 +252,18 @@ class TestGraded:
         with pytest.raises(WeightSumInvalid):
             convex_combine([g, g], [0.7, 0.7])
 
+    def test_nan_entry_fails_axiom_a(self):
+        with pytest.raises(FilterAxiomViolation) as e:
+            check_graded_axioms(sierpinski(), (0.0, float("nan"), 1.0))
+        assert e.value.axiom == "A"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, bad):
+        t = sierpinski()
+        g = check_graded_axioms(t, (Fraction(0), Fraction(0), Fraction(1)))
+        with pytest.raises(WeightSumInvalid):
+            convex_combine([g, g], [bad, 0.5])
+
 
 class TestGradedTolerance:
     def test_float_table_within_tol_of_a_filter_passes(self):

@@ -86,8 +86,9 @@ class TestUnconvergedCheckE:
         assert rep.all_pass and not rep.converged
 
     def test_suite_record_is_inconclusive(self, unconverged):
-        tasks = dict(suites._flows_tasks())
-        rec = tasks["conditions-translation"](RunConfig(samples=200), 0)
+        records = {r.check_id: r for r in
+                   suites.run_suite("flows", RunConfig(samples=200)).records}
+        rec = records["conditions-translation"]
         assert rec.verdict == "inconclusive"
         assert rec.witness["converged"] is False
 

@@ -20,7 +20,7 @@ from filterbench.metric_filters import (
     curve_filter,
     directional_filter,
     envelope_radius,
-    euclidean_space,
+    euclidean,
     line_curve,
     metric_uniformity_contains,
     pair_directional_filter,
@@ -47,14 +47,13 @@ def harmonic_sequence(x, u, n=10_000, perp=None):
 
 class TestMetricSpace:
     def test_axioms_on_samples(self):
-        sp = euclidean_space(3)
         rng = np.random.default_rng(0)
         a, b, c = rng.normal(size=(3, 500, 3))
-        dab = sp.distance(a, b)
-        assert np.allclose(dab, sp.distance(b, a))
+        dab = euclidean(a, b)
+        assert np.allclose(dab, euclidean(b, a))
         assert np.all(dab >= 0)
-        assert np.all(sp.distance(a, c) <= dab + sp.distance(b, c) + 1e-9)
-        assert np.allclose(sp.distance(a, a), 0.0)
+        assert np.all(euclidean(a, c) <= dab + euclidean(b, c) + 1e-9)
+        assert np.allclose(euclidean(a, a), 0.0)
 
 
 class TestConeMembership:
