@@ -103,18 +103,16 @@ def _cmd_check(args) -> int:
         return _single(args, "check:refinement", [
             record("refinement-valid", "def:def27", ok,
                    witness={"witness": witness})])
-    if args.what == "uniformity":
-        rel = ingest(args.file, "relation")
-        ps = pc.product_topology(ft.validate_topology(rel.n, range(1 << rel.n)))
-        omega = pc.principal_pair_filter(
-            ps, pc.relation_mask(rel.n, list(rel.pairs)))
-        rep = pc.check_uniformity(omega, ps)
-        return _single(args, "check:uniformity", [
-            record("uniformity-axioms", "def:def29", rep.is_uniformity,
-                   witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
-                            "axiom_c": rep.axiom_c,
-                            "axiom_a_witness": rep.axiom_a_witness})])
-    raise SchemaViolation(f"unknown check target {args.what!r}")
+    rel = ingest(args.file, "relation")
+    ps = pc.product_topology(ft.validate_topology(rel.n, range(1 << rel.n)))
+    omega = pc.principal_pair_filter(
+        ps, pc.relation_mask(rel.n, list(rel.pairs)))
+    rep = pc.check_uniformity(omega, ps)
+    return _single(args, "check:uniformity", [
+        record("uniformity-axioms", "def:def29", rep.is_uniformity,
+               witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
+                        "axiom_c": rep.axiom_c,
+                        "axiom_a_witness": rep.axiom_a_witness})])
 
 
 # --- enumerate ---------------------------------------------------------------
@@ -128,15 +126,13 @@ def _cmd_enumerate(args) -> int:
         return _single(args, "enumerate:topologies", [
             record(f"topologies-n{args.n}", "sec:2.1", True, witness=witness,
                    samples=len(tops))])
-    if args.what == "filters":
-        t = ingest(args.file, "topology")
-        filters = fa.enumerate_filters(t, proper=not args.improper_filters)
-        witness = {"count": len(filters),
-                   "values": [list(mu.values) for mu in filters]}
-        return _single(args, "enumerate:filters", [
-            record("filters", "def:dfilta", True, witness=witness,
-                   samples=len(filters))])
-    raise SchemaViolation(f"unknown enumeration target {args.what!r}")
+    t = ingest(args.file, "topology")
+    filters = fa.enumerate_filters(t, proper=not args.improper_filters)
+    witness = {"count": len(filters),
+               "values": [list(mu.values) for mu in filters]}
+    return _single(args, "enumerate:filters", [
+        record("filters", "def:dfilta", True, witness=witness,
+               samples=len(filters))])
 
 
 # --- geom --------------------------------------------------------------------
@@ -159,19 +155,17 @@ def _cmd_geom(args) -> int:
         return _single(args, "geom:cone", [
             record("cone-membership", "sec:1:step7", True,
                    witness={"member": inside})])
-    if args.what == "transport":
-        spec = _builtin(BUILTIN_MAPS, args.map, "map")
-        rng = np.random.default_rng(args.seed)
-        out = mf.transport_via_sequences(spec, _parse_vector(args.x),
-                                         _parse_vector(args.u), rng=rng)
-        ok = out.residual_angle < 1e-6
-        return _single(args, "geom:transport", [
-            record("transport-direction", "thm:trad1", ok,
-                   witness={"direction": out.direction,
-                            "expected": out.expected,
-                            "residual_angle": out.residual_angle},
-                   seed=args.seed)])
-    raise SchemaViolation(f"unknown geom command {args.what!r}")
+    spec = _builtin(BUILTIN_MAPS, args.map, "map")
+    rng = np.random.default_rng(args.seed)
+    out = mf.transport_via_sequences(spec, _parse_vector(args.x),
+                                     _parse_vector(args.u), rng=rng)
+    ok = out.residual_angle < 1e-6
+    return _single(args, "geom:transport", [
+        record("transport-direction", "thm:trad1", ok,
+               witness={"direction": out.direction,
+                        "expected": out.expected,
+                        "residual_angle": out.residual_angle},
+               seed=args.seed)])
 
 
 # --- snowflake ---------------------------------------------------------------
@@ -191,15 +185,13 @@ def _cmd_snowflake(args) -> int:
         return _single(args, "snowflake:separate", [
             record("polynomial-separation", "sec:2.3:prop", ok,
                    witness=witness)])
-    if args.what == "derive":
-        out = sf.check_poly_derivable(
-            _builtin(sf.BUILTIN_FUNCS, args.f, "function"), args.x,
-            _parse_coeffs(args.p), args.m)
-        return _single(args, "snowflake:derive", [
-            record("polynomial-derivability", "sec:2.3:thm", out["matches"],
-                   witness={"truncation": out["oracle_coeffs"],
-                            "ratios": out["ratios"]})])
-    raise SchemaViolation(f"unknown snowflake command {args.what!r}")
+    out = sf.check_poly_derivable(
+        _builtin(sf.BUILTIN_FUNCS, args.f, "function"), args.x,
+        _parse_coeffs(args.p), args.m)
+    return _single(args, "snowflake:derive", [
+        record("polynomial-derivability", "sec:2.3:thm", out["matches"],
+               witness={"truncation": out["oracle_coeffs"],
+                        "ratios": out["ratios"]})])
 
 
 # --- flow --------------------------------------------------------------------
@@ -239,15 +231,13 @@ def _cmd_flow(args) -> int:
                              config.samples, config.seed)
         return _single(args, "flow:transport", [
             out.record("flow-transport", "lem:lem3", config.seed)])
-    if args.what in _FLOW_RECIPES:
-        recipe, check_id, anchor = _FLOW_RECIPES[args.what]
-        rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
-                                       seed=config.seed)
-        out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
-                     seed=config.seed)
-        return _single(args, f"flow:{args.what}", [
-            recipe_outcome(out).record(check_id, anchor, config.seed)])
-    raise SchemaViolation(f"unknown flow command {args.what!r}")
+    recipe, check_id, anchor = _FLOW_RECIPES[args.what]
+    rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
+                                   seed=config.seed)
+    out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
+                 seed=config.seed)
+    return _single(args, f"flow:{args.what}", [
+        recipe_outcome(out).record(check_id, anchor, config.seed)])
 
 
 # --- parser ------------------------------------------------------------------

@@ -273,17 +273,19 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
 # --- B-class filters ---------------------------------------------------------
 
 def check_graded_axioms(
-    t: FiniteTopology, values: Sequence, proper: bool = True, tol: float = GRADED_TOL
+    t: FiniteTopology, values: Sequence, proper: bool = True
 ) -> GradedFilter:
-    """Validate a [0,1] table; exact on int and Fraction values, within tol
-    otherwise.  Raises FilterAxiomViolation like check_filter_axioms."""
+    """Validate a [0,1] table; exact on int and Fraction values, within
+    GRADED_TOL otherwise.  Raises FilterAxiomViolation like
+    check_filter_axioms."""
     values = tuple(values)
     if len(values) != len(t.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
     exact = all(isinstance(v, (Fraction, int)) for v in values)
     if any(v != v for v in values):  # NaN fails every row comparison
         raise FilterAxiomViolation("A", None, _violation_message("A", None))
-    _raise_first_violation(values, 0 if exact else tol, *_b_polytope_system(t, proper))
+    _raise_first_violation(values, 0 if exact else GRADED_TOL,
+                           *_b_polytope_system(t, proper))
     return GradedFilter(t, values)
 
 

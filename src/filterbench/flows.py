@@ -156,40 +156,30 @@ class FlowConditionsReport:
         return max(vals) if vals else float("inf")
 
 
-DEFAULT_M_GRID = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4)
-DEFAULT_C_GRID = ((1e-1, 1e-2, 1e-3, 1e-4), (0.4, 0.2, 0.1, 0.05))
+M_GRID = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4)
+C_GRID = ((1e-1, 1e-2, 1e-3, 1e-4), (0.4, 0.2, 0.1, 0.05))
+STEP1_MU = 0.5
+MU_PRIME_FLOOR = 1e-4
 
 
 def _sample_orbit_members(flow: Flow, x: np.ndarray, eps: float, mu: float,
-                          rng: np.random.Generator, sign: str = "+"):
+                          rng: np.random.Generator):
     """Points y with (x, y) in V+(F, eps, mu), built near the orbit with a
     conservative transverse slack and then verified."""
     ts = rng.uniform(0.2 * eps, eps, len(x))
-    if sign == "-":
-        ts = -ts
     on_orbit = flow(ts, x)
     d_base = np.linalg.norm(on_orbit - x, axis=-1)
     w = rng.normal(size=x.shape)
     w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
     y = on_orbit + (0.25 * mu * d_base)[:, None] * w
-    member, converged = flow_pair_contains(flow, abs(eps), mu, x, y, sign)
+    member, converged = flow_pair_contains(flow, eps, mu, x, y)
     return y, member, converged
 
 
-def check_flow_conditions(
-    flow: Flow,
-    region_low=(-1.0, -1.0),
-    region_high=(1.0, 1.0),
-    samples: int = 2000,
-    seed: int = 0,
-    m_grid=DEFAULT_M_GRID,
-    identity_tol: float = 1e-9,
-    group_tol: float = 1e-9,
-) -> FlowConditionsReport:
+def check_flow_conditions(flow: Flow, samples: int = 2000,
+                          seed: int = 0) -> FlowConditionsReport:
     rng = np.random.default_rng(seed)
-    low = np.asarray(region_low, float)
-    high = np.asarray(region_high, float)
-    x = rng.uniform(low, high, size=(samples, flow.dim))
+    x = rng.uniform(-1.0, 1.0, (samples, flow.dim))
 
     # (a) identity at t = 0
     ident = float(np.max(np.linalg.norm(flow(0.0, x) - x, axis=-1)))
@@ -205,7 +195,7 @@ def check_flow_conditions(
 
     # (c) two-sided difference-quotient ratios at shrinking separations
     m_table = {}
-    for t in m_grid:
+    for t in M_GRID:
         for tt in (t, -t) if t else (0.0,):
             ratios = []
             for delta in (1e-3, 1e-4):
@@ -229,7 +219,7 @@ def check_flow_conditions(
     c_grid = {}
     c_max = 1.0
     converged = True
-    eps_list, mu_list = DEFAULT_C_GRID
+    eps_list, mu_list = C_GRID
     rev = flow.reversed()
     y0 = x[: min(samples, 1000)]
     for eps_p in eps_list:
@@ -250,10 +240,10 @@ def check_flow_conditions(
 
     m0 = m_table[0.0][2]
     passes = {
-        "a": ident <= identity_tol,
+        "a": ident <= 1e-9,
         "b": equi[0.001] < equi[0.2] + 1e-12 and equi[0.001] < 0.1,
         "c": abs(m0 - 1.0) <= 1e-3,
-        "d": group <= group_tol,
+        "d": group <= 1e-9,
         "e": np.isfinite(c_max) and bool(c_grid),
     }
     return FlowConditionsReport(ident, equi, m_table, group, c_grid,
@@ -263,9 +253,9 @@ def check_flow_conditions(
 # --- proof-step recipes ------------------------------------------------------
 
 def _modulus_radius(flow: Flow, bound: float, rng: np.random.Generator,
-                    samples: int = 500, sign: str = "-") -> float:
+                    sign: str = "-") -> float:
     """Largest grid eps with sup_x d(x, F(sign*eps, x)) <= bound, sampled."""
-    x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
+    x = rng.uniform(-1.0, 1.0, size=(500, flow.dim))
     best = 0.0
     for eps in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
         t = -eps if sign == "-" else eps
@@ -279,12 +269,11 @@ def _modulus_radius(flow: Flow, bound: float, rng: np.random.Generator,
     return best
 
 
-def _ratio_radius(flow: Flow, lam0: float, rng: np.random.Generator,
-                  samples: int = 2000) -> float:
+def _ratio_radius(flow: Flow, lam0: float, rng: np.random.Generator) -> float:
     """Largest grid eps1 such that d(x,y) < eps1 implies
     d(F(t,y), x)/4 <= d(y, F(-t,x)) for sampled |t| <= lam0."""
     for eps1 in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01):
-        x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
+        x = rng.uniform(-1.0, 1.0, size=(2000, flow.dim))
         y = x + rng.uniform(-1.0, 1.0, size=x.shape) * eps1 / np.sqrt(flow.dim)
         keep = np.linalg.norm(y - x, axis=-1) < eps1
         x, y = x[keep], y[keep]
@@ -355,23 +344,22 @@ def step1_diagonal_check(
     report: FlowConditionsReport,
     samples: int = 100_000,
     seed: int = 0,
-    mu: float = 0.5,
 ) -> dict:
-    """Diagonal recipe: constructs (eps, mu) with V+(F, eps, mu) inside the
+    """Diagonal recipe: constructs eps with V+(F, eps, STEP1_MU) inside the
     metric entourage B(eps_target), then asserts d(x, y) < eps_target on
     sampled members."""
     if not eps_target > 0:
         raise DomainViolation("target radius must be positive")
     rng = np.random.default_rng(seed)
-    eps0 = _modulus_radius(flow, (1.0 - mu) * eps_target, rng, sign="+")
+    eps0 = _modulus_radius(flow, (1.0 - STEP1_MU) * eps_target, rng, sign="+")
     eps = eps0 / 2.0
     x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
-    y, member, conv = _sample_orbit_members(flow, x, eps, mu, rng)
+    y, member, conv = _sample_orbit_members(flow, x, eps, STEP1_MU, rng)
     d = np.linalg.norm(y[member] - x[member], axis=-1)
     violations = int(np.count_nonzero(d >= eps_target))
     return {
         "eps": eps,
-        "mu": mu,
+        "mu": STEP1_MU,
         "eps0": eps0,
         "checked": int(np.count_nonzero(member)),
         "violations": violations,
@@ -386,19 +374,20 @@ def step3_composition_check(
     report: FlowConditionsReport,
     samples: int = 100_000,
     seed: int = 0,
-    mu_prime_floor: float = 1e-4,
 ) -> dict:
     """Composition recipe: constructs (eps', mu') with 2 eps' < eps,
     sup M <= 2 on [0, eps'] and 4 mu' C < mu, then asserts sampled chains
     (x,y), (y,z) in V+(F, eps', mu') land in V+(F, eps, mu)."""
     if not 0 < mu < 1:
         raise DomainViolation("mu must lie in (0, 1)")
+    if not eps > 0:
+        raise DomainViolation("eps must be positive")
     c = report.c_constant
     mu_p = mu / (8.0 * c)
-    if mu_p < mu_prime_floor:
+    if mu_p < MU_PRIME_FLOOR:
         raise RecipeUnsatisfiable(
             f"need mu' = mu/(8C) = {mu_p:.3e} below the working floor "
-            f"{mu_prime_floor:g}; requested mu {mu} is too small for C = {c:.3g}")
+            f"{MU_PRIME_FLOOR:g}; requested mu {mu} is too small for C = {c:.3g}")
     lam0 = _lambda0(report)
     eps_p = min(eps / 2.5, lam0)
     rng = np.random.default_rng(seed)
@@ -420,12 +409,14 @@ def step3_composition_check(
 
 # --- pushforward and transport -----------------------------------------------
 
-def pushforward_flow(f: MapSpec, flow: Flow, check_points: int = 256,
-                     seed: int = 0, inverse_tol: float = 1e-9) -> Flow:
+def pushforward_flow(f: MapSpec, flow: Flow, seed: int = 0) -> Flow:
     """Conjugated flow f*F(t, x) = f(F(t, f^-1(x)))."""
+    if f.dim != flow.dim:
+        raise DomainViolation(
+            f"map {f.name} acts on dimension {f.dim}, flow {flow.name} "
+            f"on dimension {flow.dim}")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(check_points, f.dim))
-    f.check_inverse(pts, tol=inverse_tol)
+    f.check_inverse(rng.uniform(-1.0, 1.0, size=(256, f.dim)))
     return Flow(
         f"{f.name}_pushforward_{flow.name}", flow.dim,
         lambda t, x: f(flow.fn(t, f.inverse(x))), flow.a, flow.b)
@@ -436,7 +427,6 @@ def check_flow_transport(
     flow: Flow,
     samples: int = 2000,
     seed: int = 0,
-    eps_grid=(0.1, 0.05),
 ) -> tuple[str, object]:
     """Verdict on f * (forward flow filter of F) = forward flow filter of
     f*F, by membership transfer through f-squared with bi-Lipschitz slack.
@@ -455,7 +445,7 @@ def check_flow_transport(
     factor = 1.25 * l_fwd * l_inv  # margin over the sampled estimate
 
     inconclusive = False
-    for eps in eps_grid:
+    for eps in (0.1, 0.05):
         for mu in (min(0.2, 0.35 / factor), min(0.1, 0.2 / factor)):
             mu_img = factor * mu
             # forward: members of the source filter map into the image one;

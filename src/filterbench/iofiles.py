@@ -45,6 +45,21 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _integer(value, where: str, low: int) -> int:
+    """A JSON integer >= low; true and false are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise SchemaViolation(f"{where}: expected an integer >= {low}")
+    return value
+
+
+def _indices(value, where: str) -> list[int]:
+    """A list of point indices >= 0; the caller or the constructor checks
+    them against the point count."""
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{where}: expected a list of point indices")
+    return [_integer(v, f"{where}[{i}]", 0) for i, v in enumerate(value)]
+
+
 def _vector(value, where: str, dim: int | None = None) -> np.ndarray:
     if (not isinstance(value, list) or not value
             or dim is not None and len(value) != dim):
@@ -63,20 +78,19 @@ def _matrix(value, where: str, cols: int | None = None) -> np.ndarray:
 
 
 def _load_topology(payload: dict, where: str) -> FiniteTopology:
-    n = _field(payload, "n", where)
+    n = _integer(_field(payload, "n", where), f"{where}.n", 1)
     opens = _field(payload, "opens", where)
-    if not isinstance(n, int) or n < 1:
-        raise SchemaViolation(f"{where}.n: expected a positive integer")
     if not isinstance(opens, list):
         raise SchemaViolation(f"{where}.opens: expected a list of point lists")
-    return validate_topology(n, opens)
+    return validate_topology(n, [_indices(o, f"{where}.opens[{i}]")
+                                 for i, o in enumerate(opens)])
 
 
 def _load_map(payload: dict, where: str) -> PointMap:
     src = _load_topology(_field(payload, "source", where), where + ".source")
     tgt = _load_topology(_field(payload, "target", where), where + ".target")
-    image = _field(payload, "image", where)
-    if not isinstance(image, list) or len(image) != src.n:
+    image = _indices(_field(payload, "image", where), f"{where}.image")
+    if len(image) != src.n:
         raise SchemaViolation(
             f"{where}.image: expected a list of {src.n} point indices")
     return PointMap(src, tgt, tuple(image))
@@ -101,6 +115,9 @@ def _load_refinement(payload: dict, where: str) -> Refinement:
             f"{where}.assignment: expected one filter list per point")
     rows = []
     for i, row in enumerate(assignment):
+        if not isinstance(row, list):
+            raise SchemaViolation(
+                f"{where}.assignment[{i}]: expected a list of filters")
         filters = []
         for j, values in enumerate(row):
             if (not isinstance(values, list) or len(values) != len(t.opens)
@@ -114,16 +131,14 @@ def _load_refinement(payload: dict, where: str) -> Refinement:
 
 
 def _load_relation(payload: dict, where: str) -> RelationSpec:
-    n = _field(payload, "n", where)
+    n = _integer(_field(payload, "n", where), f"{where}.n", 1)
     pairs = _field(payload, "pairs", where)
-    if not isinstance(n, int) or n < 1:
-        raise SchemaViolation(f"{where}.n: expected a positive integer")
     if not isinstance(pairs, list):
         raise SchemaViolation(f"{where}.pairs: expected a list of [i, j] pairs")
     out = []
     for i, pair in enumerate(pairs):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) and 0 <= v < n for v in pair)):
+        pair = _indices(pair, f"{where}.pairs[{i}]")
+        if len(pair) != 2 or max(pair) >= n:
             raise SchemaViolation(
                 f"{where}.pairs[{i}]: expected [i, j] with indices below {n}")
         out.append((pair[0], pair[1]))

@@ -11,7 +11,7 @@ an honest ``inconclusive`` verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,13 +74,13 @@ def v_plus_contains(g: ConeGenerator, y: np.ndarray) -> np.ndarray:
     return (d_xy > 0) & (d_seg < g.sigma * d_xy)
 
 
-def cone_shape_probe(g: ConeGenerator, y: np.ndarray, margin: float = 1e-9) -> np.ndarray | None:
+def cone_shape_probe(g: ConeGenerator, y: np.ndarray) -> np.ndarray | None:
     """For points projecting strictly inside the segment, membership is
     equivalent to sin(angle(y - x, u)) < sigma.  Returns the boolean
     agreement array, or None where the probe does not apply."""
     y = np.asarray(y, dtype=float)
     t = segment_projection_parameter(y, np.asarray(g.x, float), g.tip)
-    interior = (t > margin) & (t < 1 - margin)
+    interior = (t > 1e-9) & (t < 1 - 1e-9)
     rel = y - g.x
     d = np.linalg.norm(rel, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -155,15 +155,17 @@ def metric_uniformity_contains(s: float, x: np.ndarray, y: np.ndarray) -> np.nda
     return euclidean(x, y) < s
 
 
-def uniformity_refinement_certificate(s: float, sigma: float = 0.5) -> tuple[float, float]:
-    """(eps, sigma) with V+(u, eps, sigma) inside B(s) for every unit u,
-    via the envelope bound eps / (1 - sigma) <= s."""
-    return s * (1.0 - sigma) / 2.0, sigma
+def uniformity_refinement_certificate(s: float) -> tuple[float, float]:
+    """(eps, sigma) = (s / 4, 1 / 2), with V+(u, eps, sigma) inside B(s)
+    for every unit u by the envelope bound eps / (1 - sigma) < s."""
+    return s / 4.0, 0.5
 
 
 # --- sequence classification -------------------------------------------------
 
-DEFAULT_GENERATOR_GRID = ((0.5, 0.5), (0.1, 0.3), (0.02, 0.15), (0.004, 0.08))
+GENERATOR_GRID = ((0.5, 0.5), (0.1, 0.3), (0.02, 0.15), (0.004, 0.08))
+# radians: a spread of directions at or above this has no limit
+DIR_TOL = 1e-3
 
 
 @dataclass
@@ -177,16 +179,7 @@ class SequenceVerdict:
     agreement: bool = True
 
 
-def classify_sequence(
-    seq: np.ndarray,
-    x,
-    u,
-    h_max: int | None = None,
-    point_tol: float = 1e-3,
-    dir_tol: float = 1e-3,
-    generator_grid: Sequence[tuple[float, float]] = DEFAULT_GENERATOR_GRID,
-    tail_fraction: float = 0.1,
-) -> SequenceVerdict:
+def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
     """Cross-validated convergence test against mu_{x,u}.
 
     (i) direct: the sequence converges to x and normalized increments
@@ -196,15 +189,13 @@ def classify_sequence(
     seq = np.asarray(seq, dtype=float)
     x = np.asarray(x, dtype=float)
     u = unit(np.asarray(u, dtype=float))
-    if h_max is not None:
-        seq = seq[:h_max]
     dists = np.linalg.norm(seq - x, axis=-1)
     if np.any(dists == 0):
         raise DegenerateTerm("sequence terms must differ from the base point")
-    tail_n = max(5, int(np.ceil(len(seq) * tail_fraction)))
+    tail_n = max(5, int(np.ceil(len(seq) * 0.1)))
     tail = slice(len(seq) - tail_n, len(seq))
 
-    converges = bool(np.max(dists[tail]) < point_tol)
+    converges = bool(np.max(dists[tail]) < 1e-3)
     dirs = (seq - x) / dists[:, None]
     dir_sum = dirs[tail].sum(axis=0)
     if np.linalg.norm(dir_sum) < 1e-12:
@@ -214,14 +205,14 @@ def classify_sequence(
     else:
         mean_dir = unit(dir_sum)
         spread = float(np.max(angle_between(dirs[tail], mean_dir)))
-    has_direction = converges and spread < dir_tol
+    has_direction = converges and spread < DIR_TOL
     direction_limit = mean_dir if has_direction else None
-    direct = has_direction and float(angle_between(mean_dir, u)) < dir_tol
+    direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
 
     mu = directional_filter(x, u)
     generator_ok = True
     witnesses: list = []
-    for eps, sigma in generator_grid:
+    for eps, sigma in GENERATOR_GRID:
         member = mu.contains(eps, sigma, seq[tail])
         if not bool(member.all()):
             generator_ok = False
@@ -262,23 +253,22 @@ class CurveSpec:
         return self.fn(np.zeros(1))[0]
 
 
-def line_curve(x, u, a: float = -1.0, b: float = 1.0) -> CurveSpec:
+def line_curve(x, u) -> CurveSpec:
     x = np.asarray(x, float)
     u = np.asarray(u, float)
-    return CurveSpec("line", lambda t: x + np.asarray(t, float)[:, None] * u, a, b)
+    return CurveSpec("line", lambda t: x + np.asarray(t, float)[:, None] * u,
+                     -1.0, 1.0)
 
 
-def estimate_bilipschitz(
-    c: CurveSpec, samples: int = 256, lower_floor: float = 1e-6, upper_cap: float = 1e6,
-) -> tuple[float, float]:
-    ts = np.linspace(c.a, c.b, samples)
+def estimate_bilipschitz(c: CurveSpec) -> tuple[float, float]:
+    ts = np.linspace(c.a, c.b, 256)
     pts = c(ts)
-    i, j = np.triu_indices(samples, k=1)
+    i, j = np.triu_indices(256, k=1)
     num = np.linalg.norm(pts[i] - pts[j], axis=-1)
     den = np.abs(ts[i] - ts[j])
     ratios = num / den
     lo, hi = float(ratios.min()), float(ratios.max())
-    if lo < lower_floor or hi > upper_cap:
+    if lo < 1e-6 or hi > 1e6:
         raise CurveNotBiLipschitz(f"sampled constants ({lo:.3e}, {hi:.3e}) out of bounds")
     return lo, hi
 
@@ -399,14 +389,11 @@ def transport_via_sequences(
     f: MapSpec,
     x,
     u,
-    trials: int = 8,
     rng: np.random.Generator | None = None,
-    scales: Sequence[float] = (1e-4, 1e-5, 1e-6),
-    stability_tol: float = 1e-3,
 ) -> TransportResult:
     """Push sequences converging to mu_{x,u} through f and classify the image.
 
-    Richardson extrapolation on the two smallest scales removes the
+    Richardson extrapolation on the scales 1e-5 and 1e-6 removes the
     first-order curvature term; the result must match Df(x) u / |Df(x) u|.
     """
     x = np.asarray(x, dtype=float)
@@ -428,20 +415,20 @@ def transport_via_sequences(
 
     directions = []
     perturbations = [np.zeros_like(u)]
-    for _ in range(max(0, trials - 1)):
+    for _ in range(7):
         w = rng.normal(size=u.shape)
         perturbations.append(0.5 * w / max(np.linalg.norm(w), 1e-12))
+    ratio = 1e-5 / 1e-6
     for w in perturbations:
-        d_coarse = image_dir(scales[-2], w)
-        d_fine = image_dir(scales[-1], w)
-        ratio = scales[-2] / scales[-1]
+        d_coarse = image_dir(1e-5, w)
+        d_fine = image_dir(1e-6, w)
         extrap = unit((ratio * d_fine - d_coarse) / (ratio - 1.0))
-        if float(angle_between(d_fine, d_coarse)) > stability_tol:
+        if float(angle_between(d_fine, d_coarse)) > DIR_TOL:
             raise NoDirectionLimit("image directions do not stabilize")
         directions.append(extrap)
     directions = np.asarray(directions)
     spread = float(np.max(angle_between(directions, directions[0])))
-    if spread > stability_tol:
+    if spread > DIR_TOL:
         raise NoDirectionLimit("perturbed sequences disagree on the limit")
     empirical = unit(directions.sum(axis=0))
     return TransportResult(
@@ -456,13 +443,11 @@ def transport_via_sequences(
 def check_commutation_directional(
     u,
     v,
-    eps: float = 0.5,
-    sigma: float = 0.3,
     samples: int = 10_000,
     seed: int = 0,
-    box: float = 2.0,
 ) -> tuple[str, object]:
-    """Verdict on mu_u o mu_v = mu_v o mu_u at the generator level.
+    """Verdict on mu_u o mu_v = mu_v o mu_u at the generator level, on the
+    generator (eps, sigma) = (0.5, 0.3) and base points in [-2, 2]^d.
 
     Both filters are translation invariant, so each composite generator is
     the set of pairs whose difference lies in a Minkowski sum of cone
@@ -471,8 +456,9 @@ def check_commutation_directional(
     """
     mu_u = pair_directional_filter(u)
     mu_v = pair_directional_filter(v)
+    eps, sigma = 0.5, 0.3
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, size=(samples, len(np.asarray(u))))
+    x = rng.uniform(-2.0, 2.0, size=(samples, len(np.asarray(u))))
     y = _sample_cone_targets(mu_u, x, eps, sigma, rng)
     z = _sample_cone_targets(mu_v, y, eps, sigma, rng)
     ok_uv = mu_u.contains(eps, sigma, x, y) & mu_v.contains(eps, sigma, y, z)

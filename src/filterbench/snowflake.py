@@ -252,25 +252,25 @@ def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
     return seq, ratios, 2.0 * t0
 
 
-def separate_polynomials(p1, p2, m: int, x=(0.0, 0.0),
-                         t0: float = 0.1, count: int = 64):
+def separate_polynomials(p1, p2, m: int):
     """Exactly 'equal' on coefficient-equal pairs; otherwise a finite-scale
-    witness: a tail of points on the p1 arc together with a generator of
-    the p2 filter whose aperture sits strictly below every observed
-    distance ratio, so the whole tail fails membership."""
+    witness: the tail t_h = 0.1 / h (h = 1..64) on the p1 arc at the origin
+    with a generator of the p2 filter whose aperture sits strictly below
+    every observed distance ratio, so the whole tail fails membership."""
     p1 = p1 if isinstance(p1, Polynomial) else Polynomial.from_coeffs(p1)
     p2 = p2 if isinstance(p2, Polynomial) else Polynomial.from_coeffs(p2)
     validate_generator_polynomial(p1, m)
     validate_generator_polynomial(p2, m)
     if p1 == p2:
         return "equal"
-    seq, ratios, eps0 = _tail_ratios(p1, p2, m, x, t0, count)
+    origin = np.zeros(2)
+    seq, ratios, eps0 = _tail_ratios(p1, p2, m, origin, 0.1, 64)
     min_ratio = float(ratios.min())
     if min_ratio <= 0.0:
         raise ConstraintViolation(
             "distinct polynomials produced a zero distance ratio")
     lam0 = min(0.9 * min_ratio, 0.99)
-    gen = PolynomialGenerator(np.asarray(x, float), p2, eps0, lam0, m)
+    gen = PolynomialGenerator(origin, p2, eps0, lam0, m)
     space = MixedProductSpace(m)
     # an explicit membership check of the whole tail, not a reuse of ratios
     verified = not polynomial_filter_contains(gen, seq, space).any()
@@ -294,21 +294,19 @@ class GraphEmbedding:
         return np.stack([x, self.fn(x)], axis=-1)
 
 
-def graph_embed(f: Callable, m: int = 2, interval=(-1.0, 1.0),
-                samples: int = 2000, seed: int = 0,
-                cap: float = 1e6) -> GraphEmbedding:
-    """g(x) = (x, f(x)) into the mixed product; bi-Lipschitz constants of g
-    estimated by sampled difference quotients (lower bound 1 comes from
-    the plain first coordinate)."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(interval[0], interval[1], samples)
-    b = rng.uniform(interval[0], interval[1], samples)
+def graph_embed(f: Callable, interval=(-1.0, 1.0)) -> GraphEmbedding:
+    """g(x) = (x, f(x)) into the mixed product of exponent 2; bi-Lipschitz
+    constants of g estimated by difference quotients of 2000 seeded pairs
+    (lower bound 1 comes from the plain first coordinate)."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(interval[0], interval[1], 2000)
+    b = rng.uniform(interval[0], interval[1], 2000)
     keep = np.abs(a - b) > 1e-12
     a, b = a[keep], b[keep]
     fq = np.abs(np.asarray(f(a)) - np.asarray(f(b))) / np.abs(a - b)
-    if float(fq.max()) > cap:
-        raise NotLipschitz(f"difference quotients exceed {cap:g}")
-    space = MixedProductSpace(m)
+    if float(fq.max()) > 1e6:
+        raise NotLipschitz("difference quotients exceed 1e+06")
+    space = MixedProductSpace(2)
     g = GraphEmbedding(f, 1.0, 1.0)
     gq = space.distance(g(a), g(b)) / np.abs(a - b)
     return GraphEmbedding(f, max(1.0, float(gq.min())), float(gq.max()))
@@ -352,16 +350,14 @@ def truncated_composition(f: Func1D, x: float, p: Polynomial, m: int) -> np.ndar
     return q
 
 
-def check_poly_derivable(f: Func1D, x: float, p, m: int,
-                         t0: float = 0.05, count: int = 24,
-                         tol: float = 1e-3) -> dict:
+def check_poly_derivable(f: Func1D, x: float, p, m: int) -> dict:
     """Transports on-arc sample points through f in the graph setting and
     compares against the analytic truncation oracle q.
 
     The image of x + (t, p(t)) under the graph action of f is
     (t, f(x+p(t)) - f(x)); its mixed distance to the q arc is the Taylor
     residual O(t^(m+1)) snowflaked to O(t^(1+1/m)), so the membership
-    ratios must shrink toward zero.
+    ratios at t = 0.05 / 2^h, h = 0..23, must shrink below 1e-3.
     """
     p = p if isinstance(p, Polynomial) else Polynomial.from_coeffs(p)
     validate_generator_polynomial(p, m)
@@ -373,7 +369,8 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int,
         [Fraction(c).limit_denominator(10 ** 12) for c in np.where(
             np.abs(q) < 1e-15, 0.0, q)])
     space = MixedProductSpace(m)
-    t_h = t0 / 2.0 ** np.arange(count, dtype=float)
+    t0 = 0.05
+    t_h = t0 / 2.0 ** np.arange(24, dtype=float)
     origin = np.zeros(2)
     # image points (t, f(x + p(t)) - f(x)) relative to the image of x
     vals = f(x + p(t_h)) - f(x)
@@ -387,7 +384,7 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int,
     d_arc = np.minimum(arc_distances(imgs - origin, q_poly, 2.0 * t0, m),
                        at_param)
     ratios = d_arc / d_xy
-    ok = bool(ratios[-1] < tol and ratios[-1] <= ratios[0] + tol)
+    ok = bool(ratios[-1] < 1e-3 and ratios[-1] <= ratios[0] + 1e-3)
     return {
         "oracle_coeffs": q,
         "ratios": ratios,
@@ -421,12 +418,12 @@ BUILTIN_FUNCS: dict[str, Func1D] = {
 
 
 def check_metric_axioms(distance: Callable, sampler: Callable,
-                        samples: int, tol: float = 1e-9) -> float:
+                        samples: int) -> float:
     """Largest sampled triangle-inequality violation (negative slack)."""
     a, b, c = sampler(samples), sampler(samples), sampler(samples)
     slack = distance(a, b) + distance(b, c) - distance(a, c)
     sym = np.max(np.abs(distance(a, b) - distance(b, a)))
-    if sym > tol:
+    if sym > 1e-9:
         raise ConstraintViolation(f"distance asymmetric by {sym:.3e}")
     return float(np.minimum(slack, 0.0).min())
 

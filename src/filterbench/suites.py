@@ -401,9 +401,9 @@ def _cones_checks():
 
 # --- suite: derivative -------------------------------------------------------
 
-def make_sequence(kind: str, x, u, rng: np.random.Generator,
-                  n: int = 2000) -> np.ndarray:
-    h = np.arange(1, n + 1, dtype=float)
+def make_sequence(kind: str, x, u, rng: np.random.Generator) -> np.ndarray:
+    """The first 2000 terms of a sequence of the given kind at x along u."""
+    h = np.arange(1, 2001, dtype=float)
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     perp = np.array([-u[1], u[0]])

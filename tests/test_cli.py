@@ -24,6 +24,9 @@ def write(tmp_path, name, payload):
 
 
 SIERPINSKI = {"kind": "topology", "n": 2, "opens": [[], [0], [0, 1]]}
+TRANSLATION_3D = {"kind": "flow", "name": "translation", "u": [1, 0, 0]}
+NILPOTENT_3D = {"kind": "flow", "name": "linear",
+                "generator": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}
 
 
 class TestReporting:
@@ -174,7 +177,19 @@ class TestMain:
         (["flow", "conditions"],
          {"kind": "flow", "name": "linear", "generator": [[1, 2, 3]]},
          ".generator[0]"),
-    ], ids=["omega", "pairs", "translation-u", "sequence-u", "generator"])
+        (["check", "map"],
+         {"kind": "map", "source": SIERPINSKI, "target": SIERPINSKI,
+          "image": ["a", 0]}, ".image[0]"),
+        (["check", "topology"],
+         {"kind": "topology", "n": 2, "opens": [[], ["x"], [0, 1]]},
+         ".opens[1][0]"),
+        (["check", "refinement"],
+         {"kind": "refinement", "topology": SIERPINSKI, "assignment": [5, []]},
+         ".assignment[0]"),
+        (["check", "topology"],
+         {"kind": "topology", "n": True, "opens": [[], [0]]}, ".n"),
+    ], ids=["omega", "pairs", "translation-u", "sequence-u", "generator",
+            "image-entry", "open-entry", "assignment-row", "boolean-n"])
     def test_bad_spec_field_is_input_error(self, tmp_path, capsys, command,
                                            payload, field):
         code = main([*command, write(tmp_path, "spec.json", payload)])
@@ -277,3 +292,31 @@ class TestMain:
     def test_unknown_suite_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["suite", "bogus"])
+
+    @pytest.mark.parametrize("argv", [["check", "foo", "x.json"],
+                                      ["geom", "foo"]], ids=" ".join)
+    def test_unknown_command_rejected_by_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [TRANSLATION_3D, NILPOTENT_3D],
+                             ids=["translation", "nilpotent"])
+    @pytest.mark.parametrize("command", ["conditions", "lemacon", "step3"])
+    def test_three_dimensional_flow_spec(self, tmp_path, capsys, command,
+                                         spec):
+        code = main(["flow", command, write(tmp_path, "f3.json", spec),
+                     "--samples", "500"])
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert code == 0
+        assert rec["verdict"] == "pass"
+
+    def test_flow_and_map_dimensions_must_agree(self, tmp_path, capsys):
+        code = main(["flow", "transport", "shear_half",
+                     write(tmp_path, "f3.json", TRANSLATION_3D)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "DomainViolation"
+        assert "dimension 2" in err["message"]
+        assert "dimension 3" in err["message"]

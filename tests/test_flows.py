@@ -69,6 +69,10 @@ class TestConditions:
         with pytest.raises(DomainViolation):
             BUILTIN_FLOWS["translation"](2.0, np.zeros((1, 2)))
 
+    def test_three_dimensional_flow(self):
+        assert check_flow_conditions(translation_flow([1, 0, 0]),
+                                     samples=300).all_pass
+
 
 class TestUnconvergedCheckE:
     """Check (e) rows left undecided at the subdivision cap make the
@@ -229,6 +233,11 @@ class TestStepRecipes:
         assert out["converged"]
         assert 2 * out["eps_prime"] < 0.2
         assert 4 * out["mu_prime"] * out["c_constant"] < 0.5
+
+    def test_composition_bad_radius(self, reports):
+        with pytest.raises(DomainViolation):
+            step3_composition_check(BUILTIN_FLOWS["translation"], -0.2, 0.5,
+                                    reports["translation"])
 
     def test_composition_infeasible_aperture(self, reports):
         with pytest.raises(RecipeUnsatisfiable):
