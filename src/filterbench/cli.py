@@ -23,8 +23,8 @@ from .errors import FilterAxiomViolation, SchemaViolation, WorkbenchError
 from .iofiles import ingest
 from .maps import BUILTIN_MAPS
 from .reporting import SuiteReport, jsonify, record
-from .suites import (SUITE_NAMES, RunConfig, flow_transport, recipe_outcome,
-                     run_suite)
+from .suites import (FLOW_RECIPES, REPORT_SAMPLES, SUITE_NAMES, RunConfig,
+                     flow_transport, recipe_outcome, run_suite)
 
 
 def _parse_coeffs(text: str):
@@ -95,7 +95,7 @@ def _cmd_check(args) -> int:
         else:
             rec = record("filter-axioms", "def:dfilta", True,
                          witness={"support": [sorted(ft.set_of(s))
-                                              for s in fa.support(mu)]})
+                                              for s in mu.support()]})
         return _single(args, "check:filter", [rec])
     if args.what == "refinement":
         r = ingest(args.file, "refinement")
@@ -159,7 +159,7 @@ def _cmd_geom(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = mf.transport_via_sequences(spec, _parse_vector(args.x),
                                      _parse_vector(args.u), rng=rng)
-    ok = out.residual_angle < 1e-6
+    ok = out.residual_angle < mf.TRANSPORT_TOL
     return _single(args, "geom:transport", [
         record("transport-direction", "thm:trad1", ok,
                witness={"direction": out.direction,
@@ -202,11 +202,8 @@ def _flow_of(args) -> fl.Flow:
     return ingest(args.flow, "flow")  # spec file path
 
 
-_FLOW_RECIPES = {
-    "lemacon": (fl.lemacon_construct, "aperture-transfer", "lem:lemacon"),
-    "step3": (fl.step3_composition_check, "composition-recipe",
-              "thm:trad2:step3"),
-}
+_RECIPE_CHECK_IDS = {"lemacon": "aperture-transfer",
+                     "step3": "composition-recipe"}
 
 
 def _cmd_flow(args) -> int:
@@ -231,13 +228,14 @@ def _cmd_flow(args) -> int:
                              config.samples, config.seed)
         return _single(args, "flow:transport", [
             out.record("flow-transport", "lem:lem3", config.seed)])
-    recipe, check_id, anchor = _FLOW_RECIPES[args.what]
-    rep = fl.check_flow_conditions(flow, samples=min(config.samples, 2000),
-                                   seed=config.seed)
+    anchor, recipe, _ = FLOW_RECIPES[args.what]
+    rep = fl.check_flow_conditions(
+        flow, samples=min(config.samples, REPORT_SAMPLES), seed=config.seed)
     out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
                  seed=config.seed)
     return _single(args, f"flow:{args.what}", [
-        recipe_outcome(out).record(check_id, anchor, config.seed)])
+        recipe_outcome(out).record(_RECIPE_CHECK_IDS[args.what], anchor,
+                                   config.seed)])
 
 
 # --- parser ------------------------------------------------------------------
@@ -328,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("flow")
     fle = flow_sub.add_parser("lemacon")
     fs3 = flow_sub.add_parser("step3")
-    for leaf, eps in ((fle, 0.1), (fs3, 0.2)):
+    for leaf, kind in ((fle, "lemacon"), (fs3, "step3")):
+        params = FLOW_RECIPES[kind][2]
         leaf.add_argument("flow")
-        leaf.add_argument("--eps", type=float, default=eps)
-        leaf.add_argument("--mu", type=float, default=0.5)
+        leaf.add_argument("--eps", type=float, default=params["eps"])
+        leaf.add_argument("--mu", type=float, default=params["mu"])
     ftr = flow_sub.add_parser("transport")
     ftr.add_argument("map")
     ftr.add_argument("flow")

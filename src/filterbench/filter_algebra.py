@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     FilterAxiomViolation,
+    IndexOutOfRange,
     NotContinuous,
     SizeLimitExceeded,
     TopologyMismatch,
@@ -52,7 +53,6 @@ from .finite_topology import (
     PointMap,
     is_continuous,
     is_t0,
-    point_filter,
     set_of,
 )
 
@@ -93,7 +93,7 @@ class IndicatorFilter:
         return f"IndicatorFilter(topology={self.topology!r}, values={self.values!r})"
 
     def __call__(self, mask: int) -> int:
-        return self.bits >> self.topology.index_of(mask) & 1
+        return self.bits >> self.topology.open_index[mask] & 1
 
     def support(self) -> tuple[int, ...]:
         return tuple(d for i, d in enumerate(self.topology.opens) if self.bits >> i & 1)
@@ -121,6 +121,13 @@ def principal_filter(t: FiniteTopology, base: int) -> IndicatorFilter:
     return IndicatorFilter(t, bits)
 
 
+def point_filter(t: FiniteTopology, x: int) -> IndicatorFilter:
+    """The filter of open neighborhoods of x: the opens containing x."""
+    if not 0 <= x < t.n:
+        raise IndexOutOfRange(f"point {x} out of range")
+    return principal_filter(t, 1 << x)
+
+
 @dataclass(frozen=True)
 class GradedFilter:
     topology: FiniteTopology
@@ -144,10 +151,6 @@ def check_filter_axioms(
     _, equalities, pairs = _b_polytope_system(topology, proper)
     _raise_first_violation(mu.values, 0, (), equalities, pairs)
     return mu
-
-
-def support(mu: IndicatorFilter) -> tuple[int, ...]:
-    return mu.support()
 
 
 def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
@@ -262,7 +265,7 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
         raise NotContinuous(witness)
     source = _tau_e_structure(f.source)
     target = _tau_e_structure(f.target)
-    push = [target.index[pushforward(f, mu).bits] for mu in source.universe]
+    push = [target.index[f.pushforward_bits(mu.bits)] for mu in source.universe]
     for v_prime in target.opens:
         preimage = frozenset(i for i, j in enumerate(push) if j in v_prime)
         if preimage not in source.open_set:
@@ -535,10 +538,12 @@ def check_derivable(
     ok, witness = is_continuous(f)
     if not ok:
         raise NotContinuous(witness)
+    if any(mu.topology != f.source for members in r.assignment for mu in members):
+        raise TopologyMismatch("filter does not live on the source topology")
     for x in range(f.source.n):
         targets = {mu.bits for mu in r2.assignment[f.image[x]]}
         for mu in r.assignment[x]:
-            if pushforward(f, mu).bits not in targets:
+            if f.pushforward_bits(mu.bits) not in targets:
                 return False, (x, mu)
     return True, None
 

@@ -1,4 +1,4 @@
-"""Finite topological spaces, continuous maps and point filters.
+"""Finite topological spaces and continuous maps.
 
 Open sets are stored as integer bitmasks over point indices 0..n-1; the
 canonical form keeps the masks sorted ascending, so equal topologies compare
@@ -75,9 +75,6 @@ class FiniteTopology:
             sum(1 << i for i, d in enumerate(self.opens) if d >> p & 1)
             for p in range(self.n)
         )
-
-    def index_of(self, mask: int) -> int:
-        return self.open_index[mask]
 
     def first_open(self, bits: int) -> int:
         """The open of a nonempty open-index bitset that comes first in
@@ -212,12 +209,3 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FiniteTopolo
         if t0_only and not is_t0(t)[0]:
             continue
         yield t
-
-
-def point_filter(t: FiniteTopology, x: int):
-    """The filter of open neighborhoods of x: the opens containing x."""
-    from .filter_algebra import IndicatorFilter
-
-    if not 0 <= x < t.n:
-        raise IndexOutOfRange(f"point {x} out of range")
-    return IndicatorFilter(t, t.point_opens[x])

@@ -59,14 +59,6 @@ def shear_map(k: float) -> MapSpec:
     return linear_map(np.array([[1.0, k], [0.0, 1.0]]), name=f"shear({k:g})")
 
 
-def _spec2(name, f, jac, inv=None):
-    return MapSpec(name, 2, f, jac, inv)
-
-
-def _spec3(name, f, jac, inv=None):
-    return MapSpec(name, 3, f, jac, inv)
-
-
 def builtin_nonlinear_maps() -> list[MapSpec]:
     """Fixed nonlinear diffeomorphisms with analytic Jacobians.
 
@@ -74,32 +66,32 @@ def builtin_nonlinear_maps() -> list[MapSpec]:
     triangular with unit Jacobian determinant.
     """
     maps = []
-    maps.append(_spec2(
-        "parabolic_shear",
+    maps.append(MapSpec(
+        "parabolic_shear", 2,
         lambda p: np.stack([p[..., 0] + p[..., 1] ** 2, p[..., 1]], axis=-1),
         lambda p: np.array([[1.0, 2.0 * p[1]], [0.0, 1.0]]),
         lambda p: np.stack([p[..., 0] - p[..., 1] ** 2, p[..., 1]], axis=-1),
     ))
-    maps.append(_spec2(
-        "sine_shear",
+    maps.append(MapSpec(
+        "sine_shear", 2,
         lambda p: np.stack([p[..., 0] + np.sin(p[..., 1]), p[..., 1]], axis=-1),
         lambda p: np.array([[1.0, np.cos(p[1])], [0.0, 1.0]]),
         lambda p: np.stack([p[..., 0] - np.sin(p[..., 1]), p[..., 1]], axis=-1),
     ))
-    maps.append(_spec2(
-        "cubic_shear",
+    maps.append(MapSpec(
+        "cubic_shear", 2,
         lambda p: np.stack([p[..., 0] + p[..., 1] ** 3, p[..., 1]], axis=-1),
         lambda p: np.array([[1.0, 3.0 * p[1] ** 2], [0.0, 1.0]]),
         lambda p: np.stack([p[..., 0] - p[..., 1] ** 3, p[..., 1]], axis=-1),
     ))
-    maps.append(_spec2(
-        "vertical_parabolic_shear",
+    maps.append(MapSpec(
+        "vertical_parabolic_shear", 2,
         lambda p: np.stack([p[..., 0], p[..., 1] + p[..., 0] ** 2], axis=-1),
         lambda p: np.array([[1.0, 0.0], [2.0 * p[0], 1.0]]),
         lambda p: np.stack([p[..., 0], p[..., 1] - p[..., 0] ** 2], axis=-1),
     ))
-    maps.append(_spec2(
-        "exp_stretch",
+    maps.append(MapSpec(
+        "exp_stretch", 2,
         lambda p: np.stack(
             [p[..., 0] * np.exp(0.2 * p[..., 1]), p[..., 1]], axis=-1),
         lambda p: np.array(
@@ -107,16 +99,16 @@ def builtin_nonlinear_maps() -> list[MapSpec]:
         lambda p: np.stack(
             [p[..., 0] * np.exp(-0.2 * p[..., 1]), p[..., 1]], axis=-1),
     ))
-    maps.append(_spec2(
-        "coupled_sine",
+    maps.append(MapSpec(
+        "coupled_sine", 2,
         lambda p: np.stack(
             [p[..., 0] + 0.3 * np.sin(p[..., 1]),
              p[..., 1] + 0.3 * np.sin(p[..., 0])], axis=-1),
         lambda p: np.array(
             [[1.0, 0.3 * np.cos(p[1])], [0.3 * np.cos(p[0]), 1.0]]),
     ))
-    maps.append(_spec3(
-        "double_parabolic_shear_3d",
+    maps.append(MapSpec(
+        "double_parabolic_shear_3d", 3,
         lambda p: np.stack(
             [p[..., 0] + p[..., 1] ** 2, p[..., 1] + p[..., 2] ** 2,
              p[..., 2]], axis=-1),
@@ -126,8 +118,8 @@ def builtin_nonlinear_maps() -> list[MapSpec]:
             [p[..., 0] - (p[..., 1] - p[..., 2] ** 2) ** 2,
              p[..., 1] - p[..., 2] ** 2, p[..., 2]], axis=-1),
     ))
-    maps.append(_spec3(
-        "sine_ladder_3d",
+    maps.append(MapSpec(
+        "sine_ladder_3d", 3,
         lambda p: np.stack(
             [p[..., 0] + np.sin(p[..., 2]), p[..., 1] + np.sin(p[..., 0]),
              p[..., 2]], axis=-1),
@@ -136,16 +128,16 @@ def builtin_nonlinear_maps() -> list[MapSpec]:
              [np.cos(p[0]), 1.0, 0.0],
              [0.0, 0.0, 1.0]]),
     ))
-    maps.append(_spec3(
-        "cubic_twist_3d",
+    maps.append(MapSpec(
+        "cubic_twist_3d", 3,
         lambda p: np.stack(
             [p[..., 0], p[..., 1] + p[..., 0] ** 3,
              p[..., 2] + p[..., 0] * p[..., 1]], axis=-1),
         lambda p: np.array(
             [[1.0, 0.0, 0.0], [3.0 * p[0] ** 2, 1.0, 0.0], [p[1], p[0], 1.0]]),
     ))
-    maps.append(_spec3(
-        "mixed_shear_3d",
+    maps.append(MapSpec(
+        "mixed_shear_3d", 3,
         lambda p: np.stack(
             [p[..., 0] + 0.5 * p[..., 2] ** 2, p[..., 1] - p[..., 2] ** 3,
              p[..., 2]], axis=-1),

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     CurveNotBiLipschitz,
     DegenerateTerm,
+    DomainViolation,
     InvalidWitness,
     NoDirectionLimit,
     NonUnitDirection,
@@ -35,10 +36,24 @@ from .maps import MapSpec
 
 UNIT_TOL = 1e-12
 ARC_SUBDIVISION_CAP = 1 << 14
+# radians: a transported direction this close to Df(x) u passes thm:trad1
+TRANSPORT_TOL = 1e-6
 
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)
+
+
+def _check_unit(u: np.ndarray) -> None:
+    """Raise NonUnitDirection unless |u| is within UNIT_TOL of 1; NaN fails."""
+    norm = np.linalg.norm(u)
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise NonUnitDirection(f"|u| = {norm}")
+
+
+def _check_length(what: str, n: int, against: str, dim: int) -> None:
+    if n != dim:
+        raise DomainViolation(f"{what} has length {n}, but {against} is {dim}")
 
 
 # --- cone generators ---------------------------------------------------------
@@ -54,8 +69,8 @@ class ConeGenerator:
     sigma: float
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.u) - 1.0) > UNIT_TOL:
-            raise NonUnitDirection(f"|u| = {np.linalg.norm(self.u)}")
+        _check_length("x", len(self.x), "the length of u", len(self.u))
+        _check_unit(self.u)
         if not self.eps > 0:
             raise InvalidWitness("eps must be positive")
         if not 0 < self.sigma < 1:
@@ -69,6 +84,7 @@ class ConeGenerator:
 def v_plus_contains(g: ConeGenerator, y: np.ndarray) -> np.ndarray:
     """Membership (vectorized over leading axes of y)."""
     y = np.asarray(y, dtype=float)
+    _check_length("y", y.shape[-1], "the length of x", len(g.x))
     d_xy = np.linalg.norm(y - g.x, axis=-1)
     d_seg = point_segment_distance(y, np.asarray(g.x, float), g.tip)
     return (d_xy > 0) & (d_seg < g.sigma * d_xy)
@@ -92,6 +108,19 @@ def cone_shape_probe(g: ConeGenerator, y: np.ndarray) -> np.ndarray | None:
     return agree
 
 
+def sample_cone_members(g: ConeGenerator, n: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """n points of V+(x, u, eps, sigma): lam uniform on [0.05 eps, eps],
+    then a step of 0.3 sigma lam from x + lam u along a normal direction
+    projected off u, which keeps every point well inside the cone."""
+    lam = rng.uniform(0.05 * g.eps, g.eps, n)
+    w = rng.normal(size=(n, len(g.u)))
+    w -= (w @ g.u)[:, None] * g.u
+    w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
+    r = 0.3 * g.sigma * lam
+    return g.x + lam[:, None] * g.u + r[:, None] * w
+
+
 @dataclass(frozen=True)
 class DirectionalFilter:
     """mu_{x,u}: generated by the cone family V+(x, u, eps, sigma)."""
@@ -100,19 +129,10 @@ class DirectionalFilter:
     u: np.ndarray
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.u) - 1.0) > UNIT_TOL:
-            raise NonUnitDirection(f"|u| = {np.linalg.norm(self.u)}")
-
-    def generator(self, eps: float, sigma: float) -> ConeGenerator:
-        return ConeGenerator(np.asarray(self.x, float), np.asarray(self.u, float),
-                             eps, sigma)
+        _check_unit(self.u)
 
     def contains(self, eps: float, sigma: float, y: np.ndarray) -> np.ndarray:
-        return v_plus_contains(self.generator(eps, sigma), y)
-
-
-def directional_filter(x, u) -> DirectionalFilter:
-    return DirectionalFilter(np.asarray(x, float), np.asarray(u, float))
+        return v_plus_contains(ConeGenerator(self.x, self.u, eps, sigma), y)
 
 
 def envelope_radius(eps: float, sigma: float) -> float:
@@ -131,8 +151,7 @@ class PairDirectionalFilter:
     u: np.ndarray
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.u) - 1.0) > UNIT_TOL:
-            raise NonUnitDirection(f"|u| = {np.linalg.norm(self.u)}")
+        _check_unit(self.u)
 
     def contains(self, eps: float, sigma: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(x, y) is a member iff y - x lies in the cone at the origin."""
@@ -188,7 +207,10 @@ def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
     """
     seq = np.asarray(seq, dtype=float)
     x = np.asarray(x, dtype=float)
-    u = unit(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    if not 0 < np.linalg.norm(u) < np.inf:
+        raise NonUnitDirection(f"direction must be finite and nonzero, u = {u}")
+    u = unit(u)
     dists = np.linalg.norm(seq - x, axis=-1)
     if np.any(dists == 0):
         raise DegenerateTerm("sequence terms must differ from the base point")
@@ -209,7 +231,7 @@ def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
     direction_limit = mean_dir if has_direction else None
     direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
 
-    mu = directional_filter(x, u)
+    mu = DirectionalFilter(x, u)
     generator_ok = True
     witnesses: list = []
     for eps, sigma in GENERATOR_GRID:
@@ -350,28 +372,14 @@ def reparametrized_curve(c: CurveSpec, phi: Callable, phi_a: float, phi_b: float
 
 # --- the (bound) inequality --------------------------------------------------
 
-def check_bound(
-    x: np.ndarray, arc_point: np.ndarray, y: np.ndarray, mu: float,
-) -> bool:
-    """Verify 1/(1+mu) d(x, c(lam)) < d(x, y) < 1/(1-mu) d(x, c(lam)) for a
-    membership witness c(lam); raises InvalidWitness if the witness fails
-    d(y, c(lam)) < mu d(x, y)."""
-    x = np.asarray(x, float)
-    arc_point = np.asarray(arc_point, float)
-    y = np.asarray(y, float)
-    d_xy = float(euclidean(x, y))
-    d_yc = float(euclidean(y, arc_point))
-    d_xc = float(euclidean(x, arc_point))
-    if not d_yc < mu * d_xy:
-        raise InvalidWitness("d(y, c(lambda)) < mu d(x, y) does not hold")
-    return d_xc / (1.0 + mu) < d_xy < d_xc / (1.0 - mu)
-
-
 def check_bound_batch(x, arc_pts, ys, mu) -> np.ndarray:
-    """Vectorized form used by the sampling suites; callers guarantee the
-    membership witnesses."""
+    """Per row, whether 1/(1+mu) d(x, c) < d(x, y) < 1/(1-mu) d(x, c) for
+    the membership witness c = arc_pts of y = ys; raises InvalidWitness if
+    a row's witness fails d(y, c) < mu d(x, y)."""
     x = np.asarray(x, float)
     d_xy = np.linalg.norm(ys - x, axis=-1)
+    if np.any(np.linalg.norm(ys - arc_pts, axis=-1) >= mu * d_xy):
+        raise InvalidWitness("d(y, c(lambda)) < mu d(x, y) does not hold")
     d_xc = np.linalg.norm(arc_pts - x, axis=-1)
     return (d_xc / (1.0 + mu) < d_xy) & (d_xy < d_xc / (1.0 - mu))
 
@@ -397,7 +405,10 @@ def transport_via_sequences(
     first-order curvature term; the result must match Df(x) u / |Df(x) u|.
     """
     x = np.asarray(x, dtype=float)
-    u = unit(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    for what, v in (("x", x), ("u", u)):
+        _check_length(what, len(v), f"the dimension of map {f.name}", f.dim)
+    u = unit(u)
     jac = np.asarray(f.jacobian(x), dtype=float)
     if abs(np.linalg.det(jac)) < 1e-12:
         raise SingularJacobian(f"Df is singular at {x}")
@@ -458,9 +469,11 @@ def check_commutation_directional(
     mu_v = pair_directional_filter(v)
     eps, sigma = 0.5, 0.3
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-2.0, 2.0, size=(samples, len(np.asarray(u))))
-    y = _sample_cone_targets(mu_u, x, eps, sigma, rng)
-    z = _sample_cone_targets(mu_v, y, eps, sigma, rng)
+    origin = np.zeros(len(mu_u.u))
+    x = rng.uniform(-2.0, 2.0, size=(samples, len(origin)))
+    # both filters are translation invariant: step by members of origin cones
+    y = x + sample_cone_members(ConeGenerator(origin, mu_u.u, eps, sigma), samples, rng)
+    z = y + sample_cone_members(ConeGenerator(origin, mu_v.u, eps, sigma), samples, rng)
     ok_uv = mu_u.contains(eps, sigma, x, y) & mu_v.contains(eps, sigma, y, z)
     # swapped decomposition of the same displacement: x -> x + (z - y) -> z
     y2 = x + (z - y)
@@ -473,15 +486,3 @@ def check_commutation_directional(
         i = int(np.nonzero(bad)[0][0])
         return "counterexample", (x[i], y[i], z[i])
     return "commute", None
-
-
-def _sample_cone_targets(mu, base, eps, sigma, rng):
-    """Points reachable from ``base`` inside V+(u, eps, sigma)."""
-    n = len(base)
-    lam = rng.uniform(0.05 * eps, eps, size=n)
-    seg = base + lam[:, None] * np.asarray(mu.u, float)
-    w = rng.normal(size=base.shape)
-    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    # radial slack keeps d(y, segment) well below sigma * d(x, y)
-    r = 0.3 * sigma * lam
-    return seg + r[:, None] * w

@@ -101,12 +101,6 @@ class Polynomial:
             out = out * t + c
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
 
 def validate_generator_polynomial(p: Polynomial, m: int) -> None:
     if p.coeffs[0] != 0:
@@ -196,17 +190,6 @@ def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
         out[lo:lo + ARC_ROWS] = _arc_block(offsets[lo:lo + ARC_ROWS], p, ts,
                                            m, graph)
     return out
-
-
-def arc_distance_graph(y, x, p: Polynomial, eps: float, m: int) -> float:
-    """Mixed-product distance from y to {x + (t, p(t)) : t in [0, eps]}."""
-    offset = np.asarray(y, float) - np.asarray(x, float)
-    return float(arc_distances(offset[None], p, eps, m)[0])
-
-
-def arc_distance_line(y: float, x: float, p: Polynomial, eps: float, m: int) -> float:
-    """Snowflake-line distance from y to {x + p(t) : t in [0, eps]}."""
-    return float(arc_distances([y - x], p, eps, m)[0])
 
 
 Space = Union[SnowflakeSpace, MixedProductSpace]

@@ -97,7 +97,7 @@ def bruteforce_topologies(n: int) -> set[tuple[int, ...]]:
 def _support_characterization_ok(t: ft.FiniteTopology,
                                  mu: fa.IndicatorFilter) -> bool:
     """Support is nonempty, intersection-closed and upward-closed in tau."""
-    sup = set(fa.support(mu))
+    sup = set(mu.support())
     if (1 << t.n) - 1 not in sup:
         return False
     for a in sup:
@@ -140,7 +140,7 @@ def _filter_axioms(n, config, seed):
 def _sierpinski_filters(config, seed):
     t = ft.validate_topology(2, [[], [0], [0, 1]])
     got = {mu.values for mu in fa.enumerate_filters(t, proper=True)}
-    want = {ft.point_filter(t, 0).values, ft.point_filter(t, 1).values}
+    want = {fa.point_filter(t, 0).values, fa.point_filter(t, 1).values}
     return Outcome(got == want, {"got": sorted(got)}, len(got))
 
 
@@ -168,8 +168,8 @@ def _finite_axioms_checks():
 def _pushforward_continuity(a, b, config, seed):
     bad = []
     count = 0
-    sources = [t for t in ft.enumerate_topologies(a) if ft.is_t0(t)[0]]
-    targets = [t for t in ft.enumerate_topologies(b) if ft.is_t0(t)[0]]
+    sources = list(ft.enumerate_topologies(a, t0_only=True))
+    targets = list(ft.enumerate_topologies(b, t0_only=True))
     for src in sources:
         for tgt in targets:
             for image in itertools.product(range(b), repeat=a):
@@ -298,17 +298,6 @@ def _pair_composition_checks():
 
 # --- suite: cones ------------------------------------------------------------
 
-def _sample_cone_members(g: mf.ConeGenerator, n: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Points in the cone, built along the segment with transverse slack."""
-    lam = rng.uniform(0.05 * g.eps, g.eps, n)
-    w = rng.normal(size=(n, len(g.x)))
-    w -= (w @ g.u)[:, None] * g.u
-    w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
-    r = 0.3 * g.sigma * lam
-    return g.x + lam[:, None] * g.u + r[:, None] * w
-
-
 def _cone_membership_examples(config, seed):
     g = mf.ConeGenerator(np.zeros(2), np.array([1.0, 0.0]), 0.5, 0.3)
     checks = [
@@ -344,7 +333,7 @@ def _cone_envelope(config, seed):
 def _bound_invariant(config, seed):
     rng = np.random.default_rng(seed)
     g = mf.ConeGenerator(np.zeros(2), np.array([1.0, 0.0]), 0.5, 0.3)
-    ys = _sample_cone_members(g, config.samples, rng)
+    ys = mf.sample_cone_members(g, config.samples, rng)
     inside = mf.v_plus_contains(g, ys)
     ys = ys[inside]
     t = segment_projection_parameter(ys, g.x, g.tip)
@@ -401,7 +390,7 @@ def _cones_checks():
 
 # --- suite: derivative -------------------------------------------------------
 
-def make_sequence(kind: str, x, u, rng: np.random.Generator) -> np.ndarray:
+def make_sequence(kind: str, x, u) -> np.ndarray:
     """The first 2000 terms of a sequence of the given kind at x along u."""
     h = np.arange(1, 2001, dtype=float)
     x = np.asarray(x, float)
@@ -432,7 +421,7 @@ def _sequence_classification(config, seed):
             th = rng.uniform(0, 2 * np.pi)
             u = np.array([np.cos(th), np.sin(th)])
             x = rng.uniform(-1, 1, 2)
-            seq = make_sequence(kind, x, u, rng)
+            seq = make_sequence(kind, x, u)
             v = mf.classify_sequence(seq, x, u)
             expect_conv = kind != "divergent"
             expect_dir = kind == "with-direction"
@@ -448,7 +437,7 @@ def _sequence_classification(config, seed):
 
 def _transport_residuals(cases, rng) -> Outcome:
     """thm:trad1 on each (spec, u, x, label) case: the transported direction
-    agrees with the Jacobian's within 1e-6 rad."""
+    agrees with the Jacobian's within TRANSPORT_TOL."""
     worst = 0.0
     bad = []
     count = 0
@@ -456,7 +445,7 @@ def _transport_residuals(cases, rng) -> Outcome:
         out = mf.transport_via_sequences(spec, x, u, rng=rng)
         count += 1
         worst = max(worst, out.residual_angle)
-        if out.residual_angle >= 1e-6:
+        if out.residual_angle >= mf.TRANSPORT_TOL:
             bad.append({**label, "u": u, "x": x,
                         "residual": out.residual_angle})
     return Outcome(not bad, bad[:3] or {"worst_residual": worst}, count)
@@ -596,6 +585,16 @@ def _snowflake_checks():
 FLOW_NAMES = ("translation", "rotation", "scaling")
 TRANSPORT_MAPS = ("identity2d", "rotation_quarter", "shear_half",
                   "parabolic_shear", "sine_shear")
+# samples a flow's conditions report reads at most
+REPORT_SAMPLES = 2000
+# thm:trad2 recipes: kind -> (anchor, recipe, parameters)
+FLOW_RECIPES = {
+    "lemacon": ("lem:lemacon", fl.lemacon_construct, {"eps": 0.1, "mu": 0.5}),
+    "step1": ("thm:trad2:step1", fl.step1_diagonal_check,
+              {"eps_target": 0.01}),
+    "step3": ("thm:trad2:step3", fl.step3_composition_check,
+              {"eps": 0.2, "mu": 0.5}),
+}
 
 
 # thm:trad2 reuses these flows records under "trad2-" ids
@@ -636,8 +635,8 @@ def _flow_reports():
             if name not in reports:
                 rep_seed = _check_seed(config, f"flow-report-{name}")
                 reports[name] = rep_seed, fl.check_flow_conditions(
-                    fl.BUILTIN_FLOWS[name], samples=min(config.samples, 2000),
-                    seed=rep_seed)
+                    fl.BUILTIN_FLOWS[name],
+                    samples=min(config.samples, REPORT_SAMPLES), seed=rep_seed)
             return reports[name]
     return report
 
@@ -647,7 +646,8 @@ def _conditions(report, name, config, seed):
     return Outcome(rep.all_pass,
                    {"passes": rep.passes, "c_constant": rep.c_constant,
                     "converged": rep.converged},
-                   min(config.samples, 2000), inconclusive=not rep.converged,
+                   min(config.samples, REPORT_SAMPLES),
+                   inconclusive=not rep.converged,
                    seed=rep_seed)
 
 
@@ -678,10 +678,10 @@ def _translation_pair_agreement(config, seed):
                    inconclusive=not conv)
 
 
-def _recipe(report, name, check, config, seed):
-    return recipe_outcome(check(fl.BUILTIN_FLOWS[name],
-                                report=report(name, config)[1],
-                                samples=config.samples, seed=seed))
+def _recipe(report, name, recipe, params, config, seed):
+    return recipe_outcome(recipe(fl.BUILTIN_FLOWS[name],
+                                 report=report(name, config)[1],
+                                 samples=config.samples, seed=seed, **params))
 
 
 def _pushforward_conditions(config, seed):
@@ -701,13 +701,6 @@ def _transport(mname, config, seed):
 def _flows_checks():
     # each call builds its own report table, so no report outlives its run
     report = _flow_reports()
-    recipes = (
-        ("lemacon", "lem:lemacon",
-         partial(fl.lemacon_construct, eps=0.1, mu=0.5)),
-        ("step1", "thm:trad2:step1",
-         partial(fl.step1_diagonal_check, eps_target=0.01)),
-        ("step3", "thm:trad2:step3",
-         partial(fl.step3_composition_check, eps=0.2, mu=0.5)))
     return [
         *[check for name in FLOW_NAMES for check in (
             (f"conditions-{name}", "sec:2.4:conditions",
@@ -715,8 +708,10 @@ def _flows_checks():
             (f"reversal-identity-{name}", "sec:2.4:reversal",
              partial(_reversal_identity, name)))],
         ("translation-pair-agreement", "sec:2.4", _translation_pair_agreement),
-        *[(f"{kind}-{name}", anchor, partial(_recipe, report, name, check))
-          for name in FLOW_NAMES for kind, anchor, check in recipes],
+        *[(f"{kind}-{name}", anchor,
+           partial(_recipe, report, name, recipe, params))
+          for name in FLOW_NAMES
+          for kind, (anchor, recipe, params) in FLOW_RECIPES.items()],
         ("pushforward-conditions", "lem:lem2", _pushforward_conditions),
         *[(f"transport-{mname}", "lem:lem3", partial(_transport, mname))
           for mname in TRANSPORT_MAPS],

@@ -43,7 +43,7 @@ def test_criterion_1_finite_axiom_suite():
 def test_criterion_2_sierpinski_ground_truth():
     t = ft.validate_topology(2, [[], [0], [0, 1]])
     got = sorted(mu.values for mu in fa.enumerate_filters(t, proper=True))
-    want = sorted([ft.point_filter(t, 0).values, ft.point_filter(t, 1).values])
+    want = sorted([fa.point_filter(t, 0).values, fa.point_filter(t, 1).values])
     assert got == want
     verts = sorted(tuple(int(v) for v in vert)
                    for vert in fa.b_polytope_vertices(t, proper=True))
@@ -101,7 +101,7 @@ def test_criterion_5_convergence_characterization():
             th = rng.uniform(0, 2 * np.pi)
             u = np.array([np.cos(th), np.sin(th)])
             x = rng.uniform(-2, 2, 2)
-            seq = make_sequence(kind, x, u, rng)
+            seq = make_sequence(kind, x, u)
             v = mf.classify_sequence(seq, x, u)
             has_dir = v.direction_limit is not None and v.matches_filter
             ok = (v.agreement

@@ -320,3 +320,29 @@ class TestMain:
         assert err["error"] == "DomainViolation"
         assert "dimension 2" in err["message"]
         assert "dimension 3" in err["message"]
+
+    @pytest.mark.parametrize("argv, lengths", [
+        (["geom", "cone", "--x", "0,0", "--u", "1,0,0", "--y", "0.5,0.1"],
+         ("length 2", "is 3")),
+        (["geom", "cone", "--x", "0,0", "--u", "1,0", "--y", "0.5,0.1,0"],
+         ("length 3", "is 2")),
+        (["geom", "transport", "parabolic_shear", "--x", "0,0,0",
+          "--u", "1,0,0"], ("x has length 3", "is 2")),
+        (["geom", "transport", "parabolic_shear", "--x", "0,0",
+          "--u", "1,0,0"], ("u has length 3", "is 2")),
+    ], ids=["cone-u", "cone-y", "transport-x", "transport-u"])
+    def test_vector_of_wrong_length_is_input_error(self, capsys, argv,
+                                                   lengths):
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "DomainViolation"
+        assert all(n in err["message"] for n in lengths)
+
+    def test_zero_direction_sequence_is_input_error(self, tmp_path, capsys):
+        payload = {"kind": "sequence", "x": [0, 0], "u": [0, 0],
+                   "points": [[1.0 / k, 0] for k in range(1, 20)]}
+        code = main(["geom", "classify", write(tmp_path, "s.json", payload)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "NonUnitDirection"

@@ -5,7 +5,9 @@ import pytest
 
 from filterbench.errors import (
     FilterAxiomViolation,
+    NotContinuous,
     SizeLimitExceeded,
+    TopologyMismatch,
     WeightSumInvalid,
 )
 from filterbench.filter_algebra import (
@@ -26,14 +28,13 @@ from filterbench.filter_algebra import (
     is_open_in_tau_e,
     pushforward,
     Refinement,
+    point_filter,
     search_refinement,
-    support,
     tau_e_opens,
 )
 from filterbench.finite_topology import (
     PointMap,
     enumerate_topologies,
-    point_filter,
     validate_topology,
 )
 
@@ -63,19 +64,19 @@ class TestAxioms:
         assert exc.value.axiom == "proper"
         # improper all-ones accepted with the flag off
         mu = check_filter_axioms(sierpinski(), (1, 1, 1), proper=False)
-        assert support(mu) == sierpinski().opens
+        assert mu.support() == sierpinski().opens
 
 
 class TestSupport:
     def test_sierpinski_points(self):
         t = sierpinski()
-        assert support(point_filter(t, 1)) == (0b10, 0b11)
-        assert support(point_filter(t, 0)) == (0b11,)
+        assert point_filter(t, 1).support() == (0b10, 0b11)
+        assert point_filter(t, 0).support() == (0b11,)
 
     def test_improper_support_is_classical_filter(self):
         t = sierpinski()
         mu = check_filter_axioms(t, (1, 1, 1), proper=False)
-        s = set(support(mu))
+        s = set(mu.support())
         assert t.full_mask in s
         for a in s:
             for b in t.opens:
@@ -89,7 +90,7 @@ class TestSupport:
         for n in (1, 2, 3):
             for t in enumerate_topologies(n):
                 for mu in enumerate_filters(t, proper=True):
-                    s = set(support(mu))
+                    s = set(mu.support())
                     assert t.full_mask in s
                     for a in s:
                         for b in t.opens:
@@ -436,3 +437,26 @@ class TestDerivable:
         ok, witness = check_derivable(swap, r, r)
         assert not ok
         assert witness is not None
+
+
+class TestBoundaryErrors:
+    def test_non_continuous_map_rejected(self):
+        # the swap of the Sierpinski space pulls {1} back to {0}, not open
+        t = sierpinski()
+        f = PointMap(t, t, (1, 0))
+        r = Refinement(t, ((point_filter(t, 1),), (point_filter(t, 1),)))
+        for call in (lambda: pushforward(f, point_filter(t, 0)),
+                     lambda: check_pushforward_continuity(f),
+                     lambda: check_derivable(f, r, r)):
+            with pytest.raises(NotContinuous):
+                call()
+
+    def test_filter_on_another_topology_rejected(self):
+        t = sierpinski()
+        f = PointMap(t, t, (0, 1))
+        with pytest.raises(TopologyMismatch):
+            pushforward(f, point_filter(discrete(2), 0))
+        r = Refinement(t, ((point_filter(t, 1),),
+                           (point_filter(discrete(2), 1),)))
+        with pytest.raises(TopologyMismatch):
+            check_derivable(f, r, r)

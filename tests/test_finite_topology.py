@@ -15,9 +15,9 @@ from filterbench.finite_topology import (
     is_closed_family,
     is_continuous,
     is_t0,
-    point_filter,
     validate_topology,
 )
+from filterbench.filter_algebra import point_filter
 
 
 def sierpinski():

@@ -12,13 +12,13 @@ from filterbench.geometry import angle_between, unit
 from filterbench.maps import BUILTIN_MAPS, linear_map, rotation_map
 from filterbench.metric_filters import (
     ConeGenerator,
+    DirectionalFilter,
     arc_distance,
-    check_bound,
+    check_bound_batch,
     check_commutation_directional,
     classify_sequence,
     cone_shape_probe,
     curve_filter,
-    directional_filter,
     envelope_radius,
     euclidean,
     line_curve,
@@ -73,6 +73,18 @@ class TestConeMembership:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NonUnitDirection):
             ConeGenerator(ORIGIN, 2.0 * E1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("u", [[0.0, 0.0], [np.nan, 0.0]],
+                             ids=["zero", "nan"])
+    @pytest.mark.parametrize("build", [
+        lambda u: ConeGenerator(ORIGIN, u, 1.0, 0.5),
+        pair_directional_filter,
+        lambda u: classify_sequence(harmonic_sequence(ORIGIN, E1, n=100),
+                                    ORIGIN, u),
+    ], ids=["cone", "pair", "classify"])
+    def test_zero_or_nan_direction_rejected(self, build, u):
+        with pytest.raises(NonUnitDirection):
+            build(np.array(u))
 
     def test_bad_aperture_rejected(self):
         with pytest.raises(InvalidWitness):
@@ -177,7 +189,7 @@ class TestCurveFilters:
         rng = np.random.default_rng(4)
         y = rng.uniform(-2, 2, size=(2000, 2))
         cf = curve_filter(line_curve(ORIGIN, E1))
-        mu = directional_filter(ORIGIN, E1)
+        mu = DirectionalFilter(ORIGIN, E1)
         for eps, sig in ((0.5, 0.4), (0.2, 0.2)):
             assert np.array_equal(cf.contains(eps, sig, y), mu.contains(eps, sig, y))
 
@@ -252,12 +264,15 @@ class TestBound:
         g = ConeGenerator(ORIGIN, E1, 1.0, 0.5)
         y = np.array([0.5, 0.1])
         assert v_plus_contains(g, y)
-        assert check_bound(ORIGIN, np.array([0.5, 0.0]), y, 0.5)
+        assert check_bound_batch(ORIGIN, np.array([[0.5, 0.0]]), y[None],
+                                 0.5).all()
 
     def test_invalid_witness_rejected(self):
-        # lambda = 0: d(y, x) < mu d(x, y) is impossible for mu < 1
+        # lambda = 0 in the second row: d(y, x) < mu d(x, y) is impossible
+        # for mu < 1, and one bad row rejects the batch
+        y = np.array([[0.5, 0.1], [0.5, 0.1]])
         with pytest.raises(InvalidWitness):
-            check_bound(ORIGIN, ORIGIN, np.array([0.5, 0.1]), 0.5)
+            check_bound_batch(ORIGIN, np.array([[0.5, 0.0], ORIGIN]), y, 0.5)
 
     def test_sampled_members_all_pass(self):
         rng = np.random.default_rng(8)
@@ -268,8 +283,7 @@ class TestBound:
         # argmin witness: clamped projection onto the axis segment
         lam = np.clip(y[:, 0], 0.0, 1.0)
         arc = np.stack([lam, np.zeros_like(lam)], axis=-1)
-        for yi, ci in zip(y, arc):
-            assert check_bound(ORIGIN, ci, yi, 0.5)
+        assert check_bound_batch(ORIGIN, arc, y, 0.5).all()
 
 
 class TestPairFilters:

@@ -14,8 +14,6 @@ from filterbench.snowflake import (
     PolynomialGenerator,
     SnowflakeSpace,
     _tail_ratios,
-    arc_distance_graph,
-    arc_distance_line,
     arc_distances,
     box_counting_dimension,
     check_metric_axioms,
@@ -235,10 +233,10 @@ class TestArcKernel:
             p, m = POLYS[k % len(POLYS)], 2 + k % 3
             eps = rng.uniform(0.01, 1.0)
             y, x = rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2)
-            assert arc_distance_graph(y, x, p, eps, m) == _graph_ref(
+            assert arc_distances((y - x)[None], p, eps, m)[0] == _graph_ref(
                 y, x, p, eps, m)
             y0, x0 = float(y[0]), float(x[0])
-            assert arc_distance_line(y0, x0, p, eps, m) == _line_ref(
+            assert arc_distances([y0 - x0], p, eps, m)[0] == _line_ref(
                 y0, x0, p, eps, m)
         # a batch of line rows, across a block boundary
         p, m, eps = POLYS[2], 3, 0.4
@@ -285,8 +283,8 @@ class TestArcKernel:
         offs = rng.uniform(-0.5, 0.5, (rows, 2))
         got = arc_distances(offs, POLYS[1], 0.3, 2)
         assert got.shape == (rows,)
-        assert got.tolist() == [arc_distance_graph(o, np.zeros(2), POLYS[1],
-                                                   0.3, 2) for o in offs]
+        assert got.tolist() == [float(arc_distances(o[None], POLYS[1], 0.3, 2)[0])
+                                for o in offs]
         # line rows: a block of exactly 2 must not read as one graph point
         got = arc_distances(offs[:, 1], POLYS[1], 0.3, 3)
         assert got.shape == (rows,)
