@@ -46,18 +46,10 @@ class TopologyMismatch(WorkbenchError):
     pass
 
 
-class WeightSumInvalid(WorkbenchError):
-    pass
-
-
 class NotContinuous(WorkbenchError):
     def __init__(self, open_set):
         self.open_set = open_set
         super().__init__(f"preimage of open {sorted(open_set)} is not open")
-
-
-class EmptySlice(WorkbenchError):
-    pass
 
 
 # --- metric engine -----------------------------------------------------------

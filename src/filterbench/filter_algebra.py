@@ -33,7 +33,6 @@ fraction-free elimination (Bareiss 1968).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +45,6 @@ from .errors import (
     NotContinuous,
     SizeLimitExceeded,
     TopologyMismatch,
-    WeightSumInvalid,
 )
 from .finite_topology import (
     FiniteTopology,
@@ -292,31 +290,6 @@ def check_graded_axioms(
     return GradedFilter(t, values)
 
 
-def convex_combine(filters: Sequence, weights: Sequence) -> GradedFilter:
-    """Pointwise convex combination of B-class (or A-class) filters."""
-    if not filters:
-        raise WeightSumInvalid("need at least one filter")
-    t = filters[0].topology
-    if any(g.topology != t for g in filters):
-        raise TopologyMismatch("filters live on different topologies")
-    exact = all(
-        isinstance(w, (Fraction, int)) for w in weights
-    ) and all(all(isinstance(v, (Fraction, int)) for v in g.values) for g in filters)
-    weights = [Fraction(w) if exact else float(w) for w in weights]
-    if not all(math.isfinite(w) for w in weights):
-        raise WeightSumInvalid(f"weights must be finite, got {weights}")
-    total = sum(weights)
-    if any(w < 0 for w in weights) or abs(total - 1) > 1e-12:
-        raise WeightSumInvalid(f"weights must be nonnegative and sum to 1, got {total}")
-    if len(weights) != len(filters):
-        raise WeightSumInvalid("one weight per filter required")
-    values = tuple(
-        sum(w * g.values[i] for w, g in zip(weights, filters))
-        for i in range(len(t.opens))
-    )
-    return check_graded_axioms(t, values)
-
-
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def _b_polytope_system(t: FiniteTopology, proper: bool):
     """The filter axioms as integer rows over the canonical opens order.
@@ -504,8 +477,7 @@ def _solve_exact(rows):
     return num, det
 
 
-# --- refinements and derivability --------------------------------------------
-
+# --- refinements -------------------------------------------------------------
 
 def check_refinement(r: Refinement) -> tuple[bool, object]:
     """Verify the two refinement axioms; witness names the failing (x, mu, D)."""
@@ -530,44 +502,3 @@ def check_refinement(r: Refinement) -> tuple[bool, object]:
                 return False, (x, mu, "no open distinguishes mu from the point filter")
     return True, None
 
-
-def check_derivable(
-    f: PointMap, r: Refinement, r2: Refinement
-) -> tuple[bool, object]:
-    """True iff f* maps every member of r(x) into r2(f(x))."""
-    ok, witness = is_continuous(f)
-    if not ok:
-        raise NotContinuous(witness)
-    if any(mu.topology != f.source for members in r.assignment for mu in members):
-        raise TopologyMismatch("filter does not live on the source topology")
-    for x in range(f.source.n):
-        targets = {mu.bits for mu in r2.assignment[f.image[x]]}
-        for mu in r.assignment[x]:
-            if f.pushforward_bits(mu.bits) not in targets:
-                return False, (x, mu)
-    return True, None
-
-
-def refinement_candidates(t: FiniteTopology) -> list[list[IndicatorFilter]]:
-    """Per point, the proper filters strictly finer than the point filter."""
-    universe = enumerate_filters(t, proper=True)
-    out = []
-    for x in range(t.n):
-        px = point_filter(t, x)
-        out.append(
-            [mu for mu in universe if filter_leq(px, mu) and mu.bits != px.bits]
-        )
-    return out
-
-
-def search_refinement(t: FiniteTopology) -> dict:
-    """Search report: which points admit strictly finer filters, and whether
-    the space admits any refinement at all (every finite T0 space has a point
-    with an empty candidate set, and the report documents it)."""
-    candidates = refinement_candidates(t)
-    empty_points = [x for x, c in enumerate(candidates) if not c]
-    return {
-        "candidates_per_point": [len(c) for c in candidates],
-        "points_without_candidates": empty_points,
-        "admits_refinement": not empty_points,
-    }

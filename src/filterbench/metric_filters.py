@@ -29,7 +29,7 @@ from .geometry import (
     arc_membership,
     point_polyline_distance,
     point_segment_distance,
-    segment_projection_parameter,
+    segment_projection_parameter,  # perfbench's tracer tests read it here
     unit,
 )
 from .maps import MapSpec
@@ -90,24 +90,6 @@ def v_plus_contains(g: ConeGenerator, y: np.ndarray) -> np.ndarray:
     return (d_xy > 0) & (d_seg < g.sigma * d_xy)
 
 
-def cone_shape_probe(g: ConeGenerator, y: np.ndarray) -> np.ndarray | None:
-    """For points projecting strictly inside the segment, membership is
-    equivalent to sin(angle(y - x, u)) < sigma.  Returns the boolean
-    agreement array, or None where the probe does not apply."""
-    y = np.asarray(y, dtype=float)
-    t = segment_projection_parameter(y, np.asarray(g.x, float), g.tip)
-    interior = (t > 1e-9) & (t < 1 - 1e-9)
-    rel = y - g.x
-    d = np.linalg.norm(rel, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = np.clip(rel @ np.asarray(g.u, float) / np.where(d > 0, d, 1.0), -1, 1)
-    sinang = np.sqrt(1.0 - cosang ** 2)
-    predicted = (d > 0) & (sinang < g.sigma)
-    actual = v_plus_contains(g, y)
-    agree = np.where(interior, predicted == actual, True)
-    return agree
-
-
 def sample_cone_members(g: ConeGenerator, n: int,
                         rng: np.random.Generator) -> np.ndarray:
     """n points of V+(x, u, eps, sigma): lam uniform on [0.05 eps, eps],
@@ -157,10 +139,6 @@ class PairDirectionalFilter:
         """(x, y) is a member iff y - x lies in the cone at the origin."""
         cone = ConeGenerator(np.zeros(len(self.u)), self.u, eps, sigma)
         return v_plus_contains(cone, np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-
-    def swapped(self) -> "PairDirectionalFilter":
-        # sigma * mu_u = mu_{-u}
-        return PairDirectionalFilter(-np.asarray(self.u, float))
 
 
 def pair_directional_filter(u) -> PairDirectionalFilter:
@@ -275,13 +253,6 @@ class CurveSpec:
         return self.fn(np.zeros(1))[0]
 
 
-def line_curve(x, u) -> CurveSpec:
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    return CurveSpec("line", lambda t: x + np.asarray(t, float)[:, None] * u,
-                     -1.0, 1.0)
-
-
 def estimate_bilipschitz(c: CurveSpec) -> tuple[float, float]:
     ts = np.linspace(c.a, c.b, 256)
     pts = c(ts)
@@ -357,17 +328,6 @@ def curve_filter(c: CurveSpec, sign: str = "+") -> CurveFilter:
         raise InvalidWitness("sign must be '+' or '-'")
     estimate_bilipschitz(c)
     return CurveFilter(c, sign)
-
-
-def reversed_curve(c: CurveSpec) -> CurveSpec:
-    return CurveSpec(c.name + "_reversed",
-                     lambda t: c(-np.asarray(t, float)), -c.b, -c.a)
-
-
-def reparametrized_curve(c: CurveSpec, phi: Callable, phi_a: float, phi_b: float) -> CurveSpec:
-    """c' = c o phi for a bi-Lipschitz phi with phi(0) = 0."""
-    return CurveSpec(c.name + "_reparam",
-                     lambda t: c(phi(np.asarray(t, float))), phi_a, phi_b)
 
 
 # --- the (bound) inequality --------------------------------------------------

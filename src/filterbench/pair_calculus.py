@@ -17,24 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .errors import EmptySlice, NotContinuous, SizeLimitExceeded, TopologyMismatch
-from .filter_algebra import (
-    IndicatorFilter,
-    Refinement,
-    check_refinement,
-    filter_leq,
-    principal_filter,
-    pushforward,
-)
-from .finite_topology import (
-    FiniteTopology,
-    PointMap,
-    _gather_bits,
-    is_continuous,
-    set_of,
-)
+from .errors import SizeLimitExceeded, TopologyMismatch
+from .filter_algebra import IndicatorFilter, filter_leq, principal_filter
+from .finite_topology import FiniteTopology, _gather_bits, set_of
 
 PRODUCT_MAX_POINTS = 4
 
@@ -235,107 +222,3 @@ def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityRepo
     remark = filter_leq(omega, compose_filters(omega, omega, ps))
     return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok, c_wit, remark)
 
-
-@dataclass(frozen=True)
-class UniformRefinementReport:
-    pre_refinement: bool
-    pre_witness: object        # member not finer than Omega
-    half_composition: bool
-    half_witness: object       # (member index, D)
-    swap_closed: bool
-    swap_witness: object       # member index whose sigma-image is missing
-
-    @property
-    def is_refinement(self) -> bool:
-        return self.pre_refinement and self.half_composition and self.swap_closed
-
-
-def check_uniform_refinement(
-    members: Sequence[IndicatorFilter], omega: IndicatorFilter, ps: ProductSpace
-) -> UniformRefinementReport:
-    n = ps.base.n
-    pre_ok, pre_wit = True, None
-    for k, mu in enumerate(members):
-        if not filter_leq(omega, mu):
-            pre_ok, pre_wit = False, k
-            break
-    half_ok, half_wit = True, None
-    for k, mu in enumerate(members):
-        ok, witness = _half_composition(mu, n)
-        if not ok:
-            half_ok, half_wit = False, (k, witness)
-            break
-    member_bits = {mu.bits for mu in members}
-    swap_ok, swap_wit = True, None
-    for k, mu in enumerate(members):
-        if swap_pushforward(mu, ps).bits not in member_bits:
-            swap_ok, swap_wit = False, k
-            break
-    return UniformRefinementReport(pre_ok, pre_wit, half_ok, half_wit, swap_ok, swap_wit)
-
-
-def induced_refinement(
-    members: Sequence[IndicatorFilter], ps: ProductSpace
-) -> tuple[Refinement, tuple[bool, object]]:
-    """Slice each member at every base point; returns the induced assignment
-    together with the check_refinement verdict."""
-    t = ps.base
-    n = t.n
-    assignment = []
-    for x in range(n):
-        fils = []
-        for k, mu in enumerate(members):
-            m = mu.minimal_support_mask()
-            slice_mask = 0
-            for y in range(n):
-                if y != x and m >> pair_index(n, x, y) & 1:
-                    slice_mask |= 1 << y
-            if slice_mask == 0:
-                raise EmptySlice(f"member {k} has an empty proper slice at point {x}")
-            fils.append(principal_filter(t, slice_mask))
-        assignment.append(tuple(fils))
-    r = Refinement(t, tuple(assignment))
-    return r, check_refinement(r)
-
-
-def square_map(f: PointMap, ps_source: ProductSpace, ps_target: ProductSpace) -> PointMap:
-    """f^2 (i, j) = (f(i), f(j)) as a map of product topologies."""
-    ns, nt = ps_source.base.n, ps_target.base.n
-    image = []
-    for i in range(ns):
-        for j in range(ns):
-            image.append(pair_index(nt, f.image[i], f.image[j]))
-    return PointMap(ps_source.topology, ps_target.topology, tuple(image))
-
-
-def check_uniform_derivable(
-    f: PointMap,
-    members: Sequence[IndicatorFilter],
-    members2: Sequence[IndicatorFilter],
-    ps_source: ProductSpace,
-    ps_target: ProductSpace,
-) -> tuple[bool, object]:
-    """Set equality of {f^2 * mu} with the target member set."""
-    ok, witness = is_continuous(f)
-    if not ok:
-        raise NotContinuous(witness)
-    f2 = square_map(f, ps_source, ps_target)
-    pushed = {pushforward(f2, mu).bits: k for k, mu in enumerate(members)}
-    target = {mu.bits for mu in members2}
-    for bits, k in pushed.items():
-        if bits not in target:
-            return False, ("pushed member missing from target set", k)
-    for k, mu in enumerate(members2):
-        if mu.bits not in pushed:
-            return False, ("target member not hit", k)
-    return True, None
-
-
-def check_commutation(
-    mu: IndicatorFilter, nu: IndicatorFilter, ps: ProductSpace
-) -> tuple[str, object]:
-    """Exact finite verdict: 'commute' or ('counterexample', open set)."""
-    differ = compose_filters(mu, nu, ps).bits ^ compose_filters(nu, mu, ps).bits
-    if not differ:
-        return "commute", None
-    return "counterexample", set_of(ps.topology.first_open(differ))

@@ -10,9 +10,8 @@ non-canonical payload.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     ConstraintViolation,
     DegenerateGenerator,
-    NotLipschitz,
     TrivialDevelopment,
 )
 
@@ -264,35 +263,6 @@ def separate_polynomials(p1, p2, m: int):
         "min_ratio": min_ratio,
         "verified": bool(verified),
     }
-
-
-@dataclass(frozen=True)
-class GraphEmbedding:
-    fn: Callable
-    lower: float
-    upper: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x, self.fn(x)], axis=-1)
-
-
-def graph_embed(f: Callable, interval=(-1.0, 1.0)) -> GraphEmbedding:
-    """g(x) = (x, f(x)) into the mixed product of exponent 2; bi-Lipschitz
-    constants of g estimated by difference quotients of 2000 seeded pairs
-    (lower bound 1 comes from the plain first coordinate)."""
-    rng = np.random.default_rng(0)
-    a = rng.uniform(interval[0], interval[1], 2000)
-    b = rng.uniform(interval[0], interval[1], 2000)
-    keep = np.abs(a - b) > 1e-12
-    a, b = a[keep], b[keep]
-    fq = np.abs(np.asarray(f(a)) - np.asarray(f(b))) / np.abs(a - b)
-    if float(fq.max()) > 1e6:
-        raise NotLipschitz("difference quotients exceed 1e+06")
-    space = MixedProductSpace(2)
-    g = GraphEmbedding(f, 1.0, 1.0)
-    gq = space.distance(g(a), g(b)) / np.abs(a - b)
-    return GraphEmbedding(f, max(1.0, float(gq.min())), float(gq.max()))
 
 
 @dataclass(frozen=True)

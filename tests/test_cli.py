@@ -147,6 +147,16 @@ class TestMain:
         assert out["records"][0]["verdict"] == "fail"
         assert out["records"][0]["witness"] is not None
 
+    def test_point_filter_refinement_fails(self, tmp_path, capsys):
+        # o(0) = [0, 1, 1] and o(1) = [0, 0, 1]: no member is strictly finer
+        payload = {"kind": "refinement", "topology": SIERPINSKI,
+                   "assignment": [[[0, 1, 1]], [[0, 0, 1]]]}
+        code = main(["check", "refinement", write(tmp_path, "r.json", payload)])
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert code == 1
+        assert (rec["check_id"], rec["verdict"]) == ("refinement-valid", "fail")
+        assert rec["witness"]["witness"] is not None
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["check", "topology", str(tmp_path / "nope.json")])
         err = json.loads(capsys.readouterr().err)

@@ -13,19 +13,16 @@ from filterbench.maps import BUILTIN_MAPS, linear_map, rotation_map
 from filterbench.metric_filters import (
     ConeGenerator,
     DirectionalFilter,
+    PairDirectionalFilter,
     arc_distance,
     check_bound_batch,
     check_commutation_directional,
     classify_sequence,
-    cone_shape_probe,
     curve_filter,
     envelope_radius,
     euclidean,
-    line_curve,
     metric_uniformity_contains,
     pair_directional_filter,
-    reparametrized_curve,
-    reversed_curve,
     transport_via_sequences,
     uniformity_refinement_certificate,
     v_plus_contains,
@@ -35,6 +32,7 @@ from filterbench.metric_filters import (
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 ORIGIN = np.zeros(2)
+LINE = CurveSpec("line", lambda t: t[:, None] * E1, -1.0, 1.0)  # through ORIGIN along E1
 
 
 def harmonic_sequence(x, u, n=10_000, perp=None):
@@ -113,7 +111,11 @@ class TestConeMembership:
         rng = np.random.default_rng(3)
         y = rng.uniform(-2, 2, size=(10_000, 2))
         g = ConeGenerator(ORIGIN, E1, 1.0, 0.4)
-        assert np.all(cone_shape_probe(g, y))
+        # where y projects strictly inside the segment from 0 to E1,
+        # membership is sin(angle(y, E1)) < sigma
+        interior = (y[:, 0] > 1e-9) & (y[:, 0] < 1 - 1e-9)
+        by_angle = np.abs(y[:, 1]) < 0.4 * np.linalg.norm(y, axis=-1)
+        assert np.array_equal(v_plus_contains(g, y)[interior], by_angle[interior])
 
 
 class TestClassifySequence:
@@ -188,7 +190,7 @@ class TestCurveFilters:
     def test_line_curve_equals_directional(self):
         rng = np.random.default_rng(4)
         y = rng.uniform(-2, 2, size=(2000, 2))
-        cf = curve_filter(line_curve(ORIGIN, E1))
+        cf = curve_filter(LINE)
         mu = DirectionalFilter(ORIGIN, E1)
         for eps, sig in ((0.5, 0.4), (0.2, 0.2)):
             assert np.array_equal(cf.contains(eps, sig, y), mu.contains(eps, sig, y))
@@ -198,20 +200,20 @@ class TestCurveFilters:
                       -1.0, 1.0)
         rng = np.random.default_rng(5)
         y = rng.uniform(-1, 1, size=(2000, 2))
-        fwd_of_reversed = curve_filter(reversed_curve(c), "+")
+        reversed_c = CurveSpec("arc_reversed", lambda t: c(-t), -c.b, -c.a)
+        fwd_of_reversed = curve_filter(reversed_c, "+")
         bwd = curve_filter(c, "-")
         assert np.array_equal(fwd_of_reversed.contains(0.5, 0.4, y),
                               bwd.contains(0.5, 0.4, y))
 
     def test_reparametrization_invariance(self):
-        c = line_curve(ORIGIN, E1)
-        c2 = reparametrized_curve(c, lambda t: t ** 3 + t, -0.6, 0.6)
+        c2 = CurveSpec("line_reparam", lambda t: LINE(t ** 3 + t), -0.6, 0.6)
         rng = np.random.default_rng(6)
         y = rng.uniform(-1, 1, size=(2000, 2))
         eps = 0.3
-        # c2([0, eps]) = c([0, eps^3 + eps]) as point sets
+        # c2([0, eps]) = LINE([0, eps^3 + eps]) as point sets
         a = curve_filter(c2).contains(eps, 0.4, y)
-        b = curve_filter(c).contains(eps ** 3 + eps, 0.4, y)
+        b = curve_filter(LINE).contains(eps ** 3 + eps, 0.4, y)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -232,7 +234,7 @@ class TestCurveFilters:
             assert 0 < member.sum() < len(y)
 
     def test_membership_keeps_leading_axes(self):
-        cf = curve_filter(line_curve(ORIGIN, E1))
+        cf = curve_filter(LINE)
         y = np.array([[[0.3, 0.01], [0.3, 0.5]], [[-0.2, 0.0], [0.0, 0.0]]])
         member, converged = cf.membership(0.5, 0.4, y)
         assert converged
@@ -308,7 +310,7 @@ class TestPairFilters:
         x = rng.uniform(-2, 2, size=(10_000, 2))
         y = rng.uniform(-2, 2, size=(10_000, 2))
         assert np.array_equal(mu.contains(0.5, 0.4, y, x),
-                              mu.swapped().contains(0.5, 0.4, x, y))
+                              PairDirectionalFilter(-E1).contains(0.5, 0.4, x, y))
 
     def test_refines_metric_uniformity(self):
         # every cone member pair sits inside the metric ball of envelope radius

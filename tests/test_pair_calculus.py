@@ -5,7 +5,6 @@ import random
 import pytest
 
 from filterbench import pair_calculus
-from filterbench.errors import EmptySlice
 from filterbench.filter_algebra import (
     IndicatorFilter,
     check_filter_axioms,
@@ -20,9 +19,6 @@ from filterbench.finite_topology import (
     validate_topology,
 )
 from filterbench.pair_calculus import (
-    check_commutation,
-    check_uniform_derivable,
-    check_uniform_refinement,
     check_uniformity,
     compose_filters,
     compose_filters_bruteforce,
@@ -30,7 +26,6 @@ from filterbench.pair_calculus import (
     compose_sets,
     diagonal_filter,
     diagonal_mask,
-    induced_refinement,
     pair_index,
     principal_pair_filter,
     product_topology,
@@ -327,90 +322,18 @@ def test_half_composition_matches_support_scan():
                 ok, witness = _half_composition_by_scan(omega, n)
                 report = check_uniformity(omega, ps)
                 assert (report.axiom_b, report.axiom_b_witness) == (ok, witness)
-                refinement = check_uniform_refinement([omega], omega, ps)
-                assert refinement.half_composition == ok
-                assert refinement.half_witness == (None if ok else (0, witness))
                 count += 1
     assert count == 14_914
 
 
-class TestUniformRefinement:
-    def test_uniformity_refines_itself(self):
-        ps = product_topology(discrete(3))
-        omega = diagonal_filter(ps)
-        report = check_uniform_refinement([omega], omega, ps)
-        assert report.pre_refinement
-        assert report.is_refinement
-
-    def test_coarser_member_fails_pre_refinement(self):
-        ps = product_topology(discrete(2))
-        omega = diagonal_filter(ps)
-        member = principal_pair_filter(
-            ps, relation_mask(2, [(0, 1), (0, 0), (1, 1)]))
-        report = check_uniform_refinement([member], omega, ps)
-        assert not report.pre_refinement
-
-    def test_swap_closure_detection(self):
-        ps = product_topology(discrete(2))
-        omega = diagonal_filter(ps)
-        asym = principal_pair_filter(ps, relation_mask(2, [(0, 1)]))
-        report = check_uniform_refinement([asym], omega, ps)
-        assert not report.swap_closed
-
-
-class TestInducedRefinement:
-    def test_diagonal_gives_empty_slice(self):
-        ps = product_topology(discrete(2))
-        with pytest.raises(EmptySlice):
-            induced_refinement([principal_pair_filter(ps, diagonal_mask(2))], ps)
-
-    def test_chain_topology_slices(self):
-        # opens: chain {} < {0} < {0,1} < {0,1,2}
-        t = validate_topology(3, [[], [0], [0, 1], [0, 1, 2]])
-        ps = product_topology(t)
-        r = relation_mask(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
-        member = principal_pair_filter(ps, r)
-        refinement, (ok, witness) = induced_refinement([member], ps)
-        # slice at 0 is {1, 2}; induced filter is principal there
-        mu0 = refinement.assignment[0][0]
-        universe = {mu.values for mu in enumerate_filters(t)}
-        assert mu0.values in universe
-        expected = tuple(1 if d & 0b110 == 0b110 else 0 for d in t.opens)
-        assert mu0.values == expected
-
-
-class TestUniformDerivable:
-    def test_identity(self):
-        t = discrete(2)
-        ps = product_topology(t)
-        members = [principal_pair_filter(ps, relation_mask(2, [(0, 1)])),
-                   principal_pair_filter(ps, relation_mask(2, [(1, 0)]))]
-        f = PointMap(t, t, (0, 1))
-        assert check_uniform_derivable(f, members, members, ps, ps)[0]
-
-    def test_swap_on_symmetric_and_asymmetric_sets(self):
-        t = discrete(2)
-        ps = product_topology(t)
-        swap = PointMap(t, t, (1, 0))
-        sym = [principal_pair_filter(ps, relation_mask(2, [(0, 1)])),
-               principal_pair_filter(ps, relation_mask(2, [(1, 0)]))]
-        assert check_uniform_derivable(swap, sym, sym, ps, ps)[0]
-        asym = [principal_pair_filter(ps, relation_mask(2, [(0, 1)]))]
-        ok, witness = check_uniform_derivable(swap, asym, asym, ps, ps)
-        assert not ok
-
 
 class TestCommutation:
-    def test_self_composition_commutes(self):
-        ps = product_topology(discrete(3))
-        mu = principal_pair_filter(ps, relation_mask(3, [(0, 1), (1, 2)]))
-        assert check_commutation(mu, mu, ps)[0] == "commute"
-
     def test_known_counterexample(self):
         ps = product_topology(discrete(3))
         mu = principal_pair_filter(ps, relation_mask(3, [(0, 1)]))
         nu = principal_pair_filter(ps, relation_mask(3, [(1, 0)]))
-        # R o S = {(0,0)}, S o R = {(1,1)}
-        verdict, witness = check_commutation(mu, nu, ps)
-        assert verdict == "counterexample"
-        assert witness is not None
+        # R o S = {(0,0)}, S o R = {(1,1)}: composition does not commute
+        assert compose_filters(mu, nu, ps) == principal_pair_filter(
+            ps, relation_mask(3, [(0, 0)]))
+        assert compose_filters(nu, mu, ps) == principal_pair_filter(
+            ps, relation_mask(3, [(1, 1)]))

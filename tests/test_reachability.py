@@ -1,0 +1,156 @@
+"""Every public definition in ``src/filterbench`` is reached by a suite, the
+CLI or a benchmark workload, or by a slow oracle that a named test compares
+against.
+
+Reachability is a fixpoint over identifiers in the AST: a top-level
+definition is reached when a ``Name`` or an ``Attribute`` in reached code
+spells its name, and a public method of a reached class when an
+``Attribute`` does.  Docstrings and strings do not count.  The roots are
+every module-level statement of the package (the suite tables behind
+``run_suite`` among them), ``cli.main``, ``perfbench/workloads.py`` and
+``tests/test_acceptance.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "filterbench"
+ROOT_FILES = (ROOT / "perfbench" / "workloads.py",
+              ROOT / "tests" / "test_acceptance.py")
+ROOT_NAMES = ("cli.main",)  # the console script
+
+# Definitions no root reaches that stay as references, each with the test
+# that compares against it; what they call is reached through them.
+REFERENCES = {
+    "filter_algebra.pushforward":
+        "tests/test_pair_calculus.py::TestBitsetOracles"
+        "::test_swap_matches_pushforward_along_swap_map",
+    "filter_algebra.enumerate_filters_bruteforce":
+        "tests/test_filter_algebra.py::TestEnumerateFilters::test_matches_bruteforce_oracle",
+    "filter_algebra.b_polytope_vertices_bruteforce":
+        "tests/test_filter_algebra.py::TestBPolytope"
+        "::test_double_description_matches_bruteforce",
+    "filter_algebra.check_graded_axioms":
+        "tests/test_filter_algebra.py::TestBPolytope"
+        "::test_fractional_vertex_of_discrete_three_point_space",
+    "metric_filters.arc_distance":
+        "tests/test_metric_filters.py::TestCurveFilters"
+        "::test_membership_matches_arc_distance_oracle",
+    "geometry.point_polyline_distance":
+        "tests/test_geometry.py::test_curve_membership_matches_cap_oracle",
+    "reporting.SuiteReport.from_json":
+        "tests/test_cli.py::TestReporting::test_round_trip",
+}
+
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class _Spelled(ast.NodeVisitor):
+    """The identifiers that code reads, as names and as attributes."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self.attrs: set[str] = set()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.attrs.add(node.attr)
+        self.visit(node.value)
+
+
+def _is_public(qualified: str) -> bool:
+    return not qualified.rsplit(".", 1)[-1].startswith("_")
+
+
+def _package():
+    """(defs, methods, statements).
+
+    defs maps each top-level qualified name to its node (None for an
+    assigned name), methods maps a class's qualified name to its public
+    methods by qualified name, and statements lists the module-level
+    statements that define nothing."""
+    defs: dict[str, ast.AST | None] = {}
+    methods: dict[str, dict[str, ast.AST]] = {}
+    statements = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (*_FUNCTION, ast.ClassDef)):
+                qualified = f"{module}.{node.name}"
+                defs[qualified] = node
+                if isinstance(node, ast.ClassDef):
+                    methods[qualified] = {
+                        f"{qualified}.{item.name}": item for item in node.body
+                        if isinstance(item, _FUNCTION)
+                        and _is_public(item.name)}
+                continue
+            statements.append(node)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs[f"{module}.{name.id}"] = None
+    return defs, methods, statements
+
+
+def unreached(extra_roots=()) -> list[str]:
+    """Public definitions and methods of the package that no root, and no
+    definition named in ``extra_roots``, reaches."""
+    defs, methods, statements = _package()
+    nodes = {**defs, **{q: m for ms in methods.values() for q, m in ms.items()}}
+    spelled = _Spelled()
+    for node in statements:
+        spelled.visit(node)
+    for path in ROOT_FILES:
+        spelled.visit(ast.parse(path.read_text()))
+    reached: set[str] = set()
+    pending = [*ROOT_NAMES, *extra_roots]
+    while pending:
+        for qualified in pending:
+            reached.add(qualified)
+            node = nodes[qualified]
+            if isinstance(node, ast.ClassDef):
+                public = methods[qualified].values()
+                for item in (*node.bases, *node.keywords, *node.decorator_list,
+                             *[s for s in node.body if s not in public]):
+                    spelled.visit(item)
+            elif node is not None:
+                spelled.visit(node)
+        names = spelled.names | spelled.attrs
+        pending = [q for q in defs
+                   if q not in reached and q.rsplit(".", 1)[-1] in names]
+        pending += [q for cls in methods if cls in reached for q in methods[cls]
+                    if q not in reached and q.rsplit(".", 1)[-1] in spelled.attrs]
+    public = {q for q in defs if _is_public(q)}
+    public |= {q for cls in methods if cls in reached for q in methods[cls]}
+    return sorted(public - reached)
+
+
+def _test_exists(ref: str) -> bool:
+    path, *names = ref.split("::")
+    node = ast.parse((ROOT / path).read_text())
+    for name in names:
+        node = next((item for item in node.body
+                     if isinstance(item, (ast.ClassDef, ast.FunctionDef))
+                     and item.name == name), None)
+        if node is None:
+            return False
+    return True
+
+
+def test_every_public_definition_is_reached():
+    dead = unreached(REFERENCES)
+    assert not dead, f"reached by no suite, CLI command or workload: {dead}"
+
+
+def test_each_reference_is_unreached_and_has_its_test():
+    dead = set(unreached())
+    for name, ref in REFERENCES.items():
+        assert name in dead, f"{name} is reached now; drop it from REFERENCES"
+        assert _test_exists(ref), f"{ref} does not exist"

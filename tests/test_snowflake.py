@@ -18,7 +18,6 @@ from filterbench.snowflake import (
     box_counting_dimension,
     check_metric_axioms,
     check_poly_derivable,
-    graph_embed,
     polynomial_filter_contains,
     separate_polynomials,
     snowflake_distance,
@@ -324,25 +323,6 @@ class TestSeparation:
     def test_degree_gate(self):
         with pytest.raises(ConstraintViolation):
             separate_polynomials(P([0, 0, 0, 1]), P([0, 1]), 2)
-
-
-class TestGraphEmbed:
-    def test_zero_function_is_isometry(self):
-        g = graph_embed(lambda x: 0.0 * x)
-        assert g.lower == pytest.approx(1.0)
-        assert g.upper == pytest.approx(1.0)
-
-    def test_identity_constants_finite(self):
-        # the snowflaked second coordinate makes the sampled upper constant
-        # resolution-dependent, but it stays finite and above the lower one
-        g = graph_embed(lambda x: x)
-        assert 1.0 <= g.lower <= g.upper
-        assert np.isfinite(g.upper)
-
-    def test_sine_reported(self):
-        g = graph_embed(np.sin, interval=(-1.0, 1.0))
-        assert np.isfinite(g.upper)
-        assert g(np.array([0.3])).shape == (1, 2)
 
 
 class TestDerivability:
