@@ -359,9 +359,16 @@ class TestRefinement:
                     for px in (point_filter(t, x) for x in range(n))]
         assert len(counts) == 1 + 3 + 19 + 219
         assert all(0 in c for c in counts.values())
-        # o(1) is strictly finer than o(0) on the Sierpinski space, and no
-        # proper filter is strictly finer than o(1)
-        assert counts[2, sierpinski().opens] == [1, 0]
+
+    def test_sierpinski_candidate_structure(self):
+        t = sierpinski()
+        universe = enumerate_filters(t, proper=True)
+        candidates = [
+            [mu for mu in universe if filter_leq(px, mu) and mu.bits != px.bits]
+            for px in (point_filter(t, x) for x in range(2))]
+        # point 0 has o(1) as a strictly finer filter; point 1 has nothing
+        assert [len(c) for c in candidates] == [1, 0]
+        assert candidates[0][0].bits == point_filter(t, 1).bits
 
 
 class TestBoundaryErrors:
