@@ -480,7 +480,8 @@ def _solve_exact(rows):
 # --- refinements -------------------------------------------------------------
 
 def check_refinement(r: Refinement) -> tuple[bool, object]:
-    """Verify the two refinement axioms; witness names the failing (x, mu, D)."""
+    """Verify the two refinement axioms; witness names the failing
+    (x, mu, D), mu by its 0/1 values over the opens."""
     t = r.topology
     ok, pair = is_t0(t)
     if not ok:
@@ -497,8 +498,9 @@ def check_refinement(r: Refinement) -> tuple[bool, object]:
                 return False, ("topology mismatch", x)
             missing = px.bits & ~mu.bits
             if missing:
-                return False, (x, mu, set_of(t.first_open(missing)))
+                return False, (x, mu.values, set_of(t.first_open(missing)))
             if mu.bits == px.bits:
-                return False, (x, mu, "no open distinguishes mu from the point filter")
+                return False, (x, mu.values,
+                               "no open distinguishes mu from the point filter")
     return True, None
 

@@ -1,13 +1,16 @@
-"""Snowflake metrics, mixed product metrics, polynomial filters and their
+"""Snowflake metrics, polynomial filters in the mixed product and their
 separation, plus order-m derivability desk-checks.
 
-Polynomial coefficients are exact rationals; coefficient equality is exact.
-Everything metric is numerical: arc distances come from one row-batched
-kernel, `arc_distances`. It scans all rows against one shared grid of
-ARC_GRID arc parameters, in blocks of ARC_ROWS rows, then refines each
-row's grid minimum by golden-section search on the bracket around it, all
-rows advancing together. Separation witnesses are finite-scale (a tail of
-on-arc points plus a generator whose aperture lies strictly below every
+Polynomial filters live in one setting, the mixed product R x R_m with
+d((x1,y1),(x2,y2)) = |x1-x2| + |y1-y2|^(1/m): the arc of p at x is
+{x + (t, p(t)) : 0 <= t <= eps}, and a generator's exponent m fixes the
+metric. Polynomial coefficients are exact rationals; coefficient equality
+is exact. Everything metric is numerical: arc distances come from one
+row-batched kernel, `arc_distances`. It scans all rows against one shared
+grid of ARC_GRID arc parameters, in blocks of ARC_ROWS rows, then refines
+each row's grid minimum by golden-section search on the bracket around it,
+all rows advancing together. Separation witnesses are finite-scale (a tail
+of on-arc points plus a generator whose aperture lies strictly below every
 observed distance ratio of that tail).
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,12 +36,6 @@ ARC_GRID = 2048
 ARC_ROWS = 64
 
 
-def snowflake_distance(m: int, x, y):
-    if m < 2:
-        raise ConstraintViolation("snowflake exponent must be >= 2")
-    return np.abs(np.asarray(x, float) - np.asarray(y, float)) ** (1.0 / m)
-
-
 @dataclass(frozen=True)
 class SnowflakeSpace:
     """The real line with d(x, y) = |x - y|^(1/m)."""
@@ -50,25 +47,28 @@ class SnowflakeSpace:
             raise ConstraintViolation("snowflake exponent must be >= 2")
 
     def distance(self, x, y):
-        return snowflake_distance(self.m, x, y)
+        return (np.abs(np.asarray(x, float) - np.asarray(y, float))
+                ** (1.0 / self.m))
 
 
 @dataclass(frozen=True)
-class MixedProductSpace:
-    """R^2 with d((x1,y1),(x2,y2)) = |x1-x2| + |y1-y2|^(1/m): plain metric
-    in the first coordinate, snowflake in the second."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ConstraintViolation("snowflake exponent must be >= 2")
+class MixedProductSpace(SnowflakeSpace):
+    """R x R_m, the plane with d((x1,y1),(x2,y2)) = |x1-x2| + |y1-y2|^(1/m):
+    plain metric in the first coordinate, snowflake in the second. It
+    takes its exponent, and the exponent's check, from SnowflakeSpace."""
 
     def distance(self, a, b):
         a = np.asarray(a, float)
         b = np.asarray(b, float)
         return (np.abs(a[..., 0] - b[..., 0])
                 + np.abs(a[..., 1] - b[..., 1]) ** (1.0 / self.m))
+
+    def offset_distances(self, offsets: np.ndarray) -> np.ndarray:
+        """d(x + o, x) = |o1| + |o2|^(1/m) for each row o of (N, 2) offsets,
+        one row at a time as scalars: the array power differs in the last
+        bit."""
+        return np.array([abs(dx) + abs(dy) ** (1.0 / self.m)
+                         for dx, dy in offsets])
 
 
 @dataclass(frozen=True)
@@ -126,31 +126,27 @@ class PolynomialGenerator:
             raise DegenerateGenerator("need eps > 0 and lam in (0, 1)")
 
 
-def _arc_cost(offsets: np.ndarray, p: Polynomial, ts, m: int,
-              graph: bool) -> np.ndarray:
-    """Distance from offsets y - x to the arc points at parameters ts: the
-    mixed distance |dx - t| + |dy - p(t)|^(1/m) for graph offsets (..., 2),
-    the snowflake distance |dy - p(t)|^(1/m) for line offsets."""
-    if graph:
-        return (np.abs(offsets[..., 0] - ts)
-                + np.abs(offsets[..., 1] - p(ts)) ** (1.0 / m))
-    return np.abs(offsets - p(ts)) ** (1.0 / m)
+def _arc_cost(offsets: np.ndarray, p: Polynomial, ts, m: int) -> np.ndarray:
+    """Mixed distance |dx - t| + |dy - p(t)|^(1/m) from offsets (..., 2),
+    y - x, to the arc points at parameters ts."""
+    return (np.abs(offsets[..., 0] - ts)
+            + np.abs(offsets[..., 1] - p(ts)) ** (1.0 / m))
 
 
-def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray, m: int,
-               graph: bool) -> np.ndarray:
+def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray,
+               m: int) -> np.ndarray:
     """One block of arc_distances: grid scan, then golden-section
     refinement of every row's bracket at once."""
     # each row against the whole grid, as one (rows, ARC_GRID) array
-    vals = _arc_cost(offsets[:, None], p, ts, m, graph)
+    vals = _arc_cost(offsets[:, None], p, ts, m)
     i = np.argmin(vals, axis=1)
     best = vals[np.arange(len(i)), i]
     a = ts[np.maximum(i - 1, 0)]
     b = ts[np.minimum(i + 1, ARC_GRID - 1)]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc = _arc_cost(offsets, p, c, m, graph)
-    fd = _arc_cost(offsets, p, d, m, graph)
+    fc = _arc_cost(offsets, p, c, m)
+    fd = _arc_cost(offsets, p, d, m)
     for _ in range(GOLDEN_ITERS):
         # left rows keep [a, d] and probe a new c; the others keep [c, b]
         # and probe a new d
@@ -160,7 +156,7 @@ def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray, m: int,
         kept = np.where(left, c, d)
         f_kept = np.where(left, fc, fd)
         s = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fs = _arc_cost(offsets, p, s, m, graph)
+        fs = _arc_cost(offsets, p, s, m)
         c = np.where(left, s, kept)
         d = np.where(left, kept, s)
         fc = np.where(left, fs, f_kept)
@@ -169,56 +165,31 @@ def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray, m: int,
 
 
 def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
-    """Distance from each row of offsets (y - x) to the arc traced by p
-    over [0, eps]: (N, 2) offsets in the mixed product, where the arc is
-    {x + (t, p(t))}, or (N,) offsets on the snowflake line, where it is
-    {x + p(t)}.
+    """Mixed-product distance from each row of (N, 2) offsets (y - x) to
+    the arc {x + (t, p(t)) : 0 <= t <= eps} of R x R_m.
 
     The mixed metric is not smooth, so a global grid scan over ARC_GRID
     parameters comes first; golden-section search then refines the
     bracket around each row's grid minimum.
     """
     offsets = np.asarray(offsets, float)
-    graph = offsets.ndim == 2
-    if not (offsets.ndim == 1 or graph and offsets.shape[1] == 2):
-        raise ValueError(
-            f"offsets must be (N, 2) or (N,), not {offsets.shape}")
+    if offsets.ndim != 2 or offsets.shape[1] != 2:
+        raise ValueError(f"offsets must be (N, 2), not {offsets.shape}")
     ts = np.linspace(0.0, eps, ARC_GRID)
     out = np.empty(len(offsets))
     for lo in range(0, len(offsets), ARC_ROWS):
-        out[lo:lo + ARC_ROWS] = _arc_block(offsets[lo:lo + ARC_ROWS], p, ts,
-                                           m, graph)
+        out[lo:lo + ARC_ROWS] = _arc_block(offsets[lo:lo + ARC_ROWS], p, ts, m)
     return out
 
 
-Space = Union[SnowflakeSpace, MixedProductSpace]
-
-
-def polynomial_filter_contains(g: PolynomialGenerator, y,
-                               space: Space) -> bool | np.ndarray:
-    """Membership in V+(x, p, eps, lam); the space argument selects the
-    graph reading (mixed product) or the one-dimensional reading
-    (snowflake line).
-
-    y is one point, giving a bool, or a batch, giving a bool array: (N, 2)
-    points in the mixed product, (N,) on the line.
-    """
-    y = np.asarray(y, float)
-    if isinstance(space, MixedProductSpace):
-        x = np.asarray(g.x, float)
-        single = y.ndim == 1
-        rows = y.reshape(-1, 2)
-        # per point, as a scalar: the array power differs in the last bit
-        d_xy = np.array([float(space.distance(r, x)) for r in rows])
-    else:
-        x = float(np.asarray(g.x, float).reshape(()))
-        single = y.ndim == 0
-        rows = y.reshape(-1)
-        d_xy = np.array([float(snowflake_distance(space.m, float(r), x))
-                         for r in rows])
-    d_arc = arc_distances(rows - x, g.p, g.eps, space.m)
-    member = (d_xy != 0.0) & (d_arc < g.lam * d_xy)
-    return bool(member[0]) if single else member
+def polynomial_filter_contains(g: PolynomialGenerator, ys) -> np.ndarray:
+    """Membership of each row of ys, (N, 2) points of R x R_m with m = g.m,
+    in V+(x, p, eps, lam): y belongs when y != x and its distance to the
+    arc of p over [0, eps] at x is below lam d(x, y)."""
+    offsets = np.asarray(ys, float) - g.x
+    d_arc = arc_distances(offsets, g.p, g.eps, g.m)
+    d_xy = MixedProductSpace(g.m).offset_distances(offsets)
+    return (d_xy != 0.0) & (d_arc < g.lam * d_xy)
 
 
 def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
@@ -226,21 +197,19 @@ def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
     """On-arc p1 points t_h = t0 / h and their distance ratios to the p2
     arc (generator horizon twice t0)."""
     x = np.asarray(x, float)
-    space = MixedProductSpace(m)
     t_h = t0 / np.arange(1, count + 1, dtype=float)
     seq = np.stack([x[0] + t_h, x[1] + p1(t_h)], axis=-1)
-    d_xy = np.array([float(space.distance(y, x)) for y in seq])
-    ratios = arc_distances(seq - x, p2, 2.0 * t0, m) / d_xy
+    offsets = seq - x
+    ratios = (arc_distances(offsets, p2, 2.0 * t0, m)
+              / MixedProductSpace(m).offset_distances(offsets))
     return seq, ratios, 2.0 * t0
 
 
-def separate_polynomials(p1, p2, m: int):
+def separate_polynomials(p1: Polynomial, p2: Polynomial, m: int):
     """Exactly 'equal' on coefficient-equal pairs; otherwise a finite-scale
     witness: the tail t_h = 0.1 / h (h = 1..64) on the p1 arc at the origin
     with a generator of the p2 filter whose aperture sits strictly below
     every observed distance ratio, so the whole tail fails membership."""
-    p1 = p1 if isinstance(p1, Polynomial) else Polynomial.from_coeffs(p1)
-    p2 = p2 if isinstance(p2, Polynomial) else Polynomial.from_coeffs(p2)
     validate_generator_polynomial(p1, m)
     validate_generator_polynomial(p2, m)
     if p1 == p2:
@@ -253,9 +222,8 @@ def separate_polynomials(p1, p2, m: int):
             "distinct polynomials produced a zero distance ratio")
     lam0 = min(0.9 * min_ratio, 0.99)
     gen = PolynomialGenerator(origin, p2, eps0, lam0, m)
-    space = MixedProductSpace(m)
     # an explicit membership check of the whole tail, not a reuse of ratios
-    verified = not polynomial_filter_contains(gen, seq, space).any()
+    verified = not polynomial_filter_contains(gen, seq).any()
     return {
         "status": "separated",
         "sequence": seq,
@@ -267,7 +235,8 @@ def separate_polynomials(p1, p2, m: int):
 
 @dataclass(frozen=True)
 class Func1D:
-    """One-dimensional map with analytic derivatives, derivs[i] = f^(i+1)."""
+    """One-dimensional map with analytic derivatives, derivs[i] = f^(i+1);
+    fn takes arrays, each derivative one float."""
 
     name: str
     fn: Callable
@@ -303,7 +272,7 @@ def truncated_composition(f: Func1D, x: float, p: Polynomial, m: int) -> np.ndar
     return q
 
 
-def check_poly_derivable(f: Func1D, x: float, p, m: int) -> dict:
+def check_poly_derivable(f: Func1D, x: float, p: Polynomial, m: int) -> dict:
     """Transports on-arc sample points through f in the graph setting and
     compares against the analytic truncation oracle q.
 
@@ -312,7 +281,6 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int) -> dict:
     residual O(t^(m+1)) snowflaked to O(t^(1+1/m)), so the membership
     ratios at t = 0.05 / 2^h, h = 0..23, must shrink below 1e-3.
     """
-    p = p if isinstance(p, Polynomial) else Polynomial.from_coeffs(p)
     validate_generator_polynomial(p, m)
     q = truncated_composition(f, x, p, m)
     if np.max(np.abs(q[1:])) < 1e-12:
@@ -321,20 +289,18 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int) -> dict:
     q_poly = Polynomial.from_coeffs(
         [Fraction(c).limit_denominator(10 ** 12) for c in np.where(
             np.abs(q) < 1e-15, 0.0, q)])
-    space = MixedProductSpace(m)
     t0 = 0.05
     t_h = t0 / 2.0 ** np.arange(24, dtype=float)
-    origin = np.zeros(2)
     # image points (t, f(x + p(t)) - f(x)) relative to the image of x
     vals = f(x + p(t_h)) - f(x)
     imgs = np.stack([t_h, vals], axis=-1)
-    d_xy = np.array([float(space.distance(y, origin)) for y in imgs])
+    d_xy = MixedProductSpace(m).offset_distances(imgs)
     # the image parameter itself gives an exact distance upper bound (the
     # pure Taylor residual); the grid search loses it to the square-root
     # cusp at tiny scales. Per point, as a scalar, like d_xy.
     at_param = np.array([float(abs(v - q_poly(t)) ** (1.0 / m))
                          for v, t in zip(vals, t_h)])
-    d_arc = np.minimum(arc_distances(imgs - origin, q_poly, 2.0 * t0, m),
+    d_arc = np.minimum(arc_distances(imgs, q_poly, 2.0 * t0, m),
                        at_param)
     ratios = d_arc / d_xy
     ok = bool(ratios[-1] < 1e-3 and ratios[-1] <= ratios[0] + 1e-3)
@@ -348,21 +314,14 @@ def check_poly_derivable(f: Func1D, x: float, p, m: int) -> dict:
 BUILTIN_FUNCS: dict[str, Func1D] = {
     f.name: f for f in [
         Func1D("identity", lambda y: y,
-               (lambda y: np.ones_like(np.asarray(y, float)),
-                lambda y: np.zeros_like(np.asarray(y, float)),
-                lambda y: np.zeros_like(np.asarray(y, float)))),
+               (lambda y: 1.0, lambda y: 0.0, lambda y: 0.0)),
         Func1D("double", lambda y: 2.0 * y,
-               (lambda y: 2.0 * np.ones_like(np.asarray(y, float)),
-                lambda y: np.zeros_like(np.asarray(y, float)),
-                lambda y: np.zeros_like(np.asarray(y, float)))),
+               (lambda y: 2.0, lambda y: 0.0, lambda y: 0.0)),
         Func1D("affine_square", lambda y: y + y ** 2,
-               (lambda y: 1.0 + 2.0 * np.asarray(y, float),
-                lambda y: 2.0 * np.ones_like(np.asarray(y, float)),
-                lambda y: np.zeros_like(np.asarray(y, float)))),
+               (lambda y: 1.0 + 2.0 * y, lambda y: 2.0, lambda y: 0.0)),
         Func1D("cubic", lambda y: y + y ** 3,
-               (lambda y: 1.0 + 3.0 * np.asarray(y, float) ** 2,
-                lambda y: 6.0 * np.asarray(y, float),
-                lambda y: 6.0 * np.ones_like(np.asarray(y, float)))),
+               (lambda y: 1.0 + 3.0 * (y * y), lambda y: 6.0 * y,
+                lambda y: 6.0)),
         Func1D("sine", np.sin, (np.cos, lambda y: -np.sin(y),
                                 lambda y: -np.cos(y))),
         Func1D("expm1", np.expm1, (np.exp, np.exp, np.exp)),

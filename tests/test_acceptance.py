@@ -9,7 +9,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from filterbench import filter_algebra as fa
 from filterbench import finite_topology as ft

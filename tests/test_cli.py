@@ -12,7 +12,7 @@ from filterbench.errors import (
     SchemaViolation,
     UnknownSuite,
 )
-from filterbench.iofiles import RelationSpec, SequenceSpec, ingest
+from filterbench.iofiles import RelationSpec, ingest
 from filterbench.reporting import CheckRecord, SuiteReport, jsonify, record
 from filterbench.suites import RunConfig, run_suite
 
@@ -155,7 +155,8 @@ class TestMain:
         rec = json.loads(capsys.readouterr().out)["records"][0]
         assert code == 1
         assert (rec["check_id"], rec["verdict"]) == ("refinement-valid", "fail")
-        assert rec["witness"]["witness"] is not None
+        assert rec["witness"]["witness"] == [
+            0, [0, 1, 1], "no open distinguishes mu from the point filter"]
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["check", "topology", str(tmp_path / "nope.json")])

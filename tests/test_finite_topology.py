@@ -9,7 +9,6 @@ from filterbench.errors import (
     SizeLimitExceeded,
 )
 from filterbench.finite_topology import (
-    FiniteTopology,
     PointMap,
     enumerate_topologies,
     is_closed_family,

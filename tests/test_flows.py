@@ -13,7 +13,6 @@ from filterbench.errors import (
 )
 from filterbench.flows import (
     BUILTIN_FLOWS,
-    Flow,
     FlowConditionsReport,
     check_flow_conditions,
     check_flow_transport,

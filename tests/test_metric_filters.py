@@ -4,12 +4,11 @@ import pytest
 from filterbench.errors import (
     DegenerateTerm,
     InvalidWitness,
-    NoDirectionLimit,
     NonUnitDirection,
     SingularJacobian,
 )
 from filterbench.geometry import angle_between, unit
-from filterbench.maps import BUILTIN_MAPS, linear_map, rotation_map
+from filterbench.maps import BUILTIN_MAPS, linear_map
 from filterbench.metric_filters import (
     ConeGenerator,
     DirectionalFilter,

@@ -9,6 +9,9 @@ spells its name, and a public method of a reached class when an
 every module-level statement of the package (the suite tables behind
 ``run_suite`` among them), ``cli.main``, ``perfbench/workloads.py`` and
 ``tests/test_acceptance.py``.
+
+A second scan keeps imports honest: every name that a module of the
+package or of ``tests/`` imports is read somewhere in that module.
 """
 
 import ast
@@ -41,6 +44,13 @@ REFERENCES = {
         "tests/test_geometry.py::test_curve_membership_matches_cap_oracle",
     "reporting.SuiteReport.from_json":
         "tests/test_cli.py::TestReporting::test_round_trip",
+}
+
+# Imported names that a module keeps without reading them, with the reason.
+UNREAD_IMPORTS = {
+    "metric_filters.segment_projection_parameter":
+        "perfbench/tests/test_tracer.py::test_from_imported_bindings_are_intercepted"
+        " reads it as an attribute of metric_filters",
 }
 
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -154,3 +164,30 @@ def test_each_reference_is_unreached_and_has_its_test():
     for name, ref in REFERENCES.items():
         assert name in dead, f"{name} is reached now; drop it from REFERENCES"
         assert _test_exists(ref), f"{ref} does not exist"
+
+
+def unread_imports() -> list[str]:
+    """``module.name`` for each name that a module of the package or of
+    ``tests/`` imports and never reads."""
+    unread = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    return unread
+
+
+def test_no_unused_imports():
+    unread = unread_imports()
+    extra = sorted(set(unread) - set(UNREAD_IMPORTS))
+    assert not extra, f"imported and never read: {extra}"
+    stale = sorted(set(UNREAD_IMPORTS) - set(unread))
+    assert not stale, f"read or no longer imported; drop from UNREAD_IMPORTS: {stale}"

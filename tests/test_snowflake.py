@@ -20,7 +20,6 @@ from filterbench.snowflake import (
     check_poly_derivable,
     polynomial_filter_contains,
     separate_polynomials,
-    snowflake_distance,
     truncated_composition,
 )
 from filterbench.suites import DERIVABILITY_TRIPLES, SEPARATION_PAIRS
@@ -70,10 +69,6 @@ def _graph_ref(y, x, p, eps, m):
                         eps)
 
 
-def _line_ref(y, x, p, eps, m):
-    return _arc_min_ref(lambda ts: np.abs(y - x - p(ts)) ** (1.0 / m), eps)
-
-
 def _derivability_ratios_ref(f, x, p, m, t0=0.05, count=24):
     """check_poly_derivable's ratios, one scalar arc search per point."""
     q = truncated_composition(f, x, p, m)
@@ -96,13 +91,15 @@ def _derivability_ratios_ref(f, x, p, m, t0=0.05, count=24):
 
 class TestDistances:
     def test_known_values(self):
-        assert snowflake_distance(2, 0.0, 0.25) == pytest.approx(0.5)
-        assert snowflake_distance(3, 0.0, 8.0) == pytest.approx(2.0)
-        assert snowflake_distance(2, 0.7, 0.7) == 0.0
+        assert SnowflakeSpace(2).distance(0.0, 0.25) == pytest.approx(0.5)
+        assert SnowflakeSpace(3).distance(0.0, 8.0) == pytest.approx(2.0)
+        assert SnowflakeSpace(2).distance(0.7, 0.7) == 0.0
 
     def test_bad_exponent(self):
         with pytest.raises(ConstraintViolation):
-            snowflake_distance(1, 0.0, 1.0)
+            SnowflakeSpace(1)
+        with pytest.raises(ConstraintViolation):
+            MixedProductSpace(1)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_triangle_inequality_sampled(self, m):
@@ -151,60 +148,54 @@ class TestPolynomial:
 class TestMembership:
     def test_on_arc_point(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.3, 2)
-        y = np.array([0.2, 0.2])
-        assert polynomial_filter_contains(g, y, MixedProductSpace(2))
+        assert polynomial_filter_contains(g, [[0.2, 0.2]]).tolist() == [True]
 
     def test_backward_point_excluded(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.5, 2)
-        y = np.array([-0.1, 0.0])
-        assert not polynomial_filter_contains(g, y, MixedProductSpace(2))
+        assert polynomial_filter_contains(g, [[-0.1, 0.0]]).tolist() == [False]
 
     def test_base_point_excluded(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.5, 2)
-        assert not polynomial_filter_contains(g, np.zeros(2), MixedProductSpace(2))
-
-    def test_line_mode(self):
-        g = PolynomialGenerator(np.zeros(1), P([0, 1]), 0.5, 0.5, 2)
-        sp = SnowflakeSpace(2)
-        assert polynomial_filter_contains(g, 0.2, sp)
-        assert not polynomial_filter_contains(g, -0.4, sp)
+        assert polynomial_filter_contains(g, np.zeros((1, 2))).tolist() == [False]
 
     @pytest.mark.parametrize("rows", [1, ARC_ROWS + 1])
     def test_batch_equals_single_points(self, rows):
         rng = np.random.default_rng(3)
-        sp = MixedProductSpace(2)
         g = PolynomialGenerator(np.array([0.1, -0.1]), P([0, 1, 1]), 0.4,
                                 0.5, 2)
         ys = np.vstack([g.x, rng.uniform(-0.5, 0.8, (rows - 1, 2))])
-        got = polynomial_filter_contains(g, ys, sp)
+        got = polynomial_filter_contains(g, ys)
         assert got.dtype == bool and got.shape == (rows,)
-        assert got.tolist() == [polynomial_filter_contains(g, y, sp)
+        assert got.tolist() == [polynomial_filter_contains(g, y[None])[0]
                                 for y in ys]
         assert not got[0]  # the base point
-        line = PolynomialGenerator(np.zeros(1), P([0, 1]), 0.5, 0.5, 2)
-        sp = SnowflakeSpace(2)
-        ys = np.append(0.0, rng.uniform(-0.5, 0.8, rows - 1))
-        got = polynomial_filter_contains(line, ys, sp)
-        assert got.shape == (rows,)
-        assert got.tolist() == [polynomial_filter_contains(line, y, sp)
-                                for y in ys]
 
-    def test_single_point_gives_plain_bool(self):
-        g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.3, 2)
-        assert type(polynomial_filter_contains(
-            g, np.array([0.2, 0.2]), MixedProductSpace(2))) is bool
-        line = PolynomialGenerator(np.zeros(1), P([0, 1]), 0.5, 0.5, 2)
-        assert type(polynomial_filter_contains(
-            line, 0.2, SnowflakeSpace(2))) is bool
+    def test_metric_follows_the_generator_exponent(self):
+        # the membership rule under MixedProductSpace(g.m), and only that
+        # exponent: the m = 2 metric decides some of these rows otherwise
+        rng = np.random.default_rng(5)
+        x = np.array([0.1, -0.1])
+        g = PolynomialGenerator(x, P([0, 1, 0, 1]), 0.4, 0.5, 3)
+        ys = np.vstack([x, rng.uniform(-0.3, 0.6, (40, 2))])
+
+        def rule(m):
+            d = np.array([float(MixedProductSpace(m).distance(y, x))
+                          for y in ys])
+            return (d != 0) & (arc_distances(ys - x, g.p, g.eps, m)
+                               < g.lam * d)
+
+        got = polynomial_filter_contains(g, ys)
+        assert got.tolist() == rule(3).tolist()
+        assert got.tolist() != rule(2).tolist()
 
     def test_monotone_in_parameters(self):
         rng = np.random.default_rng(1)
         small = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.2, 0.2, 2)
         large = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.4, 0.4, 2)
-        sp = MixedProductSpace(2)
-        for y in rng.uniform(-0.5, 0.5, (200, 2)):
-            if polynomial_filter_contains(small, y, sp):
-                assert polynomial_filter_contains(large, y, sp)
+        ys = rng.uniform(-0.5, 0.5, (200, 2))
+        in_small = polynomial_filter_contains(small, ys)
+        assert in_small.any()
+        assert not (in_small & ~polynomial_filter_contains(large, ys)).any()
 
 
 class TestArcKernel:
@@ -234,14 +225,6 @@ class TestArcKernel:
             y, x = rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2)
             assert arc_distances((y - x)[None], p, eps, m)[0] == _graph_ref(
                 y, x, p, eps, m)
-            y0, x0 = float(y[0]), float(x[0])
-            assert arc_distances([y0 - x0], p, eps, m)[0] == _line_ref(
-                y0, x0, p, eps, m)
-        # a batch of line rows, across a block boundary
-        p, m, eps = POLYS[2], 3, 0.4
-        ys = rng.uniform(-1, 1, ARC_ROWS + 7)
-        got = arc_distances(ys - 0.25, p, eps, m)
-        assert got.tolist() == [_line_ref(y, 0.25, p, eps, m) for y in ys]
 
     def test_against_dense_grid(self):
         # independent oracle: never above the ARC_GRID scan, never more
@@ -255,25 +238,20 @@ class TestArcKernel:
             eps = rng.uniform(0.05, 1.0)
             lip = sum(abs(float(c)) * i * eps ** (i - 1)
                       for i, c in enumerate(p.coeffs) if i)
-            graph_point = rng.uniform(-0.5, 0.5, 2)
-            for dx, dy in [graph_point, (None, rng.uniform(-0.5, 0.5))]:
-                off = dy if dx is None else np.array([dx, dy])
-                got = arc_distances(np.array([off]), p, eps, m)[0]
-                for n in (ARC_GRID, dense):
-                    ts = np.linspace(0.0, eps, n)
-                    snow = np.abs(dy - p(ts))
-                    cost = snow ** (1.0 / m)
-                    if dx is not None:
-                        cost = cost + np.abs(dx - ts)
-                    if n == ARC_GRID:
-                        assert got <= cost.min()
-                        continue
-                    assert got <= cost.min() + 1e-6
-                    h = eps / (n - 1)
-                    lower = np.maximum(snow - lip * h, 0.0) ** (1.0 / m)
-                    if dx is not None:
-                        lower = lower + np.maximum(np.abs(dx - ts) - h, 0.0)
-                    assert got >= lower.min()
+            dx, dy = rng.uniform(-0.5, 0.5, 2)
+            got = arc_distances(np.array([[dx, dy]]), p, eps, m)[0]
+            for n in (ARC_GRID, dense):
+                ts = np.linspace(0.0, eps, n)
+                snow = np.abs(dy - p(ts))
+                cost = snow ** (1.0 / m) + np.abs(dx - ts)
+                if n == ARC_GRID:
+                    assert got <= cost.min()
+                    continue
+                assert got <= cost.min() + 1e-6
+                h = eps / (n - 1)
+                lower = (np.maximum(snow - lip * h, 0.0) ** (1.0 / m)
+                         + np.maximum(np.abs(dx - ts) - h, 0.0))
+                assert got >= lower.min()
 
     @pytest.mark.parametrize("rows", [1, 2, ARC_ROWS, ARC_ROWS + 1,
                                       ARC_ROWS + 2])
@@ -284,15 +262,20 @@ class TestArcKernel:
         assert got.shape == (rows,)
         assert got.tolist() == [float(arc_distances(o[None], POLYS[1], 0.3, 2)[0])
                                 for o in offs]
-        # line rows: a block of exactly 2 must not read as one graph point
-        got = arc_distances(offs[:, 1], POLYS[1], 0.3, 3)
-        assert got.shape == (rows,)
-        assert got.tolist() == [_line_ref(float(o), 0.0, POLYS[1], 0.3, 3)
-                                for o in offs[:, 1]]
 
     def test_bad_offset_shape(self):
         with pytest.raises(ValueError):
             arc_distances(np.zeros((4, 3)), POLYS[0], 0.3, 2)
+
+    def test_one_dimensional_offsets_rejected(self):
+        # (N,) offsets have no reading: neither as N line points nor, for
+        # N = 2, as one point of the plane
+        for n in (1, 2, 5):
+            with pytest.raises(ValueError):
+                arc_distances(np.zeros(n), POLYS[0], 0.3, 2)
+        g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.3, 2)
+        with pytest.raises(ValueError):
+            polynomial_filter_contains(g, np.array([0.2, 0.2]))
 
     def test_empty_batch(self):
         assert arc_distances(np.zeros((0, 2)), POLYS[0], 0.3, 2).shape == (0,)
