@@ -247,7 +247,6 @@ GLOBAL_FLAGS = (
     (("--out",), dict(default=None, help="write the report here")),
     (("--improper-filters",), dict(action="store_true",
      help="allow filters that accept the empty set")),
-    (("--workers",), dict(type=int, default=1)),
     (("--timings",), dict(action="store_true",
      help="include elapsed times (non-canonical report)")),
 )
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a named verification suite")
     suite.add_argument("name", choices=list(SUITE_NAMES))
     suite.set_defaults(fn=lambda args: _emit(
-        run_suite(args.name, _config(args), workers=args.workers), args))
+        run_suite(args.name, _config(args)), args))
 
     geom = sub.add_parser("geom", help="metric-space filter checks")
     geom_sub = geom.add_subparsers(dest="what", required=True)

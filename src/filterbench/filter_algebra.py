@@ -25,6 +25,14 @@ map's cached preimage index map.  The set-level routes
 (``enumerate_filters_bruteforce``, ``b_polytope_vertices_bruteforce``)
 stay as independent oracles.
 
+A family of filters is an int bitset one level up: bit k stands for the
+k-th proper filter in canonical order.  The filter-space topology tau^e has
+one base set U_D = {mu : mu(D) = 1} per open D, so a family is tau^e-open
+iff it is the union of the base sets it contains, and no family needs to be
+enumerated.  Pushforward continuity (Prop 2.6) is decided on the base too:
+preimages commute with unions, so f* is continuous iff the preimage of
+every U_D is open.
+
 B-polytope vertices come from an exact double-description method
 (Motzkin; Fukuda & Prodon 1996); the oracle solves every basis by
 fraction-free elimination (Bareiss 1968).
@@ -36,8 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     FilterAxiomViolation,
@@ -58,7 +65,7 @@ ENUMERATION_MAX_OPENS = 20
 GRADED_TOL = 1e-12
 POLYTOPE_MAX_OPENS = 8
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
-TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e, axiom rows
+TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e base, axiom rows
 
 # maps the ASCII digits of format(bits, "b") to the bytes 0 and 1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -201,73 +208,47 @@ def filter_leq(mu: IndicatorFilter, nu: IndicatorFilter) -> bool:
     return not mu.bits & ~nu.bits
 
 
-def is_open_in_tau_e(
-    V: Sequence[IndicatorFilter], universe: Sequence[IndicatorFilter]
-) -> tuple[bool, IndicatorFilter | None]:
-    """Openness in the filter-space topology; witness is a mu without a separating D."""
-    members = {mu.bits for mu in V}
-    for mu in V:
-        found = False
-        for i in range(len(mu.topology.opens)):
-            if not mu.bits >> i & 1:
-                continue
-            if all(nu.bits in members for nu in universe if nu.bits >> i & 1):
-                found = True
-                break
-        if not found:
-            return False, mu
-    return True, None
-
-
-def tau_e_opens(universe: Sequence[IndicatorFilter]) -> list[frozenset[int]]:
-    """Every tau^e-open subset of the universe, as index sets, canonical order."""
-    k = len(universe)
-    if k > 12:
-        raise SizeLimitExceeded("tau^e enumeration supports at most 12 filters")
-    out = []
-    for bits in range(1 << k):
-        idx = frozenset(i for i in range(k) if bits >> i & 1)
-        if is_open_in_tau_e([universe[i] for i in idx], universe)[0]:
-            out.append(idx)
-    return out
-
-
-@dataclass(frozen=True)
-class _TauE:
-    universe: tuple[IndicatorFilter, ...]   # proper filters, canonical order
-    index: Mapping[int, int]                # filter bits -> universe index
-    opens: tuple[frozenset[int], ...]       # tau^e-opens, canonical order
-    open_set: frozenset[frozenset[int]]
-
-
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
-def _tau_e_structure(t: FiniteTopology) -> _TauE:
-    """Filter universe and tau^e-opens of t, shared by every map touching t.
+def _tau_e_base(t: FiniteTopology) -> tuple[tuple[IndicatorFilter, ...], tuple[int, ...]]:
+    """The proper filters of t in canonical order and, per open D of t, the
+    base set U_D = {mu : mu(D) = 1} of tau^e as a bitset over them.
 
     Entries are immutable, so concurrent suite workers may share them."""
     universe = tuple(enumerate_filters(t, proper=True))
-    opens = tuple(tau_e_opens(universe))
-    return _TauE(universe,
-                 MappingProxyType({mu.bits: i for i, mu in enumerate(universe)}),
-                 opens, frozenset(opens))
+    base = tuple(sum(1 << k for k, mu in enumerate(universe) if mu.bits >> i & 1)
+                 for i in range(len(t.opens)))
+    return universe, base
+
+
+def _tau_e_uncovered(base: Sequence[int], family: int) -> int:
+    """The members of a filter family that no base set inside the family
+    covers; 0 iff the family is tau^e-open."""
+    covered = 0
+    for u in base:
+        if not u & ~family:
+            covered |= u
+    return family & ~covered
 
 
 def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | None]:
-    """Exhaustively verify that f* pulls tau^e-opens back to tau^e-opens.
+    """Verify that f* pulls every tau^e-open back to a tau^e-open.
 
-    The witness (on failure, which would indicate an engine bug) is the index
-    set of the offending target-side open.
+    Preimages commute with unions and every tau^e-open is a union of base
+    sets U_D, so it suffices that each preimage (f*)^-1(U_D) is open; it
+    is read off the pushforward bits, as the source filters whose image
+    takes the value 1 on D.  The witness (on failure, which would indicate
+    an engine bug) is the first target open D, as a point set, whose
+    preimage is not open.
     """
     ok, witness = is_continuous(f)
     if not ok:
         raise NotContinuous(witness)
-    source = _tau_e_structure(f.source)
-    target = _tau_e_structure(f.target)
-    push = [target.index[f.pushforward_bits(mu.bits)] for mu in source.universe]
-    for v_prime in target.opens:
-        preimage = frozenset(i for i, j in enumerate(push) if j in v_prime)
-        if preimage not in source.open_set:
-            return False, v_prime
+    universe, base = _tau_e_base(f.source)
+    pushed = [f.pushforward_bits(mu.bits) for mu in universe]
+    for j, d in enumerate(f.target.opens):
+        preimage = sum(1 << k for k, bits in enumerate(pushed) if bits >> j & 1)
+        if _tau_e_uncovered(base, preimage):
+            return False, set_of(d)
     return True, None
 
 

@@ -169,9 +169,8 @@ def is_t0(t: FiniteTopology) -> tuple[bool, tuple[int, int] | None]:
 
     On failure returns an indistinguishable pair (x, y).
     """
-    profiles: dict[tuple[bool, ...], int] = {}
-    for x in range(t.n):
-        profile = tuple(bool(d >> x & 1) for d in t.opens)
+    profiles: dict[int, int] = {}
+    for x, profile in enumerate(t.point_opens):
         if profile in profiles:
             return False, (profiles[profile], x)
         profiles[profile] = x

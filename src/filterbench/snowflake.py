@@ -102,6 +102,9 @@ class Polynomial:
 
 
 def validate_generator_polynomial(p: Polynomial, m: int) -> None:
+    """Reject an exponent m < 2 (SnowflakeSpace's rule) and a polynomial
+    that does not vanish at 0 or whose degree lies outside [1, m]."""
+    SnowflakeSpace(m)
     if p.coeffs[0] != 0:
         raise ConstraintViolation("polynomial must vanish at 0")
     if not 1 <= p.degree <= m:

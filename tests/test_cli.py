@@ -282,6 +282,27 @@ class TestMain:
         assert rec["verdict"] == "pass"
         assert 0 < witness["generator_aperture"] < witness["min_ratio"]
 
+    @pytest.mark.parametrize("p2", ["0,1", "0,2"], ids=["equal", "distinct"])
+    def test_snowflake_separate_rejects_exponent_one(self, capsys, p2):
+        code = main(["snowflake", "separate", "--p1", "0,1", "--p2", p2,
+                     "--m", "1"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ConstraintViolation"
+
+    def test_check_map_on_discrete_four_points(self, tmp_path, capsys):
+        # 15 proper filters, one per nonempty subset
+        discrete = {"kind": "topology", "n": 4,
+                    "opens": [[p for p in range(4) if m >> p & 1]
+                              for m in range(16)]}
+        payload = {"kind": "map", "source": discrete, "target": discrete,
+                   "image": [1, 0, 3, 2]}
+        code = main(["check", "map", write(tmp_path, "m.json", payload)])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert code == 0
+        assert [(r["check_id"], r["verdict"]) for r in records] == [
+            ("map-continuous", "pass"), ("pushforward-continuity", "pass")]
+
     def test_flow_lemacon(self, capsys):
         code = main(["flow", "lemacon", "translation", "--samples", "300"])
         out = json.loads(capsys.readouterr().out)
@@ -303,6 +324,12 @@ class TestMain:
     def test_unknown_suite_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["suite", "bogus"])
+
+    def test_workers_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["suite", "cones", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["check", "foo", "x.json"],
                                       ["geom", "foo"]], ids=" ".join)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from filterbench.filter_algebra import (
     GRADED_TOL,
     _b_polytope_system,
     _solve_exact,
+    _tau_e_base,
+    _tau_e_uncovered,
     b_polytope_vertices,
     b_polytope_vertices_bruteforce,
     check_filter_axioms,
@@ -22,15 +25,14 @@ from filterbench.filter_algebra import (
     enumerate_filters,
     enumerate_filters_bruteforce,
     filter_leq,
-    is_open_in_tau_e,
     pushforward,
     Refinement,
     point_filter,
-    tau_e_opens,
 )
 from filterbench.finite_topology import (
     PointMap,
     enumerate_topologies,
+    is_continuous,
     validate_topology,
 )
 
@@ -179,35 +181,76 @@ class TestOrder:
         assert not filter_leq(point_filter(t, 1), point_filter(t, 0))
 
 
+def _tau_e_opens_by_definition(t):
+    """The tau^e-opens of t, as bitsets over its proper filters, by scanning
+    every family: V is open iff each member mu has an open D with
+    mu(D) = 1 whose filters all lie in V."""
+    universe = enumerate_filters(t)
+
+    def inside(family, d):
+        return all(family >> j & 1
+                   for j, nu in enumerate(universe) if nu.bits >> d & 1)
+
+    return {family for family in range(1 << len(universe))
+            if all(any(inside(family, d)
+                       for d in range(len(t.opens)) if mu.bits >> d & 1)
+                   for i, mu in enumerate(universe) if family >> i & 1)}
+
+
+def _union_closure(base):
+    closure = {0}
+    for u in base:
+        closure |= {v | u for v in closure}
+    return closure
+
+
+def _continuous_maps(a, b):
+    """The maps of the finite-pushforward suite from a to b points."""
+    for src in enumerate_topologies(a, t0_only=True):
+        for tgt in enumerate_topologies(b, t0_only=True):
+            for image in itertools.product(range(b), repeat=a):
+                f = PointMap(src, tgt, image)
+                if is_continuous(f)[0]:
+                    yield f
+
+
 class TestTauE:
     def test_universe_and_empty_open(self):
-        t = sierpinski()
-        universe = enumerate_filters(t)
-        assert is_open_in_tau_e(universe, universe)[0]
-        assert is_open_in_tau_e([], universe)[0]
+        universe, base = _tau_e_base(sierpinski())
+        assert _tau_e_uncovered(base, (1 << len(universe)) - 1) == 0
+        assert _tau_e_uncovered(base, 0) == 0
 
     def test_singleton_open_point(self):
         t = sierpinski()
-        universe = enumerate_filters(t)
-        o1 = point_filter(t, 1)
-        assert is_open_in_tau_e([o1], universe)[0]
+        universe, base = _tau_e_base(t)
+        o1 = 1 << universe.index(point_filter(t, 1))
+        assert _tau_e_uncovered(base, o1) == 0
         # o(0) alone is not open: the only D with o(0)(D)=1 is X, shared by o(1)
-        o0 = point_filter(t, 0)
-        ok, witness = is_open_in_tau_e([o0], universe)
-        assert not ok
-        assert witness.values == o0.values
+        o0 = 1 << universe.index(point_filter(t, 0))
+        assert _tau_e_uncovered(base, o0) == o0
 
     def test_tau_e_forms_topology(self):
         for n in (1, 2, 3):
             for t in enumerate_topologies(n, t0_only=True):
-                universe = enumerate_filters(t)
-                opens = set(tau_e_opens(universe))
-                assert frozenset() in opens
-                assert frozenset(range(len(universe))) in opens
+                universe, base = _tau_e_base(t)
+                opens = _union_closure(base)
+                assert 0 in opens
+                assert (1 << len(universe)) - 1 in opens
                 for a in opens:
                     for b in opens:
                         assert a | b in opens
                         assert a & b in opens
+
+    def test_base_matches_definition(self):
+        for n in (1, 2, 3):
+            for t in enumerate_topologies(n, t0_only=True):
+                universe, base = _tau_e_base(t)
+                opens = _tau_e_opens_by_definition(t)
+                assert opens == _union_closure(base)
+                for family in range(1 << len(universe)):
+                    uncovered = _tau_e_uncovered(base, family)
+                    assert (uncovered == 0) == (family in opens)
+                    assert not uncovered & ~family
 
     def test_pushforward_continuity_identity(self):
         t = sierpinski()
@@ -217,6 +260,44 @@ class TestTauE:
         s = discrete(2)
         t = sierpinski()
         assert check_pushforward_continuity(PointMap(s, t, (0, 0)))[0]
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["pushforward", "reversed-pushforward"])
+    def test_verdict_matches_all_opens_check(self, reverse):
+        """On every map of the finite-pushforward suite, and with f* followed
+        by the reversal of the target's filter order (a map on filters that
+        is mostly not continuous), the verdict equals that of pulling back
+        every tau^e-open of the definition."""
+        opens_of = functools.cache(_tau_e_opens_by_definition)
+        verdicts = set()
+        for a, b in itertools.product((1, 2, 3), repeat=2):
+            for f in _continuous_maps(a, b):
+                sources = enumerate_filters(f.source)
+                targets = enumerate_filters(f.target)
+                index = {nu.bits: j for j, nu in enumerate(targets)}
+                push = [index[f.pushforward_bits(mu.bits)] for mu in sources]
+                if reverse:
+                    push = [len(targets) - 1 - j for j in push]
+                    # the instance slot of the cached pushforward_bits
+                    f.__dict__["pushforward_bits"] = {
+                        mu.bits: targets[j].bits
+                        for mu, j in zip(sources, push)}.__getitem__
+                expected = all(
+                    sum(1 << i for i, j in enumerate(push) if w >> j & 1)
+                    in opens_of(f.source)
+                    for w in opens_of(f.target))
+                assert check_pushforward_continuity(f)[0] == expected
+                verdicts.add(expected)
+        assert verdicts == ({True, False} if reverse else {True})
+
+    def test_complemented_pushforward_fails(self, monkeypatch):
+        # o(0) is pushed to the table of o(1)'s complement: 1 on the empty
+        # set and {1}, so the preimage of U_{1} = {o(1)} is {o(0)}, not open
+        t = sierpinski()
+        monkeypatch.setattr(PointMap, "pushforward_bits", property(
+            lambda f: lambda bits: ~bits & (1 << len(f.target.opens)) - 1))
+        assert check_pushforward_continuity(PointMap(t, t, (0, 1))) == (
+            False, frozenset({1}))
 
 
 class TestGraded:

@@ -77,6 +77,20 @@ class TestT0:
     def test_discrete_is_t0(self):
         assert is_t0(discrete(3))[0]
 
+    def test_first_pair_matches_open_profiles(self):
+        """The first indistinguishable pair, from per-point tuples of open
+        memberships, on every topology on at most 4 points."""
+        for n in (1, 2, 3, 4):
+            for t in enumerate_topologies(n):
+                seen, expected = {}, (True, None)
+                for x in range(n):
+                    profile = tuple(bool(d >> x & 1) for d in t.opens)
+                    if profile in seen:
+                        expected = (False, (seen[profile], x))
+                        break
+                    seen[profile] = x
+                assert is_t0(t) == expected
+
 
 class TestContinuity:
     def test_identity(self):

@@ -100,6 +100,10 @@ class TestDistances:
             SnowflakeSpace(1)
         with pytest.raises(ConstraintViolation):
             MixedProductSpace(1)
+        with pytest.raises(ConstraintViolation):
+            PolynomialGenerator(np.zeros(2), P([0, 1]), 0.1, 0.5, 1)
+        with pytest.raises(ConstraintViolation):
+            separate_polynomials(P([0, 1]), P([0, 1]), 1)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_triangle_inequality_sampled(self, m):
