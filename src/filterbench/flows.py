@@ -8,10 +8,14 @@ against the leading axes of the points: per-row times for orbit points,
 a column of times against a batch for orbit arcs.
 Pair membership goes through geometry.arc_membership: each orbit arc is a
 uniform polyline, doubled from 17 vertices towards a 2^14 cap, and a row
-is decided once its distance d, plus or minus the one-level change
-err = |d - d_previous|, falls on one side of mu * d(x, y), or once
-err <= 1e-9 (1 + d).  That change is an error estimate, not a certified
-chord bound; rows still undecided at the cap are reported through the
+is decided once its polyline distance d is further from mu * d(x, y) than
+the chord bound h^2 C / 8 for parameter step h, or once that bound is at
+most 1e-9 (1 + d).  C bounds the orbit's sup|c''|.  Each built-in
+constructor declares it in closed form, so those decisions are certified,
+and translation and linear_shear orbits (C = 0) are decided at the first
+level; a reversed flow keeps its flow's bound.  A pushed-forward flow has
+no bound, and the kernel estimates C from second differences of the
+polyline.  Rows still undecided at the cap are reported through the
 converged flag, never silently passed.
 """
 
@@ -37,6 +41,9 @@ class Flow:
     x has shape (..., dim); t is a time or an array of times broadcast
     against the leading axes of x, so t (N,) with x (N, dim) moves each row
     by its own time and t (B, 1) with x (N, dim) gives (B, N, dim).
+
+    ``curvature(x, eps)`` bounds sup |d^2/dt^2 F(t, x)| over |t| <= eps for
+    each row of x (N, dim); None when no bound is known.
     """
 
     name: str
@@ -44,6 +51,7 @@ class Flow:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     a: float = -1.0
     b: float = 1.0
+    curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __call__(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -55,12 +63,18 @@ class Flow:
 
     def reversed(self) -> "Flow":
         return Flow(self.name + "_reversed", self.dim,
-                    lambda t, x: self.fn(-t, x), -self.b, -self.a)
+                    lambda t, x: self.fn(-t, x), -self.b, -self.a,
+                    self.curvature)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x, axis=-1)
 
 
 def translation_flow(u) -> Flow:
     u = np.asarray(u, dtype=float)
-    return Flow("translation", len(u), lambda t, x: x + t[..., None] * u)
+    return Flow("translation", len(u), lambda t, x: x + t[..., None] * u,
+                curvature=lambda x, eps: np.zeros(len(x)))
 
 
 def rotation_flow(omega: float = 1.0) -> Flow:
@@ -68,11 +82,14 @@ def rotation_flow(omega: float = 1.0) -> Flow:
         c, s = np.cos(omega * t), np.sin(omega * t)
         x0, x1 = x[..., 0], x[..., 1]
         return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=-1)
-    return Flow("rotation", 2, fn)
+    return Flow("rotation", 2, fn,
+                curvature=lambda x, eps: omega ** 2 * _norms(x))
 
 
 def scaling_flow(rate: float = 1.0) -> Flow:
-    return Flow("scaling", 2, lambda t, x: np.exp(rate * t)[..., None] * x)
+    return Flow("scaling", 2, lambda t, x: np.exp(rate * t)[..., None] * x,
+                curvature=lambda x, eps: (rate ** 2 * np.exp(abs(rate) * eps)
+                                          * _norms(x)))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -92,10 +109,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def linear_flow(generator) -> Flow:
+    """exp(t g) x; |c''| = |g^2 exp(t g) x| <= |g^2|_F e^(|g|_F |t|) |x|,
+    which is 0 for a nilpotent g with g^2 = 0."""
     g = np.asarray(generator, dtype=float)
+    # computed per call, not here: a matmul at import would load BLAS
+    # buffers into every process that imports the package
+    curvature = lambda x, eps: (np.linalg.norm(g @ g)
+                                * np.exp(np.linalg.norm(g) * eps) * _norms(x))
     return Flow("linear", g.shape[0],
                 lambda t, x: (_expm(t[..., None, None] * g)
-                              @ x[..., None])[..., 0])
+                              @ x[..., None])[..., 0],
+                curvature=curvature)
 
 
 BUILTIN_FLOWS: dict[str, Flow] = {
@@ -108,11 +132,14 @@ BUILTIN_FLOWS: dict[str, Flow] = {
 
 # --- orbit arc membership ---------------------------------------------------
 
-def _orbit_arcs(flow: Flow, x: np.ndarray):
-    """Arc evaluator of geometry.arc_membership: the orbit arcs of x[rows]."""
+def _orbit_arcs(flow: Flow, x: np.ndarray, eps: float):
+    """Arc evaluator of geometry.arc_membership: the orbit arcs of x[rows]
+    on |t| <= eps, with the flow's curvature bound when it has one."""
+    bound = None if flow.curvature is None else flow.curvature(x, eps)
     def bind(rows):
         xr = x[rows]
-        return lambda ts: flow(ts[:, None], xr)
+        return ((lambda ts: flow(ts[:, None], xr)),
+                None if bound is None else bound[rows])
     return bind
 
 
@@ -122,15 +149,18 @@ def flow_pair_contains(flow: Flow, eps: float, mu: float,
     """Membership of the pairs (x, y) in V+(F, eps, mu) (or V- for '-').
 
     The distance from y to the orbit arc of x is refined per row by
-    geometry.arc_membership until its one-level error estimate can no
-    longer flip the comparison against mu * d(x, y); rows still ambiguous
-    at the subdivision cap make the converged flag false.
+    geometry.arc_membership until the chord bound h^2 C / 8 can no longer
+    flip the comparison against mu * d(x, y).  C is the flow's declared
+    curvature bound, which makes the decision certified, or, for a flow
+    without one (a pushed-forward flow), an estimate from the polyline's
+    second differences.  Rows still ambiguous at the subdivision cap make
+    the converged flag false.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     d_xy = np.linalg.norm(y - x, axis=-1)
-    _, member, converged = arc_membership(_orbit_arcs(flow, x), y, mu * d_xy,
-                                          eps, sign)
+    _, member, converged = arc_membership(_orbit_arcs(flow, x, eps), y,
+                                          mu * d_xy, eps, sign)
     return (d_xy > 0) & member, converged
 
 

@@ -9,15 +9,22 @@ points.  ``point_polyline_distance`` is the slow reference for
 ``arc_membership`` decides, for a batch of query rows, whether each row is
 closer than its threshold to an arc given by an evaluator.  It refines a
 uniform polyline of the arc from 17 vertices by doubling, up to
-``ARC_CAP`` + 1 vertices, and keeps an active set of undecided rows.  After
-each level a row's error is estimated by the change of its distance since
-the previous level, ``err = |cur - prev|``; the row is decided once
-``cur + err < thresh`` or ``cur - err > thresh``, or once
-``err <= ARC_RTOL * (1 + cur)``.  This one-level difference is an estimate,
-not a certified chord bound (the h^2 sup|c''| / 8 chord certificate is not
-implemented): a row whose threshold lies within the polyline error the
-estimate misses can be decided on the wrong side.  Rows still undecided at
-the cap make the converged flag false.
+``ARC_CAP`` + 1 vertices, and keeps an active set of undecided rows.  At a
+level of k vertices the parameter step is h = eps / (k - 1), and the
+polyline lies within the chord bound h^2 C / 8 of the arc, where C bounds
+sup|c''| on the row's arc (de Boor, *A Practical Guide to Splines*, 1978,
+ch. 2); so the row's distance d to the polyline is within that bound of its
+distance to the arc.  A row is decided once ``|d - thresh| > h^2 C / 8``,
+or once ``h^2 C / 8 <= ARC_RTOL * (1 + d)``.  Rows still undecided at the
+cap make the converged flag false.
+
+The arc evaluator supplies C per row.  Where it has a certified bound (the
+built-in flows), a decision is certified up to floating-point rounding,
+and an arc with C = 0 is decided at the first level.  Where it has none
+(pushed-forward flows, curves), C is estimated as twice the largest
+``|v_(i-1) - 2 v_i + v_(i+1)| / h^2`` over the level's vertices, and never
+lower than the estimate of the level before; such a decision is only as
+good as the estimate.
 """
 
 from __future__ import annotations
@@ -90,20 +97,26 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _polyline_sq_min(vertices: Callable[[np.ndarray], np.ndarray],
-                     z: np.ndarray, ts: np.ndarray) -> np.ndarray:
+                     z: np.ndarray, ts: np.ndarray,
+                     turns: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Squared distance from each row of z (n, d) to its polyline through
-    ``vertices(ts)``, scanned in blocks of segments.
+    ``vertices(ts)``, scanned in blocks of segments, and with ``turns`` the
+    largest second difference ``|v_(i-1) - 2 v_i + v_(i+1)|`` of each row's
+    vertices (else None).
 
     ``vertices`` maps a block of parameters (B,) to vertices (B, n or 1, d).
     Each block is moved to coordinate-major layout (d, B, n or 1), so every
-    product runs on contiguous arrays; the last vertex of each block is
-    carried into the next, so every vertex is evaluated once.
+    product runs on contiguous arrays; the last vertex and the last segment
+    of each block are carried into the next, so every vertex is evaluated
+    once.  A second difference is the change between consecutive segments.
     """
     n, d = z.shape
     step = max(1, BLOCK_ELEMENTS // max(1, n * d))
     zt = np.ascontiguousarray(z.T)[:, None]           # (d, 1, n)
     best = np.full(n, np.inf)
+    turn = 0.0                                        # largest squared turn
     prev = np.moveaxis(vertices(ts[:1]), -1, 0)
+    prev_ab = prev[:, :0]                             # no segment yet
     for lo in range(1, len(ts), step):
         cur = np.ascontiguousarray(np.moveaxis(vertices(ts[lo:lo + step]), -1, 0))
         a = prev if cur.shape[1] == 1 else np.concatenate([prev, cur[:, :-1]], axis=1)
@@ -113,12 +126,18 @@ def _polyline_sq_min(vertices: Callable[[np.ndarray], np.ndarray],
         np.clip(t, 0.0, 1.0, out=t)
         diff = zt - (a + t * ab)
         np.minimum(best, _dot(diff, diff).min(axis=0), out=best)
+        if turns:
+            second = np.diff(ab, axis=1, prepend=prev_ab)
+            if second.shape[1]:
+                turn = np.maximum(turn, _dot(second, second).max(axis=0))
+            prev_ab = ab[:, -1:]
         prev = cur[:, -1:]
-    return best
+    return best, np.broadcast_to(np.sqrt(turn), (n,)) if turns else None
 
 
 def arc_membership(
-    arc: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    arc: Callable[[np.ndarray], tuple[Callable[[np.ndarray], np.ndarray],
+                                      np.ndarray | None]],
     z: np.ndarray,
     thresh: np.ndarray,
     eps: float,
@@ -127,30 +146,39 @@ def arc_membership(
     """Distance from each row of z (n, d) to its arc, membership
     ``distance < thresh`` and a converged flag.
 
-    ``arc(rows)`` returns the evaluator of the arcs of the given rows: it
-    maps parameters ts (B,) on [0, eps] (or [-eps, 0] for sign '-') to
-    vertices (B, len(rows), d), or (B, 1, d) when every row shares one arc.
-    Refinement follows the per-row rule of the module docstring; converged
-    is false when some row is still undecided at the cap.
+    ``arc(rows)`` returns ``(evaluate, curvature)`` for the arcs of the
+    given rows.  ``evaluate`` maps parameters ts (B,) on [0, eps] (or
+    [-eps, 0] for sign '-') to vertices (B, len(rows), d), or (B, 1, d) when
+    every row shares one arc.  ``curvature`` is a certified bound on
+    sup|c''| per row (len(rows),), or None to have it estimated from the
+    vertices.  Refinement follows the per-row rule of the module docstring;
+    converged is false when some row is still undecided at the cap.
     """
     z = np.asarray(z, dtype=float)
     thresh = np.asarray(thresh, dtype=float)
+    dist = np.empty(len(z))
+    estimate = np.zeros(len(z))
     rows = np.arange(len(z))
     k = ARC_START_VERTICES
-    dist = np.sqrt(_polyline_sq_min(arc(rows), z, _arc_parameters(eps, sign, k)))
     while True:
-        k = 2 * k - 1
-        cur = np.sqrt(_polyline_sq_min(arc(rows), z[rows],
-                                       _arc_parameters(eps, sign, k)))
-        err = np.abs(cur - dist[rows])
-        dist[rows] = cur
-        decided = ((cur + err < thresh[rows])
-                   | (cur - err > thresh[rows])
-                   | (err <= ARC_RTOL * (1.0 + cur)))
+        h = eps / (k - 1)
+        evaluate, curvature = arc(rows)
+        sq, turn = _polyline_sq_min(evaluate, z[rows],
+                                    _arc_parameters(eps, sign, k),
+                                    curvature is None)
+        cur = dist[rows] = np.sqrt(sq)
+        if curvature is None:
+            # no turn, no curvature: also when eps = 0 makes h = 0
+            level = np.divide(2.0 * turn, h * h, out=np.zeros(len(rows)),
+                              where=turn > 0)
+            curvature = estimate[rows] = np.maximum(estimate[rows], level)
+        bound = h * h * curvature / 8.0
+        decided = ((np.abs(cur - thresh[rows]) > bound)
+                   | (bound <= ARC_RTOL * (1.0 + cur)))
         rows = rows[~decided]
         if len(rows) == 0 or k >= ARC_CAP:
-            break
-    return dist, dist < thresh, len(rows) == 0
+            return dist, dist < thresh, len(rows) == 0
+        k = 2 * k - 1
 
 
 def unit(v: np.ndarray) -> np.ndarray:

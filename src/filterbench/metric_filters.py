@@ -308,12 +308,18 @@ class CurveFilter:
     def membership(self, eps: float, mu: float,
                    y: np.ndarray) -> tuple[np.ndarray, bool]:
         """Membership of y (..., d) in the tube generator of (eps, mu), and
-        whether every point was decided below the subdivision cap."""
+        whether every point was decided below the subdivision cap.
+
+        Decided by geometry.arc_membership on the curve's arc.  A CurveSpec
+        declares no curvature bound, so the chord bound h^2 C / 8 uses C
+        estimated from the polyline's second differences: the decision is
+        as good as that estimate, not certified."""
         y = np.asarray(y, dtype=float)
         d_xy = np.linalg.norm(y - self.x, axis=-1)
         c = self.curve
         span = min(eps, c.b) if self.sign == "+" else min(eps, -c.a)
-        arc = lambda rows: lambda ts: c(ts)[:, None]  # one arc for every row
+        # one arc for every row, no declared curvature bound
+        arc = lambda rows: ((lambda ts: c(ts)[:, None]), None)
         _, member, converged = arc_membership(
             arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), span,
             self.sign)

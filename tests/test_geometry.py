@@ -1,18 +1,30 @@
-"""Tests of the arc-membership kernel against the slow polyline oracle."""
+"""Tests of the arc-membership kernel against the slow polyline oracle and
+against the exact orbits of the built-in flows, and of the flows' declared
+curvature bounds."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from filterbench import flows as fl
 from filterbench import geometry
-from filterbench.geometry import arc_membership, point_polyline_distance
+from filterbench.geometry import (
+    arc_membership,
+    point_polyline_distance,
+    point_segment_distance,
+)
+from filterbench.maps import BUILTIN_MAPS
 
 CAP_VERTICES = geometry.ARC_CAP + 1
 
 
-def _curve_arc(c):
-    """One shared arc for every row: vertices (B, 1, d)."""
-    return lambda rows: lambda ts: c(ts)[:, None]
+def _curve_arc(c, curvature=None):
+    """One shared arc for every row: vertices (B, 1, d), with a declared
+    curvature bound, or None to have the kernel estimate it."""
+    bound = None if curvature is None else np.array([curvature])
+    return lambda rows: ((lambda ts: c(ts)[:, None]),
+                         None if bound is None else bound.repeat(len(rows)))
 
 
 def _params(eps, sign, k=CAP_VERTICES):
@@ -81,13 +93,12 @@ def test_flow_membership_matches_cap_oracle(name, sign):
     oracle = np.concatenate([
         point_polyline_distance(z[12 * i:12 * i + 12], vertices[:, i])
         for i in range(vertices.shape[1])])
-    _assert_matches_oracle(fl._orbit_arcs(flow, x), z, thresh, eps, sign,
-                           oracle)
+    _assert_matches_oracle(fl._orbit_arcs(flow, x, eps), z, thresh, eps,
+                           sign, oracle)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the one-level difference is an estimate, not a chord-error bound, so a "
-    "threshold close to the distance can be decided on the wrong side"))
+# rows that a one-level-difference rule, |d33 - d17| as the error, decides
+# on the wrong side; the chord bound decides both correctly
 @pytest.mark.parametrize("t0,radius,thresh_of", [
     # 1e-4 inside the unit circle: the 17- and 33-vertex chords sag 5e-4
     # and 1.2e-4 inwards, so both polylines pass within 2e-5 of the point
@@ -100,9 +111,11 @@ def test_known_misdecisions_near_the_threshold(t0, radius, thresh_of):
     z = np.array([[0.0, 1.0]]) + radius * np.array([[np.sin(t0), -np.cos(t0)]])
     oracle = point_polyline_distance(z, _circle(_params(1.0, "+")))
     thresh = thresh_of(oracle)
-    _, member, converged = arc_membership(_curve_arc(_circle), z, thresh, 1.0)
-    assert converged
-    assert member[0] == (oracle[0] < thresh[0])
+    # estimated curvature, and the unit circle's exact sup|c''| = 1
+    for arc in (_curve_arc(_circle), _curve_arc(_circle, 1.0)):
+        _, member, converged = arc_membership(arc, z, thresh, 1.0)
+        assert converged
+        assert member[0] == (oracle[0] < thresh[0])
 
 
 @pytest.mark.parametrize("budget", [2, 6])
@@ -119,7 +132,7 @@ def test_block_budget_does_not_change_results(n, budget, monkeypatch):
     x = rng.uniform(-1.0, 1.0, (n, 2))
     flow = fl.BUILTIN_FLOWS["rotation"]
     cases = [(_curve_arc(_parabola), z, thresh, 0.4, "+"),
-             (fl._orbit_arcs(flow, x), z, thresh, 0.3, "-")]
+             (fl._orbit_arcs(flow, x, 0.3), z, thresh, 0.3, "-")]
     default = [arc_membership(*case) for case in cases]
     monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
     small = [arc_membership(*case) for case in cases]
@@ -131,17 +144,30 @@ def test_block_budget_does_not_change_results(n, budget, monkeypatch):
 
 def test_empty_batch_converges():
     dist, member, converged = arc_membership(
-        fl._orbit_arcs(fl.BUILTIN_FLOWS["translation"], np.empty((0, 2))),
+        fl._orbit_arcs(fl.BUILTIN_FLOWS["translation"], np.empty((0, 2)), 0.1),
         np.empty((0, 2)), np.empty(0), 0.1)
     assert dist.shape == member.shape == (0,)
     assert converged
 
 
+@pytest.mark.parametrize("curvature", [None, 2.0])
+def test_zero_length_arc_is_decided(curvature):
+    # eps = 0: every vertex is the base point, so the polyline is exact
+    z = np.array([[0.1, 0.2], [0.0, 0.0]])
+    dist, member, converged = arc_membership(
+        _curve_arc(_parabola, curvature), z, np.array([0.3, 0.0]), 0.0)
+    assert converged
+    assert np.array_equal(dist, np.linalg.norm(z, axis=-1))
+    assert member.tolist() == [True, False]
+
+
 def test_row_ambiguous_at_the_cap_is_not_converged():
-    # from the centre of a circle every inscribed polyline lies strictly
-    # inside, at r cos(h/2) for angular step h: each level's distance falls
-    # short of r by a third of its change since the previous level, so with
-    # the threshold at the exact distance r no level can decide the row
+    # from the centre of the unit circle every inscribed polyline lies
+    # strictly inside, at cos(h/2) ~ 1 - h^2/8 for step h.  The estimated
+    # curvature is about twice sup|c''| = 1, so the chord bound h^2/4 never
+    # clears the threshold at the exact distance 1, and at the cap
+    # (h = 3/2^14) it is still 8e-9, above the tolerance 1e-9 (1 + d): no
+    # level can decide the row
     z = np.zeros((1, 2))
     circle = lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1)
     dist, _, converged = arc_membership(_curve_arc(circle), z, np.ones(1), 3.0)
@@ -151,3 +177,161 @@ def test_row_ambiguous_at_the_cap_is_not_converged():
     _, member, converged = arc_membership(_curve_arc(circle), z,
                                           np.array([0.9]), 3.0)
     assert converged and not member[0]
+
+
+# --- exact orbits ------------------------------------------------------------
+
+def _segment_orbit(step):
+    """Exact distance from y to the orbit x + t step(x), t in [lo, hi]."""
+    def distance(x, y, lo, hi):
+        s = step(x)
+        return point_segment_distance(y, x + lo * s, x + hi * s)
+    return distance
+
+
+def _circle_orbit(omega):
+    """Exact distance from y to the rotation orbit R(omega t) x, t in
+    [lo, hi]: ||y| - |x|| where y's angle lies in the arc's angular span,
+    else the nearer end."""
+    def distance(x, y, lo, hi):
+        r = np.linalg.norm(x)
+        start = np.arctan2(x[1], x[0]) + min(omega * lo, omega * hi)
+        span = abs(omega) * (hi - lo)
+        phi = (np.arctan2(y[:, 1], y[:, 0]) - start) % (2 * np.pi)
+        ends = [np.linalg.norm(y - r * np.array([np.cos(a), np.sin(a)]),
+                               axis=-1) for a in (start, start + span)]
+        return np.where(phi <= span, np.abs(np.linalg.norm(y, axis=-1) - r),
+                        np.minimum(*ends))
+    return distance
+
+
+def _shear_step(x):
+    return np.array([x[1], 0.0])    # exp(t g) x = x + t g x, g^2 = 0
+
+
+EXACT_ORBITS = {
+    "translation": (fl.BUILTIN_FLOWS["translation"],
+                    _segment_orbit(lambda x: np.array([1.0, 0.0]))),
+    "translation_3d": (fl.translation_flow([0.3, -0.5, 0.8]),
+                       _segment_orbit(lambda x: np.array([0.3, -0.5, 0.8]))),
+    "linear_shear": (fl.BUILTIN_FLOWS["linear_shear"],
+                     _segment_orbit(_shear_step)),
+    "rotation": (fl.BUILTIN_FLOWS["rotation"], _circle_orbit(1.0)),
+    "rotation(-2)": (fl.rotation_flow(-2.0), _circle_orbit(-2.0)),
+}
+ORBIT_EPS = 0.5
+
+
+def _exact_side_errors(flow, exact, sign, reverse, seed):
+    """Per-row arc_membership of query points near the orbits, against the
+    exact side of thresholds placed 1e-8 to 1e-7 from the exact distance.
+
+    Returns (converged rows decided on the wrong side, converged rows,
+    rows); a row that is not converged only clears its flag."""
+    rng = np.random.default_rng(seed)
+    if reverse:
+        flow = flow.reversed()
+    # the unreversed flow's times swept by the arc
+    forward = (sign == "+") != reverse
+    lo, hi = (0.0, ORBIT_EPS) if forward else (-ORBIT_EPS, 0.0)
+    x = np.repeat(rng.uniform(-1.0, 1.0, (8, flow.dim)), 5, axis=0)
+    t = rng.uniform(0.0, ORBIT_EPS, len(x)) * (1 if sign == "+" else -1)
+    w = rng.normal(size=x.shape)
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    y = flow(t, x) + rng.uniform(0.0, 0.1, (len(x), 1)) * w
+    d = np.concatenate([exact(xi, yi[None], lo, hi) for xi, yi in zip(x, y)])
+    offset = rng.choice([-1.0, 1.0], len(d)) * rng.uniform(1e-8, 1e-7, len(d))
+    thresh = d + offset
+    wrong = converged = 0
+    for i in range(len(x)):
+        _, member, ok = arc_membership(
+            fl._orbit_arcs(flow, x[i:i + 1], ORBIT_EPS), y[i:i + 1],
+            thresh[i:i + 1], ORBIT_EPS, sign)
+        if ok:
+            converged += 1
+            wrong += bool(member[0] != (d[i] < thresh[i]))
+    return wrong, converged, len(x)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", sorted(EXACT_ORBITS))
+def test_orbit_membership_matches_the_exact_orbit(name, sign, reverse):
+    flow, exact = EXACT_ORBITS[name]
+    wrong, converged, rows = _exact_side_errors(flow, exact, sign, reverse, 6)
+    assert wrong == 0
+    assert converged == rows
+
+
+def test_exact_orbit_check_detects_a_false_curvature_bound():
+    # negative control: a rotation that declares its arcs straight is
+    # decided at the first level, inside the chord error of up to 1.2e-4
+    flow, exact = EXACT_ORBITS["rotation"]
+    straight = dataclasses.replace(
+        flow, curvature=lambda x, eps: np.zeros(len(x)))
+    wrong, _, _ = _exact_side_errors(straight, exact, "+", False, 6)
+    assert wrong > 0
+
+
+# --- declared curvature bounds -----------------------------------------------
+
+CURVATURE_FLOWS = {
+    "translation_3d": fl.translation_flow([0.3, -0.5, 0.8]),
+    "rotation(2)": fl.rotation_flow(2.0),
+    "scaling(-1.5)": fl.scaling_flow(-1.5),
+    "linear_spiral": fl.linear_flow([[0.3, -1.0], [1.0, -0.2]]),
+    "linear_shear": fl.BUILTIN_FLOWS["linear_shear"],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", sorted(CURVATURE_FLOWS))
+def test_declared_curvature_dominates_the_sampled_one(name, sign, reverse):
+    flow = CURVATURE_FLOWS[name]
+    if reverse:
+        flow = flow.reversed()
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, (20, flow.dim))
+    eps = ORBIT_EPS
+    ts = _params(eps, sign, 2001)
+    h = ts[1] - ts[0]
+    c = flow(ts[:, None], x)                                # (K, N, d)
+    sampled = np.linalg.norm(c[2:] - 2 * c[1:-1] + c[:-2], axis=-1).max(axis=0)
+    sampled /= h * h
+    declared = flow.curvature(x, eps)
+    assert declared.shape == (len(x),)
+    assert np.all(sampled <= declared * (1 + 1e-6) + 1e-6)
+    if name == "rotation(2)":       # the rotation bound is exact
+        assert np.allclose(sampled, declared, rtol=1e-5)
+
+
+def test_only_pushed_forward_flows_estimate_their_curvature():
+    for flow in fl.BUILTIN_FLOWS.values():
+        assert flow.curvature is not None
+        assert flow.reversed().curvature is flow.curvature
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
+                                 fl.BUILTIN_FLOWS["rotation"])
+    assert pushed.curvature is None
+
+
+@pytest.mark.parametrize("name", ["translation", "linear_shear"])
+def test_straight_orbits_are_decided_in_one_pass(name, monkeypatch):
+    passes = []
+    real = geometry._polyline_sq_min
+
+    def counting(*args):
+        passes.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_polyline_sq_min", counting)
+    flow = fl.BUILTIN_FLOWS[name]
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, (400, 2))
+    y = flow(rng.uniform(0.0, 0.1, len(x)), x) + rng.normal(scale=0.02,
+                                                           size=x.shape)
+    for sign in "+-":
+        passes.clear()
+        member, converged = fl.flow_pair_contains(flow, 0.1, 0.3, x, y, sign)
+        assert converged
+        assert passes == [len(x)]
+        assert 0 < member.sum() < len(x)
