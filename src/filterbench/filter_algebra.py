@@ -16,14 +16,16 @@ first row a table violates; double description and the basis-enumeration
 oracle read the same rows.  All of it runs in integers; ``Fraction`` is
 left only at the boundary, in returned vertices and graded values.
 
-An ``IndicatorFilter`` stores its table as one int bitset: bit i is the
-value on ``opens[i]``.  ``values`` is a read-only tuple view of it for JSON
-and callers that index by position.  On that encoding the order test is a
-subset test, a principal filter is the AND of the per-point masks
-``FiniteTopology.point_opens``, and a pushforward is a gather through the
-map's cached preimage index map.  The set-level routes
+On a finite topology a filter's support is intersection-closed and upward
+closed, so the filter is principal at its minimal open (Alexandrov 1937;
+Barmak 2011).  An ``IndicatorFilter`` stores only that open, ``base``: the
+order test is reverse inclusion of bases, the filter at a point set is the
+filter at its hull, and a pushforward is the hull of the image of
+``base``.  ``bits`` (bit i is the value on ``opens[i]``) and ``values`` are
+views derived on each access.  ``check_filter_axioms`` is the one way from
+a table to a filter; it and the value-table routes
 (``enumerate_filters_bruteforce``, ``b_polytope_vertices_bruteforce``)
-stay as independent oracles.
+stay independent oracles.
 
 A family of filters is an int bitset one level up: bit k stands for the
 k-th proper filter in canonical order.  The filter-space topology tau^e has
@@ -71,22 +73,20 @@ TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e base, axio
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class IndicatorFilter:
+    """The filter of every open containing ``base``."""
     topology: FiniteTopology
-    bits: int  # bit i is the value on topology.opens[i]
+    base: int  # the minimal open of the support
 
-    @classmethod
-    def from_values(cls, topology: FiniteTopology, values: Sequence[int]) -> "IndicatorFilter":
-        """Build from a 0/1 table in the canonical opens order; any other
-        value, 0.9 or "1" included, is rejected, not converted."""
-        bits = 0
-        for i, v in enumerate(values):
-            if v not in (0, 1):
-                raise FilterAxiomViolation("A", None, "values must be 0 or 1")
-            if v:
-                bits |= 1 << i
-        return cls(topology, bits)
+    @property
+    def bits(self) -> int:
+        """The table as a bitset over open indices: bit i is the value on opens[i]."""
+        bits = (1 << len(self.topology.opens)) - 1
+        for p, containing in enumerate(self.topology.point_opens):
+            if self.base >> p & 1:
+                bits &= containing
+        return bits
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -94,36 +94,17 @@ class IndicatorFilter:
         digits = format(self.bits, f"0{len(self.topology.opens)}b")
         return tuple(digits[::-1].encode().translate(_DIGIT_VALUES))
 
-    def __repr__(self) -> str:
-        return f"IndicatorFilter(topology={self.topology!r}, values={self.values!r})"
-
     def __call__(self, mask: int) -> int:
-        return self.bits >> self.topology.open_index[mask] & 1
+        """The value on the open ``mask``."""
+        return int(mask & self.base == self.base)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(d for i, d in enumerate(self.topology.opens) if self.bits >> i & 1)
-
-    def minimal_support_mask(self) -> int:
-        """Intersection of the support; lies in the support (axiom (c)).
-
-        A point lies in every supported open iff the support is a subset of
-        the opens containing that point."""
-        m = 0
-        for p, containing in enumerate(self.topology.point_opens):
-            if not self.bits & ~containing:
-                m |= 1 << p
-        return m
+        return tuple(d for d in self.topology.opens if d & self.base == self.base)
 
 
 def principal_filter(t: FiniteTopology, base: int) -> IndicatorFilter:
     """The filter of every open containing the point set ``base``."""
-    bits = (1 << len(t.opens)) - 1
-    point_opens = t.point_opens
-    while base:
-        low = base & -base
-        bits &= point_opens[low.bit_length() - 1]
-        base ^= low
-    return IndicatorFilter(t, bits)
+    return IndicatorFilter(t, t.hull(base))
 
 
 def point_filter(t: FiniteTopology, x: int) -> IndicatorFilter:
@@ -148,14 +129,19 @@ class Refinement:
 def check_filter_axioms(
     topology: FiniteTopology, values: Sequence[int], proper: bool = True
 ) -> IndicatorFilter:
-    """Validate a 0/1 assignment; raises FilterAxiomViolation with a witness."""
+    """Validate a 0/1 assignment in the canonical opens order; raises
+    FilterAxiomViolation with a witness.  Any other value, 0.9 or "1"
+    included, is rejected, not converted.  The one way from a table to a
+    filter."""
     values = tuple(values)
     if len(values) != len(topology.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
-    mu = IndicatorFilter.from_values(topology, values)  # 0/1 values meet the box rows
+    if any(v not in (0, 1) for v in values):  # 0/1 values meet the box rows
+        raise FilterAxiomViolation("A", None, "values must be 0 or 1")
     _, equalities, pairs = _b_polytope_system(topology, proper)
-    _raise_first_violation(mu.values, 0, (), equalities, pairs)
-    return mu
+    _raise_first_violation(values, 0, (), equalities, pairs)
+    # the support is intersection-closed, so its first open is its minimal one
+    return IndicatorFilter(topology, topology.opens[values.index(1)])
 
 
 def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
@@ -165,22 +151,21 @@ def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
         raise NotContinuous(witness)
     if mu.topology != f.source:
         raise TopologyMismatch("filter does not live on the source topology")
-    return IndicatorFilter(f.target, f.pushforward_bits(mu.bits))
+    return IndicatorFilter(f.target, f.image_hull(mu.base))
 
 
 def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorFilter]:
     """All A-class filters on t, canonical order (ascending value tuples).
 
-    On a finite topology the support of a filter is intersection-closed and
-    upward closed, hence principal at its minimal member; candidates are the
-    principal filters of each open set, and distinct opens have distinct
-    principal filters.  The filter-axioms-n* suite checks validate every
-    filter independently; the brute-force oracle is
+    Every filter is principal at its minimal open and distinct opens give
+    distinct filters, so the filters are the opens themselves, the empty
+    one excluded in proper mode.  The filter-axioms-n* suite checks
+    validate every filter independently; the brute-force oracle is
     enumerate_filters_bruteforce.
     """
     if len(t.opens) > ENUMERATION_MAX_OPENS:
         raise SizeLimitExceeded(f"too many opens ({len(t.opens)} > {ENUMERATION_MAX_OPENS})")
-    out = [principal_filter(t, base) for base in t.opens if base or not proper]
+    out = [IndicatorFilter(t, base) for base in t.opens if base or not proper]
     out.sort(key=lambda mu: mu.values)
     return out
 
@@ -202,10 +187,11 @@ def enumerate_filters_bruteforce(t: FiniteTopology, proper: bool = True) -> list
 
 
 def filter_leq(mu: IndicatorFilter, nu: IndicatorFilter) -> bool:
-    """mu <= nu iff mu(D) <= nu(D) for every open D (nu is finer)."""
+    """mu <= nu iff mu(D) <= nu(D) for every open D (nu is finer), iff the
+    base of nu lies in the base of mu."""
     if mu.topology != nu.topology:
         raise TopologyMismatch("filters live on different topologies")
-    return not mu.bits & ~nu.bits
+    return not nu.base & ~mu.base
 
 
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
@@ -215,8 +201,8 @@ def _tau_e_base(t: FiniteTopology) -> tuple[tuple[IndicatorFilter, ...], tuple[i
 
     Entries are immutable, so concurrent suite workers may share them."""
     universe = tuple(enumerate_filters(t, proper=True))
-    base = tuple(sum(1 << k for k, mu in enumerate(universe) if mu.bits >> i & 1)
-                 for i in range(len(t.opens)))
+    base = tuple(sum(1 << k for k, mu in enumerate(universe) if not mu.base & ~d)
+                 for d in t.opens)
     return universe, base
 
 
@@ -235,8 +221,8 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
 
     Preimages commute with unions and every tau^e-open is a union of base
     sets U_D, so it suffices that each preimage (f*)^-1(U_D) is open; it
-    is read off the pushforward bits, as the source filters whose image
-    takes the value 1 on D.  The witness (on failure, which would indicate
+    is read off the pushed bases, as the source filters whose image has
+    its base inside D.  The witness (on failure, which would indicate
     an engine bug) is the first target open D, as a point set, whose
     preimage is not open.
     """
@@ -244,9 +230,9 @@ def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | No
     if not ok:
         raise NotContinuous(witness)
     universe, base = _tau_e_base(f.source)
-    pushed = [f.pushforward_bits(mu.bits) for mu in universe]
-    for j, d in enumerate(f.target.opens):
-        preimage = sum(1 << k for k, bits in enumerate(pushed) if bits >> j & 1)
+    pushed = [f.image_hull(mu.base) for mu in universe]
+    for d in f.target.opens:
+        preimage = sum(1 << k for k, e in enumerate(pushed) if not e & ~d)
         if _tau_e_uncovered(base, preimage):
             return False, set_of(d)
     return True, None
@@ -480,7 +466,7 @@ def check_refinement(r: Refinement) -> tuple[bool, object]:
             missing = px.bits & ~mu.bits
             if missing:
                 return False, (x, mu.values, set_of(t.first_open(missing)))
-            if mu.bits == px.bits:
+            if mu.base == px.base:
                 return False, (x, mu.values,
                                "no open distinguishes mu from the point filter")
     return True, None

@@ -4,21 +4,22 @@ Open sets are stored as integer bitmasks over point indices 0..n-1; the
 canonical form keeps the masks sorted ascending, so equal topologies compare
 equal bit-for-bit.
 
-A family of opens is an int bitset over open indices: bit i stands for
-``opens[i]``.  Filters use this encoding (see filter_algebra), and the
-tables that serve it are built lazily, once per object, and then reused:
-``FiniteTopology.point_opens`` holds, per point, the bitset of opens
-containing it, and ``PointMap.pushforward_bits`` gathers a source bitset
-through the preimage index map ``PointMap.open_preimages``.
+Every point p has a smallest open neighbourhood, the AND of the opens
+containing it (Alexandrov 1937).  ``FiniteTopology.hull`` ORs these into
+the smallest open containing a point set, and ``PointMap.image_hull`` takes
+the hull of an image.  A filter is stored as such a smallest open (see
+filter_algebra), so these two are the whole of its kernel.  A family of
+opens, as a filter's value table, is an int bitset over open indices: bit
+i stands for ``opens[i]``.  The per-point tables are built lazily, once
+per object, and then reused.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     IndexOutOfRange,
@@ -40,16 +41,6 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def set_of(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _gather_bits(src_of: Sequence[int], width: int) -> Callable[[int], int]:
-    """The map taking a ``width``-bit set to the set whose bit j is bit
-    ``src_of[j]`` of the input, run as one C-level string gather."""
-    # format() writes bit i at position width-1-i, and int(..., 2) reads the
-    # picked characters back most significant first
-    pick = operator.itemgetter(*[width - 1 - i for i in reversed(src_of)])
-    spec = f"0{width}b"
-    return lambda bits: int("".join(pick(format(bits, spec))), 2)
 
 
 @dataclass(frozen=True)
@@ -75,6 +66,21 @@ class FiniteTopology:
             sum(1 << i for i, d in enumerate(self.opens) if d >> p & 1)
             for p in range(self.n)
         )
+
+    @cached_property
+    def minimal_opens(self) -> tuple[int, ...]:
+        """Per point p, the smallest open containing p: a subset of, so as an
+        int below, every other open containing p."""
+        return tuple(self.first_open(bits) for bits in self.point_opens)
+
+    def hull(self, mask: int) -> int:
+        """The smallest open containing the point set ``mask``: the OR of the
+        minimal opens of its points."""
+        out = 0
+        for p, m in enumerate(self.minimal_opens):
+            if mask >> p & 1:
+                out |= m
+        return out
 
     def first_open(self, bits: int) -> int:
         """The open of a nonempty open-index bitset that comes first in
@@ -109,11 +115,14 @@ class PointMap:
         index = self.source.open_index
         return tuple(index.get(self.preimage_mask(d)) for d in self.target.opens)
 
-    @cached_property
-    def pushforward_bits(self) -> Callable[[int], int]:
-        """Source open-index bitset -> target bitset, bit j taken from the
-        preimage of ``target.opens[j]``; needs a continuous map."""
-        return _gather_bits(self.open_preimages, len(self.source.opens))
+    def image_hull(self, mask: int) -> int:
+        """The smallest target open containing the image of the source point
+        set ``mask``."""
+        image = 0
+        for i, fi in enumerate(self.image):
+            if mask >> i & 1:
+                image |= 1 << fi
+        return self.target.hull(image)
 
 
 def validate_topology(n: int, family: Iterable[Iterable[int]]) -> FiniteTopology:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaViolation
+from .errors import FilterAxiomViolation, ParseError, SchemaViolation
 from .filter_algebra import IndicatorFilter, Refinement, check_filter_axioms
 from .finite_topology import FiniteTopology, PointMap, validate_topology
 from .flows import Flow, linear_flow, rotation_flow, scaling_flow, \
@@ -120,12 +120,16 @@ def _load_refinement(payload: dict, where: str) -> Refinement:
                 f"{where}.assignment[{i}]: expected a list of filters")
         filters = []
         for j, values in enumerate(row):
-            if (not isinstance(values, list) or len(values) != len(t.opens)
-                    or any(v not in (0, 1) for v in values)):
+            if not isinstance(values, list) or len(values) != len(t.opens):
                 raise SchemaViolation(
                     f"{where}.assignment[{i}][{j}]: expected "
                     f"{len(t.opens)} 0/1 entries")
-            filters.append(IndicatorFilter.from_values(t, values))
+            try:
+                filters.append(check_filter_axioms(t, values, proper=False))
+            except FilterAxiomViolation as e:
+                raise FilterAxiomViolation(
+                    e.axiom, e.witness,
+                    f"{where}.assignment[{i}][{j}]: {e}") from None
         rows.append(tuple(filters))
     return Refinement(t, tuple(rows))
 

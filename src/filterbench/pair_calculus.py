@@ -4,10 +4,12 @@ A pair on an n-point space is encoded as the index i*n + j; relations are
 bitmasks over those n*n indices.  Pair filters reuse IndicatorFilter over the
 product topology, so a single axiom checker covers everything.
 
-On the bitset encoding a principal pair filter is an AND of point masks,
-composition runs on the two minimal support masks, and the swap is a gather
-through an open-index permutation that ``ProductSpace.swap_bits`` builds on
-first use, from one ``transpose_mask`` call per open, and keeps.
+A pair filter is stored by its minimal open, a relation mask (see
+filter_algebra).  A principal pair filter is the filter at the hull of its
+relation, composition is the hull of the composed minimal opens, and the
+swap looks up the transpose of the minimal open, which is open because the
+swap is a homeomorphism.  ``ProductSpace.transposed`` builds that table on
+first use, from one ``transpose_mask`` call per open, and keeps it.
 
 Metric-space pair filters (generator-based) live in metric_filters; the
 functions here are the exact finite half of the calculus.
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import SizeLimitExceeded, TopologyMismatch
-from .filter_algebra import IndicatorFilter, filter_leq, principal_filter
-from .finite_topology import FiniteTopology, _gather_bits, set_of
+from .filter_algebra import (IndicatorFilter, check_filter_axioms, filter_leq,
+                             principal_filter)
+from .finite_topology import FiniteTopology, set_of
 
 PRODUCT_MAX_POINTS = 4
 
@@ -99,16 +103,11 @@ class ProductSpace:
     topology: FiniteTopology  # on base.n ** 2 points
 
     @cached_property
-    def swap_bits(self) -> Callable[[int], int]:
-        """Open-index bitset -> its pushforward along the swap.
-
-        sigma is an involution and a homeomorphism, so sigma* mu(D) is
-        mu at the transpose of D, which is open."""
-        index = self.topology.open_index
+    def transposed(self) -> Mapping[int, int]:
+        """Read-only map from each open of the square to its transpose, the
+        image under the homeomorphism sigma(x, y) = (y, x)."""
         n = self.base.n
-        return _gather_bits(
-            [index[transpose_mask(n, d)] for d in self.topology.opens],
-            len(self.topology.opens))
+        return MappingProxyType({d: transpose_mask(n, d) for d in self.topology.opens})
 
 
 def product_topology(t: FiniteTopology) -> ProductSpace:
@@ -150,33 +149,33 @@ def compose_filters(
 ) -> IndicatorFilter:
     """mu o nu (D) = 1 iff some open pair E, F in the supports has E o F in D.
 
-    Composition is monotone in both arguments and supports are
-    intersection-closed, so the minimal support elements decide; the
+    Composition is monotone in both arguments, so the minimal opens decide:
+    the result is the filter at the hull of their composition.  The
     double-loop definition is kept in compose_filters_bruteforce as the
     oracle.
     """
     if mu.topology != ps.topology or nu.topology != ps.topology:
         raise TopologyMismatch("pair filters must live on the product topology")
-    n = ps.base.n
-    composed = compose_masks(n, mu.minimal_support_mask(), nu.minimal_support_mask())
-    return principal_filter(ps.topology, composed)
+    return principal_filter(ps.topology, compose_masks(ps.base.n, mu.base, nu.base))
 
 
 def compose_filters_bruteforce(
     mu: IndicatorFilter, nu: IndicatorFilter, ps: ProductSpace
 ) -> IndicatorFilter:
-    """Literal double loop over support pairs; independent oracle."""
+    """Literal double loop over support pairs, read off the value tables;
+    independent oracle."""
     n = ps.base.n
-    comps = {compose_masks(n, e, f) for e in mu.support() for f in nu.support()}
-    values = tuple(
-        1 if any(d & c == c for c in comps) else 0 for d in ps.topology.opens
-    )
-    return IndicatorFilter.from_values(ps.topology, values)
+    opens = ps.topology.opens
+    support_mu = [e for e, v in zip(opens, mu.values) if v]
+    support_nu = [f for f, v in zip(opens, nu.values) if v]
+    comps = {compose_masks(n, e, f) for e in support_mu for f in support_nu}
+    values = tuple(1 if any(d & c == c for c in comps) else 0 for d in opens)
+    return check_filter_axioms(ps.topology, values, proper=False)
 
 
 def swap_pushforward(mu: IndicatorFilter, ps: ProductSpace) -> IndicatorFilter:
     """Pushforward along sigma(x, y) = (y, x); an involution."""
-    return IndicatorFilter(ps.topology, ps.swap_bits(mu.bits))
+    return IndicatorFilter(ps.topology, ps.transposed[mu.base])
 
 
 # --- uniformities ------------------------------------------------------------
@@ -199,11 +198,11 @@ class UniformityReport:
 def _half_composition(mu: IndicatorFilter, n: int) -> tuple[bool, object]:
     """Every D in the support contains some E o E with E in the support.
 
-    By monotonicity of composition, E = m, the minimal support mask, is the
-    best choice, and every D contains m; on a filter m is also the first
+    By monotonicity of composition, E = m, the minimal open, is the best
+    choice, and every D contains m; on a filter m is also the first
     supported open.  So the test is m o m within m, and m is the witness.
     """
-    m = mu.minimal_support_mask()
+    m = mu.base
     if compose_masks(n, m, m) & ~m:
         return False, set_of(m)
     return True, None

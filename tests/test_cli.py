@@ -158,6 +158,20 @@ class TestMain:
         assert rec["witness"]["witness"] == [
             0, [0, 1, 1], "no open distinguishes mu from the point filter"]
 
+    def test_refinement_member_that_is_no_filter_is_input_error(
+            self, tmp_path, capsys):
+        # [1, 0, 1] is 1 on the empty set and 0 on {0}: not monotone
+        payload = {"kind": "refinement", "topology": SIERPINSKI,
+                   "assignment": [[[1, 1, 1]], [[1, 0, 1]]]}
+        code = main(["check", "refinement", write(tmp_path, "r.json", payload)])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert code == 2
+        assert captured.out == ""
+        assert err["error"] == "FilterAxiomViolation"
+        assert err["detail"] == {"axiom": "B", "witness": [0, 0b01]}
+        assert "r.json.assignment[1][0]: mu([]) > mu([0])" in err["message"]
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["check", "topology", str(tmp_path / "nope.json")])
         err = json.loads(capsys.readouterr().err)

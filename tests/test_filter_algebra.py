@@ -274,13 +274,13 @@ class TestTauE:
             for f in _continuous_maps(a, b):
                 sources = enumerate_filters(f.source)
                 targets = enumerate_filters(f.target)
-                index = {nu.bits: j for j, nu in enumerate(targets)}
-                push = [index[f.pushforward_bits(mu.bits)] for mu in sources]
+                index = {nu.base: j for j, nu in enumerate(targets)}
+                push = [index[f.image_hull(mu.base)] for mu in sources]
                 if reverse:
                     push = [len(targets) - 1 - j for j in push]
-                    # the instance slot of the cached pushforward_bits
-                    f.__dict__["pushforward_bits"] = {
-                        mu.bits: targets[j].bits
+                    # an instance attribute shadows the image_hull method
+                    f.__dict__["image_hull"] = {
+                        mu.base: targets[j].base
                         for mu, j in zip(sources, push)}.__getitem__
                 expected = all(
                     sum(1 << i for i, j in enumerate(push) if w >> j & 1)
@@ -291,11 +291,12 @@ class TestTauE:
         assert verdicts == ({True, False} if reverse else {True})
 
     def test_complemented_pushforward_fails(self, monkeypatch):
-        # o(0) is pushed to the table of o(1)'s complement: 1 on the empty
-        # set and {1}, so the preimage of U_{1} = {o(1)} is {o(0)}, not open
+        # complementing point 0 in each pushed base exchanges o(0) (base X)
+        # and o(1) (base {1}), so the preimage of U_{1} = {o(1)} is {o(0)},
+        # not open
         t = sierpinski()
-        monkeypatch.setattr(PointMap, "pushforward_bits", property(
-            lambda f: lambda bits: ~bits & (1 << len(f.target.opens)) - 1))
+        monkeypatch.setattr(PointMap, "image_hull",
+                            lambda f, mask: f.target.hull(mask) ^ 0b01)
         assert check_pushforward_continuity(PointMap(t, t, (0, 1))) == (
             False, frozenset({1}))
 

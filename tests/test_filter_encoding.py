@@ -1,0 +1,158 @@
+"""The minimal-open encoding of IndicatorFilter against the value tables.
+
+A filter is stored as the minimal open of its support.  Every view and
+operation is compared with its definition evaluated on 0/1 value tables
+that are built literally, over every topology on at most 3 points, in both
+modes, and over the Sierpinski and discrete-2 squares.  Results are
+compared as filters, with the filter check_filter_axioms builds from the
+table, so a stored base that is not the minimal open fails too.
+"""
+
+import itertools
+from types import SimpleNamespace
+
+import pytest
+
+from filterbench.errors import TopologyMismatch
+from filterbench.filter_algebra import (
+    b_polytope_vertices_bruteforce,
+    check_filter_axioms,
+    enumerate_filters,
+    enumerate_filters_bruteforce,
+    filter_leq,
+    pushforward,
+)
+from filterbench.finite_topology import (
+    FiniteTopology,
+    PointMap,
+    enumerate_topologies,
+    is_continuous,
+)
+from filterbench.pair_calculus import (
+    compose_filters,
+    compose_filters_bruteforce,
+    compose_masks,
+    product_topology,
+    swap_pushforward,
+    transpose_mask,
+)
+
+from test_finite_topology import discrete, sierpinski
+
+SMALL = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+SQUARES = {"sierpinski": product_topology(sierpinski()),
+           "discrete2": product_topology(discrete(2))}
+
+
+def _tables(t, proper):
+    """The value table of the filter at each open E, by definition: 1 on
+    the opens containing E; the empty E only in improper mode."""
+    return [tuple(int(e & d == e) for d in t.opens)
+            for e in t.opens if e or not proper]
+
+
+def _filters(t, proper):
+    return [check_filter_axioms(t, table, proper) for table in _tables(t, proper)]
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_views_match_the_value_tables(proper):
+    topologies = SMALL + [ps.topology for ps in SQUARES.values()]
+    for t in topologies:
+        tables = _tables(t, proper)
+        assert sorted(tables) == [mu.values for mu in enumerate_filters(t, proper)]
+        for table in tables:
+            mu = check_filter_axioms(t, table, proper)
+            assert mu.values == table
+            assert mu.bits == sum(v << i for i, v in enumerate(table))
+            assert mu.support() == tuple(d for d, v in zip(t.opens, table) if v)
+            assert tuple(mu(d) for d in t.opens) == table
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_small_spaces_have_no_other_filters(proper):
+    # the scan over every 0/1 table admits exactly the tables of the opens
+    for t in SMALL:
+        by_table = sorted(_filters(t, proper), key=lambda mu: mu.values)
+        assert enumerate_filters_bruteforce(t, proper) == by_table \
+            == enumerate_filters(t, proper)
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_order_is_pointwise(proper):
+    # the squares: TestBitsetOracles.test_filter_leq_is_elementwise
+    for t in SMALL:
+        universe = _filters(t, proper)
+        for mu, nu in itertools.product(universe, repeat=2):
+            assert filter_leq(mu, nu) == all(
+                a <= b for a, b in zip(mu.values, nu.values))
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_pushforward_is_the_pulled_back_table(proper):
+    # f* mu (D) = mu(f^-1 D), on every continuous map between topologies on
+    # at most 3 points
+    maps = 0
+    for src, tgt in itertools.product(SMALL, repeat=2):
+        filters = _filters(src, proper)
+        for image in itertools.product(range(tgt.n), repeat=src.n):
+            f = PointMap(src, tgt, image)
+            if not is_continuous(f)[0]:
+                continue
+            maps += 1
+            index = [src.open_index[f.preimage_mask(d)] for d in tgt.opens]
+            for mu in filters:
+                table = tuple(mu.values[i] for i in index)
+                assert pushforward(f, mu) == check_filter_axioms(tgt, table, False)
+    assert maps == 11_310
+
+
+@pytest.mark.parametrize("ps", SQUARES.values(), ids=SQUARES.keys())
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_pair_operations_match_their_definitions(ps, proper):
+    opens = ps.topology.opens
+    n = ps.base.n
+    swap_index = [ps.topology.open_index[transpose_mask(n, d)] for d in opens]
+    universe = _filters(ps.topology, proper)
+    for mu in universe:
+        # sigma* mu (D) = mu(sigma^-1 D), and sigma^-1 D is the transpose
+        table = tuple(mu.values[i] for i in swap_index)
+        assert swap_pushforward(mu, ps) == check_filter_axioms(ps.topology, table, False)
+    for mu, nu in itertools.product(universe, repeat=2):
+        # (mu o nu)(D) = 1 iff E o F lies in D for some E, F in the supports
+        comps = {compose_masks(n, e, f)
+                 for e, a in zip(opens, mu.values) if a
+                 for f, b in zip(opens, nu.values) if b}
+        table = tuple(int(any(c & d == c for c in comps)) for d in opens)
+        assert compose_filters(mu, nu, ps) == check_filter_axioms(ps.topology, table, False)
+
+
+def test_oracles_read_only_value_tables(monkeypatch):
+    # with the hull disabled the oracles still run, and the composition
+    # oracle accepts stand-ins that carry a value table and no minimal open
+    def no_hull(*args):
+        raise AssertionError("an oracle reached the minimal-open kernel")
+
+    ps = SQUARES["discrete2"]
+    universe = _filters(ps.topology, proper=False)
+    want = [[compose_filters(mu, nu, ps) for nu in universe] for mu in universe]
+    monkeypatch.setattr(FiniteTopology, "hull", no_hull)
+    monkeypatch.setattr(PointMap, "image_hull", no_hull)
+    tables = [SimpleNamespace(values=mu.values) for mu in universe]
+    for row, a in zip(want, tables):
+        for composed, b in zip(row, tables):
+            assert compose_filters_bruteforce(a, b, ps) == composed
+    for t in SMALL:
+        for proper in (True, False):
+            assert [mu.values for mu in enumerate_filters_bruteforce(t, proper)] \
+                == sorted(_tables(t, proper))
+    vertices = b_polytope_vertices_bruteforce(sierpinski(), proper=True)
+    assert vertices == [(0, 0, 1), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("table", [(0, 1), (0, 1, 1, 1)], ids=["short", "long"])
+def test_table_of_the_wrong_length_is_refused(table):
+    # neither padded with 0 nor read past the last open
+    with pytest.raises(TopologyMismatch):
+        check_filter_axioms(sierpinski(), table, proper=False)
+

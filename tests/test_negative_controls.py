@@ -1,0 +1,48 @@
+"""Negative controls: a check that cannot fail shows nothing.
+
+Each control mutates one engine function and runs the suite that holds the
+check; the named checks must then fail.  A control with the engine intact
+(the unmutated run) must pass, so a failure is the mutation's doing.
+"""
+
+import pytest
+
+from filterbench import pair_calculus as pc
+from filterbench.suites import RunConfig, run_suite
+
+CONFIG = RunConfig(seed=1, samples=50)
+
+
+def _reversed_composition(monkeypatch):
+    compose = pc.compose_filters
+    monkeypatch.setattr(pc, "compose_filters",
+                        lambda mu, nu, ps: compose(nu, mu, ps))
+
+
+def _identity_swap_table(monkeypatch):
+    monkeypatch.setattr(pc.ProductSpace, "transposed", property(
+        lambda ps: {d: d for d in ps.topology.opens}))
+
+
+# (suite, mutation, the checks it must make fail)
+CONTROLS = {
+    "reversed-compose": ("pair-composition", _reversed_composition,
+                         ["principal-compose-discrete2-exhaustive"]),
+    "identity-swap": ("pair-composition", _identity_swap_table,
+                      ["swap-interplay-discrete2-exhaustive",
+                       "uniformity-asymmetric-witness"]),
+}
+
+
+def _verdicts(suite):
+    return {r.check_id: r.verdict for r in run_suite(suite, CONFIG).records}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_mutation_fails_its_checks(control, monkeypatch):
+    suite, mutate, check_ids = CONTROLS[control]
+    intact = _verdicts(suite)
+    assert [intact[c] for c in check_ids] == ["pass"] * len(check_ids)
+    mutate(monkeypatch)
+    mutated = _verdicts(suite)
+    assert [mutated[c] for c in check_ids] == ["fail"] * len(check_ids)
