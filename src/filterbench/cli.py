@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,9 +54,18 @@ def _emit(report: SuiteReport, args) -> int:
     return report.exit_code
 
 
-def _single(args, name: str, records) -> int:
-    config = _config(args)
-    return _emit(SuiteReport(name, config.as_dict(), tuple(records)), args)
+def _single(args, name: str, *checks) -> int:
+    """Run the checks, thunks returning records, in order and timed; each
+    check presumes that none before it failed, so a fail ends the run."""
+    records = []
+    for check in checks:
+        t0 = time.perf_counter()
+        rec = check()
+        records.append(replace(rec, elapsed=time.perf_counter() - t0))
+        if rec.verdict == "fail":
+            break
+    return _emit(SuiteReport(name, _config(args).as_dict(), tuple(records)),
+                 args)
 
 
 def _config(args) -> RunConfig:
@@ -67,131 +78,147 @@ def _config(args) -> RunConfig:
 def _cmd_check(args) -> int:
     if args.what == "topology":
         t = ingest(args.file, "topology")
-        t0, witness = ft.is_t0(t)
-        return _single(args, "check:topology", [
-            record("topology-valid", "sec:2.1", True,
-                   witness={"n": t.n, "opens": len(t.opens)}),
-            record("topology-t0", "sec:2.1", True,
-                   witness={"t0": t0, "witness": witness},
-                   inconclusive=False),
-        ])
+
+        def t0():
+            ok, witness = ft.is_t0(t)
+            return record("topology-t0", "sec:2.1", True,
+                          witness={"t0": ok, "witness": witness})
+        return _single(args, "check:topology", lambda: record(
+            "topology-valid", "sec:2.1", True,
+            witness={"n": t.n, "opens": len(t.opens)}), t0)
     if args.what == "map":
         f = ingest(args.file, "map")
-        cont, witness = ft.is_continuous(f)
-        records = [record("map-continuous", "sec:2.1", cont,
-                          witness={"open_preimage_witness": witness})]
-        if cont:
-            ok, w = fa.check_pushforward_continuity(f)
-            records.append(record("pushforward-continuity", "prop:prop26",
-                                  ok, witness={"witness": w}))
-        return _single(args, "check:map", records)
+
+        def continuity():
+            ok, witness = ft.is_continuous(f)
+            return record("map-continuous", "sec:2.1", ok,
+                          witness={"open_preimage_witness": witness})
+
+        def prop26():
+            ok, witness = fa.check_pushforward_continuity(f)
+            return record("pushforward-continuity", "prop:prop26", ok,
+                          witness={"witness": witness})
+        return _single(args, "check:map", continuity, prop26)
     if args.what == "filter":
-        try:
-            mu = ingest(args.file, "filter",
-                        proper=not args.improper_filters)
-        except FilterAxiomViolation as e:
-            rec = record("filter-axioms", "def:dfilta", False,
-                         witness={"axiom": e.axiom, "error": str(e)})
-        else:
-            rec = record("filter-axioms", "def:dfilta", True,
-                         witness={"support": [sorted(ft.set_of(s))
-                                              for s in mu.support()]})
-        return _single(args, "check:filter", [rec])
+        def axioms():
+            try:
+                mu = ingest(args.file, "filter",
+                            proper=not args.improper_filters)
+            except FilterAxiomViolation as e:
+                return record("filter-axioms", "def:dfilta", False,
+                              witness={"axiom": e.axiom, "error": str(e)})
+            return record("filter-axioms", "def:dfilta", True,
+                          witness={"support": [sorted(ft.set_of(s))
+                                               for s in mu.support()]})
+        return _single(args, "check:filter", axioms)
     if args.what == "refinement":
-        r = ingest(args.file, "refinement")
-        ok, witness = fa.check_refinement(r)
-        return _single(args, "check:refinement", [
-            record("refinement-valid", "def:def27", ok,
-                   witness={"witness": witness})])
-    rel = ingest(args.file, "relation")
-    ps = pc.product_topology(ft.validate_topology(rel.n, range(1 << rel.n)))
-    omega = pc.principal_pair_filter(
-        ps, pc.relation_mask(rel.n, list(rel.pairs)))
-    rep = pc.check_uniformity(omega, ps)
-    return _single(args, "check:uniformity", [
-        record("uniformity-axioms", "def:def29", rep.is_uniformity,
-               witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
-                        "axiom_c": rep.axiom_c,
-                        "axiom_a_witness": rep.axiom_a_witness})])
+        def refinement():
+            ok, witness = fa.check_refinement(ingest(args.file, "refinement"))
+            return record("refinement-valid", "def:def27", ok,
+                          witness={"witness": witness})
+        return _single(args, "check:refinement", refinement)
+
+    def uniformity():
+        rel = ingest(args.file, "relation")
+        ps = pc.product_topology(
+            ft.validate_topology(rel.n, range(1 << rel.n)))
+        omega = pc.principal_pair_filter(
+            ps, pc.relation_mask(rel.n, list(rel.pairs)))
+        rep = pc.check_uniformity(omega, ps)
+        return record("uniformity-axioms", "def:def29", rep.is_uniformity,
+                      witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
+                               "axiom_c": rep.axiom_c,
+                               "axiom_a_witness": rep.axiom_a_witness})
+    return _single(args, "check:uniformity", uniformity)
 
 
 # --- enumerate ---------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
     if args.what == "topologies":
-        tops = list(ft.enumerate_topologies(args.n, t0_only=args.t0_only))
-        witness = {"count": len(tops),
-                   "opens": [[sorted(ft.set_of(o)) for o in t.opens]
-                             for t in tops]}
-        return _single(args, "enumerate:topologies", [
-            record(f"topologies-n{args.n}", "sec:2.1", True, witness=witness,
-                   samples=len(tops))])
-    t = ingest(args.file, "topology")
-    filters = fa.enumerate_filters(t, proper=not args.improper_filters)
-    witness = {"count": len(filters),
-               "values": [list(mu.values) for mu in filters]}
-    return _single(args, "enumerate:filters", [
-        record("filters", "def:dfilta", True, witness=witness,
-               samples=len(filters))])
+        def topologies():
+            tops = list(ft.enumerate_topologies(args.n, t0_only=args.t0_only))
+            witness = {"count": len(tops),
+                       "opens": [[sorted(ft.set_of(o)) for o in t.opens]
+                                 for t in tops]}
+            return record(f"topologies-n{args.n}", "sec:2.1", True,
+                          witness=witness, samples=len(tops))
+        return _single(args, "enumerate:topologies", topologies)
+
+    def filters():
+        found = fa.enumerate_filters(ingest(args.file, "topology"),
+                                     proper=not args.improper_filters)
+        witness = {"count": len(found),
+                   "values": [list(mu.values) for mu in found]}
+        return record("filters", "def:dfilta", True, witness=witness,
+                      samples=len(found))
+    return _single(args, "enumerate:filters", filters)
 
 
 # --- geom --------------------------------------------------------------------
 
 def _cmd_geom(args) -> int:
     if args.what == "classify":
-        seq = ingest(args.file, "sequence")
-        v = mf.classify_sequence(seq.points, seq.x, seq.u)
-        return _single(args, "geom:classify", [
-            record("sequence-classification", "sec:1:step7", v.agreement,
-                   witness={"converges_to_point": v.converges_to_point,
-                            "direction_limit": v.direction_limit,
-                            "matches_filter": v.matches_filter,
-                            "agreement": v.agreement},
-                   samples=len(seq.points))])
+        def classify():
+            seq = ingest(args.file, "sequence")
+            v = mf.classify_sequence(seq.points, seq.x, seq.u)
+            return record("sequence-classification", "sec:1:step7",
+                          v.agreement,
+                          witness={"converges_to_point": v.converges_to_point,
+                                   "direction_limit": v.direction_limit,
+                                   "matches_filter": v.matches_filter,
+                                   "agreement": v.agreement},
+                          samples=len(seq.points))
+        return _single(args, "geom:classify", classify)
     if args.what == "cone":
-        g = mf.ConeGenerator(_parse_vector(args.x), _parse_vector(args.u),
-                             args.eps, args.sigma)
-        inside = bool(mf.v_plus_contains(g, _parse_vector(args.y)))
-        return _single(args, "geom:cone", [
-            record("cone-membership", "sec:1:step7", True,
-                   witness={"member": inside})])
-    spec = _builtin(BUILTIN_MAPS, args.map, "map")
-    rng = np.random.default_rng(args.seed)
-    out = mf.transport_via_sequences(spec, _parse_vector(args.x),
-                                     _parse_vector(args.u), rng=rng)
-    ok = out.residual_angle < mf.TRANSPORT_TOL
-    return _single(args, "geom:transport", [
-        record("transport-direction", "thm:trad1", ok,
-               witness={"direction": out.direction,
-                        "expected": out.expected,
-                        "residual_angle": out.residual_angle},
-               seed=args.seed)])
+        def cone():
+            g = mf.ConeGenerator(_parse_vector(args.x), _parse_vector(args.u),
+                                 args.eps, args.sigma)
+            inside = bool(mf.v_plus_contains(g, _parse_vector(args.y)))
+            return record("cone-membership", "sec:1:step7", True,
+                          witness={"member": inside})
+        return _single(args, "geom:cone", cone)
+
+    def transport():
+        out = mf.transport_via_sequences(
+            _builtin(BUILTIN_MAPS, args.map, "map"), _parse_vector(args.x),
+            _parse_vector(args.u), rng=np.random.default_rng(args.seed))
+        ok = out.residual_angle < mf.TRANSPORT_TOL
+        return record("transport-direction", "thm:trad1", ok,
+                      witness={"direction": out.direction,
+                               "expected": out.expected,
+                               "residual_angle": out.residual_angle},
+                      seed=args.seed)
+    return _single(args, "geom:transport", transport)
 
 
 # --- snowflake ---------------------------------------------------------------
 
 def _cmd_snowflake(args) -> int:
     if args.what == "separate":
-        out = sf.separate_polynomials(_parse_coeffs(args.p1),
-                                      _parse_coeffs(args.p2), args.m)
-        if out == "equal":
-            witness = {"status": "equal"}
-            ok = True
-        else:
-            witness = {"status": out["status"],
-                       "min_ratio": out["min_ratio"],
-                       "generator_aperture": out["generator"].lam}
-            ok = out["verified"]
-        return _single(args, "snowflake:separate", [
-            record("polynomial-separation", "sec:2.3:prop", ok,
-                   witness=witness)])
-    out = sf.check_poly_derivable(
-        _builtin(sf.BUILTIN_FUNCS, args.f, "function"), args.x,
-        _parse_coeffs(args.p), args.m)
-    return _single(args, "snowflake:derive", [
-        record("polynomial-derivability", "sec:2.3:thm", out["matches"],
-               witness={"truncation": out["oracle_coeffs"],
-                        "ratios": out["ratios"]})])
+        def separate():
+            out = sf.separate_polynomials(_parse_coeffs(args.p1),
+                                          _parse_coeffs(args.p2), args.m)
+            if out == "equal":
+                witness = {"status": "equal"}
+                ok = True
+            else:
+                witness = {"status": out["status"],
+                           "min_ratio": out["min_ratio"],
+                           "generator_aperture": out["generator"].lam}
+                ok = out["verified"]
+            return record("polynomial-separation", "sec:2.3:prop", ok,
+                          witness=witness)
+        return _single(args, "snowflake:separate", separate)
+
+    def derive():
+        out = sf.check_poly_derivable(
+            _builtin(sf.BUILTIN_FUNCS, args.f, "function"), args.x,
+            _parse_coeffs(args.p), args.m)
+        return record("polynomial-derivability", "sec:2.3:thm", out["matches"],
+                      witness={"truncation": out["oracle_coeffs"],
+                               "ratios": out["ratios"]})
+    return _single(args, "snowflake:derive", derive)
 
 
 # --- flow --------------------------------------------------------------------
@@ -210,32 +237,36 @@ def _cmd_flow(args) -> int:
     config = _config(args)
     flow = _flow_of(args)
     if args.what == "conditions":
-        rep = fl.check_flow_conditions(flow, samples=config.samples,
-                                       seed=config.seed)
-        return _single(args, "flow:conditions", [
-            record("flow-conditions", "sec:2.4:conditions", rep.all_pass,
-                   witness={"passes": rep.passes,
-                            "identity_residual": rep.identity_residual,
-                            "group_residual": rep.group_residual,
-                            "m_table": {str(k): v for k, v
-                                        in rep.m_table.items()},
-                            "c_constant": rep.c_constant,
-                            "converged": rep.converged},
-                   seed=config.seed, samples=config.samples,
-                   inconclusive=not rep.converged)])
+        def conditions():
+            rep = fl.check_flow_conditions(flow, samples=config.samples,
+                                           seed=config.seed)
+            return record(
+                "flow-conditions", "sec:2.4:conditions", rep.all_pass,
+                witness={"passes": rep.passes,
+                         "identity_residual": rep.identity_residual,
+                         "group_residual": rep.group_residual,
+                         "m_table": {str(k): v for k, v
+                                     in rep.m_table.items()},
+                         "c_constant": rep.c_constant,
+                         "converged": rep.converged},
+                seed=config.seed, samples=config.samples,
+                inconclusive=not rep.converged)
+        return _single(args, "flow:conditions", conditions)
     if args.what == "transport":
-        out = flow_transport(_builtin(BUILTIN_MAPS, args.map, "map"), flow,
-                             config.samples, config.seed)
-        return _single(args, "flow:transport", [
-            out.record("flow-transport", "lem:lem3", config.seed)])
+        return _single(args, "flow:transport", lambda: flow_transport(
+            _builtin(BUILTIN_MAPS, args.map, "map"), flow, config.samples,
+            config.seed).record("flow-transport", "lem:lem3", config.seed))
     anchor, recipe, _ = FLOW_RECIPES[args.what]
-    rep = fl.check_flow_conditions(
-        flow, samples=min(config.samples, REPORT_SAMPLES), seed=config.seed)
-    out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
-                 seed=config.seed)
-    return _single(args, f"flow:{args.what}", [
-        recipe_outcome(out).record(_RECIPE_CHECK_IDS[args.what], anchor,
-                                   config.seed)])
+
+    def run_recipe():
+        rep = fl.check_flow_conditions(
+            flow, samples=min(config.samples, REPORT_SAMPLES),
+            seed=config.seed)
+        out = recipe(flow, args.eps, args.mu, rep, samples=config.samples,
+                     seed=config.seed)
+        return recipe_outcome(out).record(_RECIPE_CHECK_IDS[args.what],
+                                          anchor, config.seed)
+    return _single(args, f"flow:{args.what}", run_recipe)
 
 
 # --- parser ------------------------------------------------------------------

@@ -63,7 +63,6 @@ from .finite_topology import (
     set_of,
 )
 
-ENUMERATION_MAX_OPENS = 20
 GRADED_TOL = 1e-12
 POLYTOPE_MAX_OPENS = 8
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
@@ -93,10 +92,6 @@ class IndicatorFilter:
         """The 0/1 table over the opens, as a tuple view of ``bits``."""
         digits = format(self.bits, f"0{len(self.topology.opens)}b")
         return tuple(digits[::-1].encode().translate(_DIGIT_VALUES))
-
-    def __call__(self, mask: int) -> int:
-        """The value on the open ``mask``."""
-        return int(mask & self.base == self.base)
 
     def support(self) -> tuple[int, ...]:
         return tuple(d for d in self.topology.opens if d & self.base == self.base)
@@ -163,8 +158,6 @@ def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorF
     validate every filter independently; the brute-force oracle is
     enumerate_filters_bruteforce.
     """
-    if len(t.opens) > ENUMERATION_MAX_OPENS:
-        raise SizeLimitExceeded(f"too many opens ({len(t.opens)} > {ENUMERATION_MAX_OPENS})")
     out = [IndicatorFilter(t, base) for base in t.opens if base or not proper]
     out.sort(key=lambda mu: mu.values)
     return out

@@ -10,7 +10,7 @@ an honest ``inconclusive`` verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,10 +141,6 @@ class PairDirectionalFilter:
         return v_plus_contains(cone, np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
 
-def pair_directional_filter(u) -> PairDirectionalFilter:
-    return PairDirectionalFilter(np.asarray(u, float))
-
-
 def metric_uniformity_contains(s: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Membership in the entourage B(s) = {(x, y) : |x - y| < s}."""
     if not s > 0:
@@ -170,10 +166,7 @@ class SequenceVerdict:
     converges_to_point: bool
     direction_limit: Optional[np.ndarray]
     matches_filter: bool
-    witnesses: list = field(default_factory=list)
-    direct_matches: bool = False
-    generator_matches: bool = False
-    agreement: bool = True
+    agreement: bool
 
 
 def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
@@ -210,22 +203,12 @@ def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
     direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
 
     mu = DirectionalFilter(x, u)
-    generator_ok = True
-    witnesses: list = []
-    for eps, sigma in GENERATOR_GRID:
-        member = mu.contains(eps, sigma, seq[tail])
-        if not bool(member.all()):
-            generator_ok = False
-            bad = np.nonzero(~member)[0] + (len(seq) - tail_n)
-            witnesses.extend(int(i) for i in bad[:5])
-            break
+    generator_ok = all(mu.contains(eps, sigma, seq[tail]).all()
+                       for eps, sigma in GENERATOR_GRID)
     return SequenceVerdict(
         converges_to_point=converges,
         direction_limit=direction_limit,
         matches_filter=direct and generator_ok,
-        witnesses=witnesses,
-        direct_matches=direct,
-        generator_matches=generator_ok,
         agreement=direct == generator_ok,
     )
 
@@ -431,8 +414,8 @@ def check_commutation_directional(
     sections; Minkowski addition commutes, which the sampling confirms by
     re-decomposing every sampled chain in the opposite order.
     """
-    mu_u = pair_directional_filter(u)
-    mu_v = pair_directional_filter(v)
+    mu_u = PairDirectionalFilter(np.asarray(u, float))
+    mu_v = PairDirectionalFilter(np.asarray(v, float))
     eps, sigma = 0.5, 0.3
     rng = np.random.default_rng(seed)
     origin = np.zeros(len(mu_u.u))

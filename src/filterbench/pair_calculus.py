@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import SizeLimitExceeded, TopologyMismatch
-from .filter_algebra import (IndicatorFilter, check_filter_axioms, filter_leq,
+from .filter_algebra import (IndicatorFilter, check_filter_axioms,
                              principal_filter)
 from .finite_topology import FiniteTopology, set_of
 
@@ -187,8 +187,6 @@ class UniformityReport:
     axiom_b: bool
     axiom_b_witness: object
     axiom_c: bool
-    axiom_c_witness: object
-    composition_remark: bool  # Omega o Omega >= Omega
 
     @property
     def is_uniformity(self) -> bool:
@@ -209,15 +207,10 @@ def _half_composition(mu: IndicatorFilter, n: int) -> tuple[bool, object]:
 
 
 def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityReport:
-    n = ps.base.n
-    top = ps.topology
     missing = diagonal_filter(ps).bits & ~omega.bits
     a_ok = not missing
-    a_wit = None if a_ok else set_of(top.first_open(missing))
-    b_ok, b_wit = _half_composition(omega, n)
-    moved = swap_pushforward(omega, ps).bits ^ omega.bits
-    c_ok = not moved
-    c_wit = None if c_ok else set_of(top.first_open(moved))
-    remark = filter_leq(omega, compose_filters(omega, omega, ps))
-    return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok, c_wit, remark)
+    a_wit = None if a_ok else set_of(ps.topology.first_open(missing))
+    b_ok, b_wit = _half_composition(omega, ps.base.n)
+    c_ok = swap_pushforward(omega, ps).base == omega.base
+    return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok)
 

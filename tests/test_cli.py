@@ -317,6 +317,39 @@ class TestMain:
         assert [(r["check_id"], r["verdict"]) for r in records] == [
             ("map-continuous", "pass"), ("pushforward-continuity", "pass")]
 
+    def test_discrete_five_points_has_no_size_limit(self, tmp_path, capsys):
+        # 32 opens: the filters are the opens, listed in linear time
+        discrete = {"kind": "topology", "n": 5,
+                    "opens": [[p for p in range(5) if m >> p & 1]
+                              for m in range(32)]}
+        payload = {"kind": "map", "source": discrete, "target": discrete,
+                   "image": [1, 0, 2, 3, 4]}
+        assert main(["enumerate", "filters",
+                     write(tmp_path, "t.json", discrete)]) == 0
+        rec, = json.loads(capsys.readouterr().out)["records"]
+        assert (rec["verdict"], rec["witness"]["count"]) == ("pass", 31)
+        assert main(["check", "map", write(tmp_path, "m.json", payload)]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["check_id"], r["verdict"]) for r in records] == [
+            ("map-continuous", "pass"), ("pushforward-continuity", "pass")]
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "conditions", "rotation", "--samples", "200"],
+        ["enumerate", "topologies", "3"],
+        ["check", "topology", "sierpinski"],
+    ], ids=["flow-conditions", "enumerate-topologies", "check-topology"])
+    def test_timings_report_elapsed_times(self, argv, tmp_path, capsys):
+        argv = [write(tmp_path, "t.json", SIERPINSKI) if a == "sierpinski"
+                else a for a in argv]
+        assert main(argv) == 0
+        canonical = capsys.readouterr().out
+        assert main([*argv, "--timings"]) == 0
+        timed = json.loads(capsys.readouterr().out)
+        assert all(r["elapsed"] > 0 for r in timed["records"])
+        for r in timed["records"]:
+            del r["elapsed"]
+        assert timed == json.loads(canonical)
+
     def test_flow_lemacon(self, capsys):
         code = main(["flow", "lemacon", "translation", "--samples", "300"])
         out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from filterbench.errors import (
 )
 from filterbench.flows import (
     BUILTIN_FLOWS,
-    FlowConditionsReport,
     check_flow_conditions,
     check_flow_transport,
     flow_pair_contains,
@@ -27,7 +27,7 @@ from filterbench.flows import (
     translation_flow,
 )
 from filterbench.maps import BUILTIN_MAPS, MapSpec, linear_map
-from filterbench.metric_filters import pair_directional_filter
+from filterbench.metric_filters import PairDirectionalFilter
 from filterbench.suites import RunConfig
 
 
@@ -119,8 +119,8 @@ class TestTimeArrays:
         flow = TIME_ARRAY_FLOWS[name]
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (300, 2))
-        ts = rng.uniform(flow.a, flow.b, len(x))
-        grid = rng.uniform(flow.a, flow.b, 7)
+        ts = rng.uniform(-fl.T_MAX, fl.T_MAX, len(x))
+        grid = rng.uniform(-fl.T_MAX, fl.T_MAX, 7)
         got = [flow(ts, x), flow(grid[:, None], x)]
         want = [np.stack([flow(float(t), xi[None])[0] for t, xi in zip(ts, x)]),
                 np.stack([flow(float(t), x) for t in grid])]
@@ -134,8 +134,10 @@ class TestTimeArrays:
 
     def test_one_time_outside_the_domain_raises(self):
         flow = BUILTIN_FLOWS["rotation"]
-        with pytest.raises(DomainViolation):
-            flow(np.array([0.1, 1.5, -0.2]), np.zeros((3, 2)))
+        for f in (flow, flow.reversed()):
+            with pytest.raises(DomainViolation,
+                               match=r"^t=1\.5 outside \[-1\.0, 1\.0\]$"):
+                f(np.array([0.1, 1.5, -0.2]), np.zeros((3, 2)))
         with pytest.raises(DomainViolation):
             flow(np.array([[0.1], [np.nan]]), np.zeros((4, 2)))
 
@@ -160,7 +162,7 @@ class TestPairMembership:
         rng = np.random.default_rng(7)
         u = np.array([0.6, 0.8])
         f = translation_flow(u)
-        mu_u = pair_directional_filter(u)
+        mu_u = PairDirectionalFilter(u)
         x = rng.uniform(-1, 1, (10_000, 2))
         y = x + rng.normal(scale=0.05, size=x.shape)
         via_flow, conv = flow_pair_contains(f, 0.1, 0.3, x, y)
@@ -203,10 +205,8 @@ class TestLemaconRecipe:
 
     def test_unsatisfiable_without_bounded_m(self, reports):
         rep = reports["translation"]
-        bad = FlowConditionsReport(
-            rep.identity_residual, rep.equicontinuity,
-            {t: (lo, hi, 5.0) for t, (lo, hi, _) in rep.m_table.items()},
-            rep.group_residual, rep.c_grid, rep.c_constant, rep.passes)
+        bad = dataclasses.replace(rep, m_table={
+            t: (lo, hi, 5.0) for t, (lo, hi, _) in rep.m_table.items()})
         with pytest.raises(RecipeUnsatisfiable):
             lemacon_construct(BUILTIN_FLOWS["translation"], 0.1, 0.5, bad)
 

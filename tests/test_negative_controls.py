@@ -19,6 +19,12 @@ def _reversed_composition(monkeypatch):
                         lambda mu, nu, ps: compose(nu, mu, ps))
 
 
+def _swapped_compose_masks(monkeypatch):
+    compose = pc.compose_masks
+    monkeypatch.setattr(pc, "compose_masks",
+                        lambda n, ra, rb: compose(n, rb, ra))
+
+
 def _identity_swap_table(monkeypatch):
     monkeypatch.setattr(pc.ProductSpace, "transposed", property(
         lambda ps: {d: d for d in ps.topology.opens}))
@@ -28,6 +34,9 @@ def _identity_swap_table(monkeypatch):
 CONTROLS = {
     "reversed-compose": ("pair-composition", _reversed_composition,
                          ["principal-compose-discrete2-exhaustive"]),
+    "swapped-compose-masks": ("pair-composition", _swapped_compose_masks,
+                              ["mask-set-compose-n2-exhaustive",
+                               "mask-set-compose-n3-sampled"]),
     "identity-swap": ("pair-composition", _identity_swap_table,
                       ["swap-interplay-discrete2-exhaustive",
                        "uniformity-asymmetric-witness"]),

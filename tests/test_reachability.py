@@ -12,6 +12,11 @@ every module-level statement of the package (the suite tables behind
 
 A second scan keeps imports honest: every name that a module of the
 package or of ``tests/`` imports is read somewhere in that module.
+
+A third scan goes one level down, to the fields of the package's
+dataclasses and NamedTuples: each annotated field is read, as an
+``Attribute`` load, by code the roots reach, or it is listed with the
+oracle test that reads it.
 """
 
 import ast
@@ -34,6 +39,8 @@ REFERENCES = {
     "filter_algebra.b_polytope_vertices_bruteforce":
         "tests/test_filter_algebra.py::TestBPolytope"
         "::test_double_description_matches_bruteforce",
+    "filter_algebra.filter_leq":
+        "tests/test_pair_calculus.py::TestUniformity::test_axiom_b_implies_remark",
     "filter_algebra.check_graded_axioms":
         "tests/test_filter_algebra.py::TestBPolytope"
         "::test_fractional_vertex_of_discrete_three_point_space",
@@ -44,6 +51,13 @@ REFERENCES = {
         "tests/test_geometry.py::test_curve_membership_matches_cap_oracle",
     "reporting.SuiteReport.from_json":
         "tests/test_cli.py::TestReporting::test_round_trip",
+}
+
+# Result fields no root reads that stay for an oracle, each with the test
+# that reads it.
+UNREAD_FIELDS = {
+    "pair_calculus.UniformityReport.axiom_b_witness":
+        "tests/test_pair_calculus.py::test_half_composition_matches_support_scan",
 }
 
 # Imported names that a module keeps without reading them, with the reason.
@@ -62,6 +76,7 @@ class _Spelled(ast.NodeVisitor):
     def __init__(self):
         self.names: set[str] = set()
         self.attrs: set[str] = set()
+        self.loads: set[str] = set()  # the attributes read, not assigned
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
@@ -69,6 +84,8 @@ class _Spelled(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self.attrs.add(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            self.loads.add(node.attr)
         self.visit(node.value)
 
 
@@ -109,9 +126,10 @@ def _package():
     return defs, methods, statements
 
 
-def unreached(extra_roots=()) -> list[str]:
-    """Public definitions and methods of the package that no root, and no
-    definition named in ``extra_roots``, reaches."""
+def _reach(extra_roots=()):
+    """(defs, methods, reached, spelled): the package as ``_package`` gives
+    it, the qualified names that the roots and ``extra_roots`` reach, and
+    the identifiers that the reached code spells."""
     defs, methods, statements = _package()
     nodes = {**defs, **{q: m for ms in methods.values() for q, m in ms.items()}}
     spelled = _Spelled()
@@ -137,6 +155,13 @@ def unreached(extra_roots=()) -> list[str]:
                    if q not in reached and q.rsplit(".", 1)[-1] in names]
         pending += [q for cls in methods if cls in reached for q in methods[cls]
                     if q not in reached and q.rsplit(".", 1)[-1] in spelled.attrs]
+    return defs, methods, reached, spelled
+
+
+def unreached(extra_roots=()) -> list[str]:
+    """Public definitions and methods of the package that no root, and no
+    definition named in ``extra_roots``, reaches."""
+    defs, methods, reached, _ = _reach(extra_roots)
     public = {q for q in defs if _is_public(q)}
     public |= {q for cls in methods if cls in reached for q in methods[cls]}
     return sorted(public - reached)
@@ -191,3 +216,34 @@ def test_no_unused_imports():
     assert not extra, f"imported and never read: {extra}"
     stale = sorted(set(UNREAD_IMPORTS) - set(unread))
     assert not stale, f"read or no longer imported; drop from UNREAD_IMPORTS: {stale}"
+
+
+def _is_record_class(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: its annotated body names are fields."""
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for d in (*node.decorator_list, *node.bases)
+             for n in ast.walk(d) if isinstance(n, (ast.Name, ast.Attribute))}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def unread_fields() -> list[str]:
+    """``module.Class.field`` for each field of a dataclass or NamedTuple in
+    the package that no code the roots reach reads as an attribute."""
+    defs, _, _, spelled = _reach()
+    return sorted(
+        f"{qualified}.{item.target.id}"
+        for qualified, node in defs.items()
+        if isinstance(node, ast.ClassDef) and _is_record_class(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in spelled.loads)
+
+
+def test_every_result_field_is_read():
+    unread = unread_fields()
+    extra = sorted(set(unread) - set(UNREAD_FIELDS))
+    assert not extra, f"fields no suite, CLI command or workload reads: {extra}"
+    stale = sorted(set(UNREAD_FIELDS) - set(unread))
+    assert not stale, f"read now or gone; drop from UNREAD_FIELDS: {stale}"
+    for ref in UNREAD_FIELDS.values():
+        assert _test_exists(ref), f"{ref} does not exist"
