@@ -12,10 +12,20 @@ filter_algebra), so these two are the whole of its kernel.  A family of
 opens, as a filter's value table, is an int bitset over open indices: bit
 i stands for ``opens[i]``.  The per-point tables are built lazily, once
 per object, and then reused.
+
+The same correspondence runs the other way in ``enumerate_topologies``:
+it picks a minimal open U_p for each point, keeps the transitive choices
+(q in U_p implies U_q within U_p), and takes the unions of the U_p as the
+opens.  That is 2^(n(n-1)) candidates, 4 096 at n = 4, yielded in
+ascending order of the family bitset (bit m for open m).  The guard stays
+at n <= 4, since n = 5 has 2^20 candidates.  ``is_closed_family`` is the
+closure test of the brute-force oracle, ``suites.bruteforce_topologies``,
+and the enumeration does not use it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -161,7 +171,10 @@ def _validate_masks(n: int, masks: set[int]) -> FiniteTopology:
 
 
 def is_closed_family(n: int, masks: set[int]) -> bool:
-    """Closure predicate without witness construction; used by brute-force oracles."""
+    """Closure predicate without witness construction.
+
+    Oracle side only: ``suites.bruteforce_topologies`` scans families with
+    it, and ``enumerate_topologies`` does not call it."""
     full = (1 << n) - 1
     if 0 not in masks or full not in masks:
         return False
@@ -195,25 +208,40 @@ def is_continuous(f: PointMap) -> tuple[bool, frozenset[int] | None]:
 
 
 def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FiniteTopology]:
-    """All topologies on n points, deterministic canonical order.
+    """All topologies on n points, in canonical order.
 
-    Brute force over every subset-family containing the empty and full set;
-    refuses n > 4 (the family count grows as 2^(2^n)).
+    A finite topology is fixed by the minimal open U_p of each point, and a
+    choice of U_p (p in U_p) comes from a topology iff it is transitive:
+    q in U_p implies U_q within U_p (Alexandrov 1937; Barmak 2011).  The
+    topology is T0 iff the U_p are pairwise distinct.  So the candidates
+    are the 2^(n(n-1)) choices of U_0..U_{n-1}, and the opens of a kept
+    choice are the unions of the U_p over all 2^n point sets.
+
+    Canonical order is ascending by the family bitset, bit m standing for
+    the open m; every family holds the empty and the full set, so this is
+    the order of the non-trivial opens' bitset, bit m-1 for open m.
+
+    Refuses n outside 0..4: n = 5 would take 2^20 candidates.
     """
     if n > ENUMERATION_MAX_POINTS:
         raise SizeLimitExceeded(f"enumerate_topologies supports n <= {ENUMERATION_MAX_POINTS}")
-    full = (1 << n) - 1
-    # subsets other than the mandatory empty/full masks
-    optional = [m for m in range(full + 1) if m not in (0, full)]
-    k = len(optional)
-    for pick in range(1 << k):
-        masks = {0, full}
-        for j in range(k):
-            if pick >> j & 1:
-                masks.add(optional[j])
-        if not is_closed_family(n, masks):
+    if n < 0:
+        raise SizeLimitExceeded(f"enumerate_topologies needs n >= 0, got {n}")
+    # candidates for U_p: every point set that holds p
+    choices = [[m for m in range(1 << n) if m >> p & 1] for p in range(n)]
+    found = []
+    for u in itertools.product(*choices):
+        if any(u[q] & ~up for up in u for q in range(n) if up >> q & 1):
             continue
-        t = FiniteTopology(n, tuple(sorted(masks)))
-        if t0_only and not is_t0(t)[0]:
+        if t0_only and len(set(u)) < n:
             continue
-        yield t
+        # unions[s] is the union of U_p over the points p of s
+        unions = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            unions[s] = unions[s ^ low] | u[low.bit_length() - 1]
+        opens = set(unions)
+        found.append((sum(1 << m for m in opens), tuple(sorted(opens))))
+    found.sort()
+    for _, opens in found:
+        yield FiniteTopology(n, opens)

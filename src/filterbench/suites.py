@@ -83,14 +83,19 @@ def _check_seed(config: RunConfig, check_id: str) -> int:
 # --- finite-topology oracles -------------------------------------------------
 
 def bruteforce_topologies(n: int) -> set[tuple[int, ...]]:
-    """All topologies on n points by scanning every family of subsets."""
-    subsets = list(range(1 << n))
+    """All topologies on n points by a literal closure scan: every family of
+    subsets that holds the empty and the full set, kept where
+    ``ft.is_closed_family`` accepts it.  The oracle of
+    ``ft.enumerate_topologies``, which builds topologies from minimal opens
+    and shares no code with this scan."""
     full = (1 << n) - 1
+    optional = range(1, full)
     out = set()
-    for bits in range(1 << len(subsets)):
-        masks = {s for s in subsets if bits >> s & 1}
-        if 0 in masks and full in masks and ft.is_closed_family(n, masks):
-            out.add(tuple(sorted(masks)))
+    for k in range(len(optional) + 1):
+        for picked in itertools.combinations(optional, k):
+            masks = {0, full, *picked}
+            if ft.is_closed_family(n, masks):
+                out.add(tuple(sorted(masks)))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -332,6 +333,34 @@ class TestMain:
         records = json.loads(capsys.readouterr().out)["records"]
         assert [(r["check_id"], r["verdict"]) for r in records] == [
             ("map-continuous", "pass"), ("pushforward-continuity", "pass")]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["3"],
+         "3688ab7f55e100eeecb22fe749c1607f903eea209d548e391054c7ecbffad314"),
+        (["4"],
+         "d4e88d5415ddc9b6e9672841415039696ddf142933d0c407440ef533588a030b"),
+        (["4", "--t0-only"],
+         "79259630c17b2731b59bff7195c68c42e921f0fdf38ae4955ef64031df8f3dab"),
+    ], ids=" ".join)
+    def test_enumerate_topologies_output_is_pinned(self, capsys, argv,
+                                                   digest):
+        # integers only, so the bytes do not depend on the CPU
+        assert main(["enumerate", "topologies", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, message", [
+        ("-1", "enumerate_topologies needs n >= 0, got -1"),
+        ("5", "enumerate_topologies supports n <= 4"),
+    ], ids=["negative", "five"])
+    def test_point_count_out_of_range_is_input_error(self, capsys, n,
+                                                      message):
+        code = main(["enumerate", "topologies", "--", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["message"]) == ("SizeLimitExceeded", message)
 
     @pytest.mark.parametrize("argv", [
         ["flow", "conditions", "rotation", "--samples", "200"],

@@ -9,6 +9,7 @@ from filterbench.errors import (
     SizeLimitExceeded,
 )
 from filterbench.finite_topology import (
+    FiniteTopology,
     PointMap,
     enumerate_topologies,
     is_closed_family,
@@ -129,18 +130,23 @@ class TestEnumeration:
         assert a == b
         assert len(set(a)) == len(a)
 
-    def test_matches_independent_bruteforce_n3(self):
-        # oracle: closure filter over all 2^8 subset-families
-        full = 0b111
-        subsets = list(range(8))
-        expected = set()
-        for bits in range(1 << 8):
-            fam = {subsets[i] for i in range(8) if bits >> i & 1}
-            if is_closed_family(3, fam):
-                expected.add(tuple(sorted(fam)))
-        got = {t.opens for t in enumerate_topologies(3)}
-        assert got == expected
-        assert all(0 in f and full in f for f in got)
+    def test_matches_independent_bruteforce(self):
+        # oracle: closure filter over all 2^(2^n) subset-families, T0 by
+        # is_t0, in canonical order (ascending family bitset)
+        for n in range(5):
+            full = (1 << n) - 1
+            closed = []
+            for bits in range(1 << (1 << n)):
+                fam = {m for m in range(1 << n) if bits >> m & 1}
+                if is_closed_family(n, fam):
+                    closed.append(FiniteTopology(n, tuple(sorted(fam))))
+            closed.sort(key=lambda t: sum(1 << m for m in t.opens))
+            assert all(t.opens[0] == 0 and t.opens[-1] == full for t in closed)
+            for t0_only in (False, True):
+                expected = [t.opens for t in closed
+                            if not t0_only or is_t0(t)[0]]
+                got = [t.opens for t in enumerate_topologies(n, t0_only)]
+                assert got == expected, (n, t0_only)
 
 
 class TestPointFilter:

@@ -7,6 +7,7 @@ check; the named checks must then fail.  A control with the engine intact
 
 import pytest
 
+from filterbench import finite_topology as ft
 from filterbench import pair_calculus as pc
 from filterbench.suites import RunConfig, run_suite
 
@@ -30,6 +31,14 @@ def _identity_swap_table(monkeypatch):
         lambda ps: {d: d for d in ps.topology.opens}))
 
 
+def _union_only_closure(monkeypatch):
+    def closed_under_unions(n, masks):
+        full = (1 << n) - 1
+        return (0 in masks and full in masks
+                and all(a | b in masks for a in masks for b in masks))
+    monkeypatch.setattr(ft, "is_closed_family", closed_under_unions)
+
+
 # (suite, mutation, the checks it must make fail)
 CONTROLS = {
     "reversed-compose": ("pair-composition", _reversed_composition,
@@ -40,6 +49,9 @@ CONTROLS = {
     "identity-swap": ("pair-composition", _identity_swap_table,
                       ["swap-interplay-discrete2-exhaustive",
                        "uniformity-asymmetric-witness"]),
+    "union-only-closure": ("finite-axioms", _union_only_closure,
+                           ["enumeration-crosscheck-n3",
+                            "enumeration-crosscheck-n4"]),
 }
 
 
