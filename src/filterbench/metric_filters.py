@@ -1,5 +1,9 @@
-"""Generated filters on metric spaces: cones, directional and pair filters,
-curve tubes, sequence classification and derivative desk-checks.
+"""Generated filters on metric spaces: cones, pair filters, forward curve
+tubes, sequence classification and derivative desk-checks.
+
+The directional filter mu_{x,u} is generated by the cones V+(x, u, eps,
+sigma), each decided by ``v_plus_contains``.  A backward curve filter is
+the forward filter of the reversed curve (see ``CurveFilter``).
 
 Everything here is numerical.  Filter comparisons between generated filters
 are semi-decided: certified rules (generator monotonicity, exact generator
@@ -103,20 +107,6 @@ def sample_cone_members(g: ConeGenerator, n: int,
     return g.x + lam[:, None] * g.u + r[:, None] * w
 
 
-@dataclass(frozen=True)
-class DirectionalFilter:
-    """mu_{x,u}: generated by the cone family V+(x, u, eps, sigma)."""
-
-    x: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        _check_unit(self.u)
-
-    def contains(self, eps: float, sigma: float, y: np.ndarray) -> np.ndarray:
-        return v_plus_contains(ConeGenerator(self.x, self.u, eps, sigma), y)
-
-
 def envelope_radius(eps: float, sigma: float) -> float:
     """Radius bound: every member of V+(x,u,eps,sigma) satisfies
     d(x, y) < eps / (1 - sigma) (triangle-inequality consequence)."""
@@ -202,9 +192,9 @@ def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
     direction_limit = mean_dir if has_direction else None
     direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
 
-    mu = DirectionalFilter(x, u)
-    generator_ok = all(mu.contains(eps, sigma, seq[tail]).all()
-                       for eps, sigma in GENERATOR_GRID)
+    generator_ok = all(
+        v_plus_contains(ConeGenerator(x, u, eps, sigma), seq[tail]).all()
+        for eps, sigma in GENERATOR_GRID)
     return SequenceVerdict(
         converges_to_point=converges,
         direction_limit=direction_limit,
@@ -249,28 +239,25 @@ def estimate_bilipschitz(c: CurveSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def arc_points(c: CurveSpec, eps: float, sign: str, k: int) -> np.ndarray:
-    if sign == "+":
-        ts = np.linspace(0.0, min(eps, c.b), k)
-    else:
-        ts = np.linspace(max(-eps, c.a), 0.0, k)
-    return c(ts)
+def arc_points(c: CurveSpec, eps: float, k: int) -> np.ndarray:
+    """k vertices of the forward arc c([0, min(eps, b)]), evenly spaced in t."""
+    return c(np.linspace(0.0, min(eps, c.b), k))
 
 
 def arc_distance(
-    y: np.ndarray, c: CurveSpec, eps: float, sign: str = "+", rtol: float = 1e-9,
+    y: np.ndarray, c: CurveSpec, eps: float, rtol: float = 1e-9,
 ) -> np.ndarray:
-    """Distance to the arc image, polyline approximation refined until stable
-    or the subdivision cap is hit.
+    """Distance to the forward arc c([0, min(eps, b)]), polyline approximation
+    refined until stable or the subdivision cap is hit.
 
     The slow reference for CurveFilter, which goes through
     geometry.arc_membership instead; the two routes share no code.
     """
     k = 33
-    prev = point_polyline_distance(y, arc_points(c, eps, sign, k))
+    prev = point_polyline_distance(y, arc_points(c, eps, k))
     while k < ARC_SUBDIVISION_CAP:
         k = 2 * k - 1
-        cur = point_polyline_distance(y, arc_points(c, eps, sign, k))
+        cur = point_polyline_distance(y, arc_points(c, eps, k))
         if np.max(np.abs(cur - prev)) <= rtol * (1.0 + np.max(cur)):
             return cur
         prev = cur
@@ -279,10 +266,14 @@ def arc_distance(
 
 @dataclass(frozen=True)
 class CurveFilter:
-    """Forward or backward curve filter, generated by tubes around arcs."""
+    """Forward curve filter at x = c(0), generated by the tubes
+    {y != x : d(y, c([0, eps])) < mu d(x, y)}.
+
+    The backward filter of c, generated by tubes around c([-eps, 0]), is the
+    forward filter of the reversed curve t -> c(-t) on [-b, -a]:
+    ``curve_filter(CurveSpec(name, lambda t: c(-t), -c.b, -c.a))``."""
 
     curve: CurveSpec
-    sign: str = "+"
 
     @property
     def x(self) -> np.ndarray:
@@ -300,23 +291,21 @@ class CurveFilter:
         y = np.asarray(y, dtype=float)
         d_xy = np.linalg.norm(y - self.x, axis=-1)
         c = self.curve
-        span = min(eps, c.b) if self.sign == "+" else min(eps, -c.a)
         # one arc for every row, no declared curvature bound
         arc = lambda rows: ((lambda ts: c(ts)[:, None]), None)
         _, member, converged = arc_membership(
-            arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), span,
-            self.sign)
+            arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), min(eps, c.b))
         return (d_xy > 0) & member.reshape(d_xy.shape), converged
 
     def contains(self, eps: float, mu: float, y: np.ndarray) -> np.ndarray:
         return self.membership(eps, mu, y)[0]
 
 
-def curve_filter(c: CurveSpec, sign: str = "+") -> CurveFilter:
-    if sign not in ("+", "-"):
-        raise InvalidWitness("sign must be '+' or '-'")
+def curve_filter(c: CurveSpec) -> CurveFilter:
+    """The forward curve filter of c, once c passes the sampled bi-Lipschitz
+    gate."""
     estimate_bilipschitz(c)
-    return CurveFilter(c, sign)
+    return CurveFilter(c)
 
 
 # --- the (bound) inequality --------------------------------------------------

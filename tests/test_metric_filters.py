@@ -11,7 +11,6 @@ from filterbench.geometry import angle_between, unit
 from filterbench.maps import BUILTIN_MAPS, linear_map
 from filterbench.metric_filters import (
     ConeGenerator,
-    DirectionalFilter,
     PairDirectionalFilter,
     arc_distance,
     check_bound_batch,
@@ -188,20 +187,9 @@ class TestCurveFilters:
         rng = np.random.default_rng(4)
         y = rng.uniform(-2, 2, size=(2000, 2))
         cf = curve_filter(LINE)
-        mu = DirectionalFilter(ORIGIN, E1)
         for eps, sig in ((0.5, 0.4), (0.2, 0.2)):
-            assert np.array_equal(cf.contains(eps, sig, y), mu.contains(eps, sig, y))
-
-    def test_reversal_swaps_sign(self):
-        c = CurveSpec("arc", lambda t: np.stack([np.sin(t), 1 - np.cos(t)], axis=-1),
-                      -1.0, 1.0)
-        rng = np.random.default_rng(5)
-        y = rng.uniform(-1, 1, size=(2000, 2))
-        reversed_c = CurveSpec("arc_reversed", lambda t: c(-t), -c.b, -c.a)
-        fwd_of_reversed = curve_filter(reversed_c, "+")
-        bwd = curve_filter(c, "-")
-        assert np.array_equal(fwd_of_reversed.contains(0.5, 0.4, y),
-                              bwd.contains(0.5, 0.4, y))
+            cone = ConeGenerator(ORIGIN, E1, eps, sig)
+            assert np.array_equal(cf.contains(eps, sig, y), v_plus_contains(cone, y))
 
     def test_reparametrization_invariance(self):
         c2 = CurveSpec("line_reparam", lambda t: LINE(t ** 3 + t), -0.6, 0.6)
@@ -213,19 +201,18 @@ class TestCurveFilters:
         b = curve_filter(LINE).contains(eps ** 3 + eps, 0.4, y)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_membership_matches_arc_distance_oracle(self, sign):
+    def test_membership_matches_arc_distance_oracle(self):
         c = CurveSpec("arc", lambda t: np.stack([np.sin(t), 1 - np.cos(t)], axis=-1),
                       -1.0, 0.8)
         rng = np.random.default_rng(8)
         y = rng.uniform(-1, 1, size=(400, 2))
-        cf = curve_filter(c, sign)
+        cf = curve_filter(c)
         for eps, mu in ((0.5, 0.4), (2.0, 0.2)):
             member, converged = cf.membership(eps, mu, y)
             assert converged
             assert np.array_equal(cf.contains(eps, mu, y), member)
             thresh = mu * np.linalg.norm(y - cf.x, axis=-1)
-            oracle = arc_distance(y, c, eps, sign)
+            oracle = arc_distance(y, c, eps)
             clear = np.abs(oracle - thresh) > 1e-6
             assert np.array_equal(member[clear], (oracle < thresh)[clear])
             assert 0 < member.sum() < len(y)

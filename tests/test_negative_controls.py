@@ -5,9 +5,12 @@ check; the named checks must then fail.  A control with the engine intact
 (the unmutated run) must pass, so a failure is the mutation's doing.
 """
 
+import numpy as np
 import pytest
 
 from filterbench import finite_topology as ft
+from filterbench import flows as fl
+from filterbench import metric_filters as mf
 from filterbench import pair_calculus as pc
 from filterbench.suites import RunConfig, run_suite
 
@@ -39,6 +42,17 @@ def _union_only_closure(monkeypatch):
     monkeypatch.setattr(ft, "is_closed_family", closed_under_unions)
 
 
+def _cone_accepts_everything(monkeypatch):
+    monkeypatch.setattr(mf, "v_plus_contains",
+                        lambda g, y: np.ones(np.shape(y)[:-1], dtype=bool))
+
+
+def _pushforward_of_reversal(monkeypatch):
+    pushforward = fl.pushforward_flow
+    monkeypatch.setattr(fl, "pushforward_flow", lambda f, flow, seed=0:
+                        pushforward(f, flow.reversed(), seed))
+
+
 # (suite, mutation, the checks it must make fail)
 CONTROLS = {
     "reversed-compose": ("pair-composition", _reversed_composition,
@@ -52,6 +66,13 @@ CONTROLS = {
     "union-only-closure": ("finite-axioms", _union_only_closure,
                            ["enumeration-crosscheck-n3",
                             "enumeration-crosscheck-n4"]),
+    "cone-accepts-everything": ("derivative", _cone_accepts_everything,
+                                ["sequence-classification"]),
+    "pushforward-of-reversal": ("flows", _pushforward_of_reversal,
+                                [f"transport-{m}" for m in (
+                                    "identity2d", "rotation_quarter",
+                                    "shear_half", "parabolic_shear",
+                                    "sine_shear")]),
 }
 
 

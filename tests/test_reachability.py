@@ -5,7 +5,9 @@ against.
 Reachability is a fixpoint over identifiers in the AST: a top-level
 definition is reached when a ``Name`` or an ``Attribute`` in reached code
 spells its name, and a public method of a reached class when an
-``Attribute`` does.  Docstrings and strings do not count.  The roots are
+``Attribute`` does.  Docstrings and strings do not count, and neither does
+a ``Name`` that an enclosing function binds itself (a parameter, a nested
+definition or an assignment target), since it is local there.  The roots are
 every module-level statement of the package (the suite tables behind
 ``run_suite`` among them), ``cli.main``, ``perfbench/workloads.py`` and
 ``tests/test_acceptance.py``.
@@ -17,9 +19,17 @@ A third scan goes one level down, to the fields of the package's
 dataclasses and NamedTuples: each annotated field is read, as an
 ``Attribute`` load, by code the roots reach, or it is listed with the
 oracle test that reads it.
+
+A fourth scan looks for modes that only tests use: each defaulted
+parameter of a function or public method that the roots reach is set, by
+keyword or by position, by a call in code the roots reach, or it is listed
+with the test that sets it.  Calls match definitions by name, as reaching
+does; the ``REFERENCES`` are unreached, so they are exempt.
 """
 
 import ast
+import math
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +70,17 @@ UNREAD_FIELDS = {
         "tests/test_pair_calculus.py::test_half_composition_matches_support_scan",
 }
 
+# Defaulted parameters no root sets, each with a test that sets it.
+TEST_ONLY_MODES = {
+    "cli.main.argv": "tests/test_cli.py::TestMain::test_check_topology_ok",
+    "snowflake.box_counting_dimension.radii":
+        "tests/test_snowflake.py::TestDimension"
+        "::test_counts_when_the_first_window_is_covered",
+    "snowflake.box_counting_dimension.grid":
+        "tests/test_snowflake.py::TestDimension"
+        "::test_counts_when_the_first_window_is_covered",
+}
+
 # Imported names that a module keeps without reading them, with the reason.
 UNREAD_IMPORTS = {
     "metric_filters.segment_projection_parameter":
@@ -70,16 +91,49 @@ UNREAD_IMPORTS = {
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _bound_names(node) -> set[str]:
+    """The names a function or lambda binds itself: its parameters, and the
+    nested definitions and assignment targets of its own body.  Imports are
+    not counted, since an imported name still refers to its definition."""
+    args = node.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    pending = [node.body] if isinstance(node, ast.Lambda) else list(node.body)
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (*_FUNCTION, ast.ClassDef)):
+            names.add(item.name)  # its body is a scope of its own
+        elif isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store):
+            names.add(item.id)
+        elif not isinstance(item, ast.Lambda):
+            pending.extend(ast.iter_child_nodes(item))
+    return names
+
+
 class _Spelled(ast.NodeVisitor):
-    """The identifiers that code reads, as names and as attributes."""
+    """The identifiers that code reads, as names and as attributes, and the
+    calls it makes.  A name that an enclosing function binds is local there,
+    so reading it reaches no package definition."""
 
     def __init__(self):
         self.names: set[str] = set()
         self.attrs: set[str] = set()
         self.loads: set[str] = set()  # the attributes read, not assigned
+        # (callee name, positional count, keyword names): a *args counts as
+        # every position, a **kwargs as the keyword None
+        self.calls: list[tuple[str, float, set[str | None]]] = []
+        self._local: frozenset[str] = frozenset()
+
+    def _visit_scope(self, node):
+        outer = self._local
+        self._local = outer | _bound_names(node)
+        self.generic_visit(node)
+        self._local = outer
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _visit_scope
 
     def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load):
+        if isinstance(node.ctx, ast.Load) and node.id not in self._local:
             self.names.add(node.id)
 
     def visit_Attribute(self, node):
@@ -87,6 +141,17 @@ class _Spelled(ast.NodeVisitor):
         if isinstance(node.ctx, ast.Load):
             self.loads.add(node.attr)
         self.visit(node.value)
+
+    def visit_Call(self, node):
+        callee = node.func
+        name = (callee.attr if isinstance(callee, ast.Attribute)
+                else callee.id if isinstance(callee, ast.Name)
+                and callee.id not in self._local else None)
+        if name is not None:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            self.calls.append((name, math.inf if starred else len(node.args),
+                               {k.arg for k in node.keywords}))
+        self.generic_visit(node)
 
 
 def _is_public(qualified: str) -> bool:
@@ -247,3 +312,67 @@ def test_every_result_field_is_read():
     assert not stale, f"read now or gone; drop from UNREAD_FIELDS: {stale}"
     for ref in UNREAD_FIELDS.values():
         assert _test_exists(ref), f"{ref} does not exist"
+
+
+def _defaulted(node) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter of a function, where
+    position is its index among the positional parameters, or None for a
+    keyword-only one."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unset_defaults() -> list[str]:
+    """``module.function.param`` for each defaulted parameter of a function
+    or public method the roots reach that no call in reached code sets, by
+    keyword or by position."""
+    defs, methods, reached, spelled = _reach()
+    functions = {q: (n, 0) for q, n in defs.items()
+                 if q in reached and isinstance(n, _FUNCTION)}
+    for cls in methods:
+        if cls in reached:
+            for q, n in methods[cls].items():
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in n.decorator_list)
+                functions[q] = (n, 0 if static else 1)
+    unset = []
+    for qualified, (node, skip) in sorted(functions.items()):
+        name = qualified.rsplit(".", 1)[-1]
+        calls = [c for c in spelled.calls if c[0] == name]
+        for param, position in _defaulted(node):
+            if not any(param in keywords or None in keywords
+                       or (position is not None
+                           and position - skip < n_positional)
+                       for _, n_positional, keywords in calls):
+                unset.append(f"{qualified}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_root():
+    unset = unset_defaults()
+    extra = sorted(set(unset) - set(TEST_ONLY_MODES))
+    assert not extra, f"modes no suite, CLI command or workload sets: {extra}"
+    stale = sorted(set(TEST_ONLY_MODES) - set(unset))
+    assert not stale, f"set by a root now or gone; drop from TEST_ONLY_MODES: {stale}"
+    for ref in TEST_ONLY_MODES.values():
+        assert _test_exists(ref), f"{ref} does not exist"
+
+
+def test_a_local_name_reaches_no_definition():
+    spelled = _Spelled()
+    spelled.visit(ast.parse(textwrap.dedent("""
+        def check(mu, rows, *more, **options):
+            def pushforward(x):
+                return x
+            table = [row for row in rows]
+            return (pushforward(mu), table, more, options,
+                    filter_leq, fa.point_filter(mu, proper=True))
+        """)))
+    assert spelled.names == {"filter_leq", "fa"}
+    assert spelled.attrs == {"point_filter"}
+    assert spelled.calls == [("point_filter", 1, {"proper"})]
