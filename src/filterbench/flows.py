@@ -9,16 +9,17 @@ A flow is evaluated at an array of times in one call, the times broadcast
 against the leading axes of the points: per-row times for orbit points,
 a column of times against a batch for orbit arcs.
 Pair membership goes through geometry.arc_membership: each orbit arc is a
-uniform polyline, doubled from 17 vertices towards a 2^14 cap, and a row
-is decided once its polyline distance d is further from mu * d(x, y) than
-the chord bound h^2 C / 8 for parameter step h, or once that bound is at
-most 1e-9 (1 + d).  C bounds the orbit's sup|c''|.  Each built-in
-constructor declares it in closed form, so those decisions are certified,
-and translation and linear_shear orbits (C = 0) are decided at the first
-level; a reversed flow keeps its flow's bound.  A pushed-forward flow has
-no bound, and the kernel estimates C from second differences of the
-polyline.  Rows still undecided at the cap are reported through the
-converged flag, never silently passed.
+uniform polyline, doubled towards a 2^14 cap, and a row is decided once
+its polyline distance d is further from mu * d(x, y) than the chord bound
+h^2 C / 8 for parameter step h, or once that bound is at most
+1e-9 (1 + d).  C bounds the orbit's sup|c''|.  Each built-in constructor
+declares it in closed form, so those decisions are certified and start at
+the chord (2 vertices, then 3, 5, 9, 17, ...); translation and
+linear_shear orbits (C = 0) are decided at the chord, and a reversed flow
+keeps its flow's bound.  A pushed-forward flow has no bound: its arcs
+start at 17 vertices, and the kernel estimates C from second differences
+of the polyline.  Rows still undecided at the cap are reported through
+the converged flag, never silently passed.
 """
 
 from __future__ import annotations
@@ -70,7 +71,14 @@ class Flow:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=-1)
+    """Euclidean norm of each row of x (..., d): the square root of
+    x_0^2 + x_1^2 + ... summed in coordinate order.  For d < 8 numpy sums in
+    that order too, so this equals np.linalg.norm(x, axis=-1) bit for bit,
+    without its overhead."""
+    out = x[..., 0] * x[..., 0]
+    for c in range(1, x.shape[-1]):
+        out += x[..., c] * x[..., c]
+    return np.sqrt(out)
 
 
 def translation_flow(u) -> Flow:
@@ -153,14 +161,15 @@ def flow_pair_contains(flow: Flow, eps: float, mu: float,
     The distance from y to the orbit arc of x is refined per row by
     geometry.arc_membership until the chord bound h^2 C / 8 can no longer
     flip the comparison against mu * d(x, y).  C is the flow's declared
-    curvature bound, which makes the decision certified, or, for a flow
-    without one (a pushed-forward flow), an estimate from the polyline's
-    second differences.  Rows still ambiguous at the subdivision cap make
-    the converged flag false.
+    curvature bound, which makes the decision certified and lets
+    refinement start at the chord (2 vertices), or, for a flow without one
+    (a pushed-forward flow), an estimate from the polyline's second
+    differences, which starts at 17 vertices.  Rows still ambiguous at the
+    subdivision cap make the converged flag false.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    d_xy = np.linalg.norm(y - x, axis=-1)
+    d_xy = _norms(y - x)
     _, member, converged = arc_membership(_orbit_arcs(flow, x, eps), y,
                                           mu * d_xy, eps, sign)
     return (d_xy > 0) & member, converged
@@ -198,9 +207,9 @@ def _sample_orbit_members(flow: Flow, x: np.ndarray, eps: float, mu: float,
     conservative transverse slack and then verified."""
     ts = rng.uniform(0.2 * eps, eps, len(x))
     on_orbit = flow(ts, x)
-    d_base = np.linalg.norm(on_orbit - x, axis=-1)
+    d_base = _norms(on_orbit - x)
     w = rng.normal(size=x.shape)
-    w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
+    w /= np.maximum(_norms(w), 1e-12)[:, None]
     y = on_orbit + (0.25 * mu * d_base)[:, None] * w
     member, converged = flow_pair_contains(flow, eps, mu, x, y)
     return y, member, converged
@@ -212,14 +221,14 @@ def check_flow_conditions(flow: Flow, samples: int = 2000,
     x = rng.uniform(-1.0, 1.0, (samples, flow.dim))
 
     # (a) identity at t = 0
-    ident = float(np.max(np.linalg.norm(flow(0.0, x) - x, axis=-1)))
+    ident = float(np.max(_norms(flow(0.0, x) - x)))
 
     # (b) modulus of t -> F(t, x), uniform over sampled x; one call per
     # base time moves x by every dt, so temporaries stay at (5, N, d)
     dts = np.array([0.2, 0.1, 0.05, 0.01, 0.001])
     worst = np.zeros(len(dts))
     for t in np.linspace(-0.5 * T_MAX, 0.5 * T_MAX, 9):
-        moved = np.linalg.norm(flow(t + dts[:, None], x) - flow(t, x), axis=-1)
+        moved = _norms(flow(t + dts[:, None], x) - flow(t, x))
         worst = np.maximum(worst, moved.max(axis=1))
     worst = worst.tolist()
 
@@ -228,11 +237,12 @@ def check_flow_conditions(flow: Flow, samples: int = 2000,
     for t in M_GRID:
         for tt in (t, -t) if t else (0.0,):
             ratios = []
+            fx = flow(tt, x)
             for delta in (1e-3, 1e-4):
                 y = x + delta * rng.normal(size=x.shape)
-                den = np.linalg.norm(y - x, axis=-1)
+                den = _norms(y - x)
                 keep = den > 1e-12
-                num = np.linalg.norm(flow(tt, y) - flow(tt, x), axis=-1)
+                num = _norms(flow(tt, y) - fx)
                 ratios.append(num[keep] / den[keep])
             ratios = np.concatenate(ratios)
             lo, hi = float(ratios.min()), float(ratios.max())
@@ -242,8 +252,7 @@ def check_flow_conditions(flow: Flow, samples: int = 2000,
     s = rng.uniform(-0.5 * T_MAX, 0.5 * T_MAX, 64)[:, None]
     t = rng.uniform(-0.5 * T_MAX, 0.5 * T_MAX, 64)[:, None]
     xs = x[:256]
-    group = float(np.max(np.linalg.norm(
-        flow(s + t, xs) - flow(s, flow(t, xs)), axis=-1)))
+    group = float(np.max(_norms(flow(s + t, xs) - flow(s, flow(t, xs)))))
 
     # (e) chain-comparability constant over the parameter grid
     cells = []
@@ -257,9 +266,9 @@ def check_flow_conditions(flow: Flow, samples: int = 2000,
             xb, mx, cx = _sample_orbit_members(rev, y0, eps_p, mu_p, rng)
             converged = converged and cz and cx
             ok = mz & mx
-            d_xy = np.linalg.norm(y0 - xb, axis=-1)
-            d_yz = np.linalg.norm(z - y0, axis=-1)
-            d_xz = np.linalg.norm(z - xb, axis=-1)
+            d_xy = _norms(y0 - xb)
+            d_yz = _norms(z - y0)
+            d_xz = _norms(z - xb)
             keep = ok & (d_xz > 1e-12)
             if not keep.any():
                 continue
@@ -288,7 +297,7 @@ def _modulus_radius(flow: Flow, bound: float, rng: np.random.Generator,
     best = 0.0
     for eps in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
         t = -eps if sign == "-" else eps
-        worst = float(np.max(np.linalg.norm(flow(t, x) - x, axis=-1)))
+        worst = float(np.max(_norms(flow(t, x) - x)))
         if worst <= bound:
             best = eps
             break
@@ -304,11 +313,11 @@ def _ratio_radius(flow: Flow, lam0: float, rng: np.random.Generator) -> float:
     for eps1 in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01):
         x = rng.uniform(-1.0, 1.0, size=(2000, flow.dim))
         y = x + rng.uniform(-1.0, 1.0, size=x.shape) * eps1 / np.sqrt(flow.dim)
-        keep = np.linalg.norm(y - x, axis=-1) < eps1
+        keep = _norms(y - x) < eps1
         x, y = x[keep], y[keep]
         t = rng.uniform(-lam0, lam0, 8)[:, None]
-        lhs = 0.25 * np.linalg.norm(flow(t, y) - x, axis=-1)
-        rhs = np.linalg.norm(y - flow(-t, x), axis=-1)
+        lhs = 0.25 * _norms(flow(t, y) - x)
+        rhs = _norms(y - flow(-t, x))
         if not np.any(lhs > rhs + 1e-12):
             return eps1
     raise RecipeUnsatisfiable(
@@ -384,7 +393,7 @@ def step1_diagonal_check(
     eps = eps0 / 2.0
     x = rng.uniform(-1.0, 1.0, size=(samples, flow.dim))
     y, member, conv = _sample_orbit_members(flow, x, eps, STEP1_MU, rng)
-    d = np.linalg.norm(y[member] - x[member], axis=-1)
+    d = _norms(y[member] - x[member])
     violations = int(np.count_nonzero(d >= eps_target))
     return {
         "eps": eps,

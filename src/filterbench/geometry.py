@@ -8,7 +8,7 @@ points.  ``point_polyline_distance`` is the slow reference for
 
 ``arc_membership`` decides, for a batch of query rows, whether each row is
 closer than its threshold to an arc given by an evaluator.  It refines a
-uniform polyline of the arc from 17 vertices by doubling, up to
+uniform polyline of the arc by doubling its segments, k -> 2k - 1, up to
 ``ARC_CAP`` + 1 vertices, and keeps an active set of undecided rows.  At a
 level of k vertices the parameter step is h = eps / (k - 1), and the
 polyline lies within the chord bound h^2 C / 8 of the arc, where C bounds
@@ -19,12 +19,14 @@ or once ``h^2 C / 8 <= ARC_RTOL * (1 + d)``.  Rows still undecided at the
 cap make the converged flag false.
 
 The arc evaluator supplies C per row.  Where it has a certified bound (the
-built-in flows), a decision is certified up to floating-point rounding,
-and an arc with C = 0 is decided at the first level.  Where it has none
-(pushed-forward flows, curves), C is estimated as twice the largest
+built-in flows), the bound holds for every h, so refinement starts at the
+chord (k = 2) and goes 2, 3, 5, 9, 17, ...; a decision is certified up to
+floating-point rounding, and an arc with C = 0 is decided at the chord.
+Where it has none (pushed-forward flows, curves), refinement starts at
+``ARC_START_VERTICES`` = 17, and C is estimated as twice the largest
 ``|v_(i-1) - 2 v_i + v_(i+1)| / h^2`` over the level's vertices, and never
 lower than the estimate of the level before; such a decision is only as
-good as the estimate.
+good as the estimate.  Both paths pass through the same levels from 17 on.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-ARC_START_VERTICES = 17
+ARC_START_VERTICES = 17  # first level of an arc whose C is estimated
 ARC_CAP = 1 << 14
 ARC_RTOL = 1e-9
 # (segment, row, coordinate) elements per block of the polyline scan; a
@@ -151,18 +153,20 @@ def arc_membership(
     [-eps, 0] for sign '-') to vertices (B, len(rows), d), or (B, 1, d) when
     every row shares one arc.  ``curvature`` is a certified bound on
     sup|c''| per row (len(rows),), or None to have it estimated from the
-    vertices.  Refinement follows the per-row rule of the module docstring;
-    converged is false when some row is still undecided at the cap.
+    vertices.  Refinement follows the per-row rule of the module docstring,
+    from the chord when the bound is certified and from
+    ``ARC_START_VERTICES`` when it is estimated; converged is false when
+    some row is still undecided at the cap.
     """
     z = np.asarray(z, dtype=float)
     thresh = np.asarray(thresh, dtype=float)
     dist = np.empty(len(z))
     estimate = np.zeros(len(z))
     rows = np.arange(len(z))
-    k = ARC_START_VERTICES
+    evaluate, curvature = arc(rows)
+    k = ARC_START_VERTICES if curvature is None else 2
     while True:
         h = eps / (k - 1)
-        evaluate, curvature = arc(rows)
         sq, turn = _polyline_sq_min(evaluate, z[rows],
                                     _arc_parameters(eps, sign, k),
                                     curvature is None)
@@ -179,6 +183,7 @@ def arc_membership(
         if len(rows) == 0 or k >= ARC_CAP:
             return dist, dist < thresh, len(rows) == 0
         k = 2 * k - 1
+        evaluate, curvature = arc(rows)
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .errors import SizeLimitExceeded, TopologyMismatch
 from .filter_algebra import (IndicatorFilter, check_filter_axioms,
-                             principal_filter)
+                             filter_leq, principal_filter)
 from .finite_topology import FiniteTopology, set_of
 
 PRODUCT_MAX_POINTS = 4
@@ -207,9 +207,13 @@ def _half_composition(mu: IndicatorFilter, n: int) -> tuple[bool, object]:
 
 
 def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityReport:
-    missing = diagonal_filter(ps).bits & ~omega.bits
-    a_ok = not missing
-    a_wit = None if a_ok else set_of(ps.topology.first_open(missing))
+    """Axioms (a) diagonal filter <= omega, decided on the bases, (b) half
+    composition and (c) swap symmetry.  The witness of a failed (a) is the
+    first open that contains the diagonal and not omega's base."""
+    diagonal = diagonal_filter(ps)
+    a_ok = filter_leq(diagonal, omega)
+    a_wit = None if a_ok else set_of(
+        ps.topology.first_open(diagonal.bits & ~omega.bits))
     b_ok, b_wit = _half_composition(omega, ps.base.n)
     c_ok = swap_pushforward(omega, ps).base == omega.base
     return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok)

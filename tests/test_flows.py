@@ -142,6 +142,18 @@ class TestTimeArrays:
             flow(np.array([[0.1], [np.nan]]), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("lead", [(500,), (3, 200), (0,), (3, 0)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_norms_equal_numpy_bit_for_bit(d, lead):
+    rng = np.random.default_rng(d)
+    shape = (*lead, d)
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    got = fl._norms(x)
+    want = np.linalg.norm(x, axis=-1)
+    assert got.shape == want.shape == lead
+    assert np.array_equal(got, want)
+
+
 class TestPairMembership:
     def test_on_orbit_point(self):
         f = BUILTIN_FLOWS["rotation"]

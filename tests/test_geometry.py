@@ -265,7 +265,8 @@ def test_orbit_membership_matches_the_exact_orbit(name, sign, reverse):
 
 def test_exact_orbit_check_detects_a_false_curvature_bound():
     # negative control: a rotation that declares its arcs straight is
-    # decided at the first level, inside the chord error of up to 1.2e-4
+    # decided at the chord, which sags up to |x| (1 - cos(eps / 2)), 3e-2
+    # at |x| = 1
     flow, exact = EXACT_ORBITS["rotation"]
     straight = dataclasses.replace(
         flow, curvature=lambda x, eps: np.zeros(len(x)))
@@ -314,24 +315,104 @@ def test_only_pushed_forward_flows_estimate_their_curvature():
     assert pushed.curvature is None
 
 
-@pytest.mark.parametrize("name", ["translation", "linear_shear"])
-def test_straight_orbits_are_decided_in_one_pass(name, monkeypatch):
-    passes = []
+@pytest.fixture
+def passes(monkeypatch):
+    """(rows, parameters) of each polyline pass of arc_membership."""
+    seen = []
     real = geometry._polyline_sq_min
 
-    def counting(*args):
-        passes.append(len(args[1]))
-        return real(*args)
+    def counting(vertices, z, ts, turns):
+        seen.append((len(z), len(ts)))
+        return real(vertices, z, ts, turns)
 
     monkeypatch.setattr(geometry, "_polyline_sq_min", counting)
-    flow = fl.BUILTIN_FLOWS[name]
-    rng = np.random.default_rng(8)
-    x = rng.uniform(-1.0, 1.0, (400, 2))
+    return seen
+
+
+def _near_orbits(flow, rng, n=400):
+    x = rng.uniform(-1.0, 1.0, (n, 2))
     y = flow(rng.uniform(0.0, 0.1, len(x)), x) + rng.normal(scale=0.02,
                                                            size=x.shape)
+    return x, y
+
+
+@pytest.mark.parametrize("name", ["translation", "linear_shear"])
+def test_straight_orbits_are_decided_in_one_pass(name, passes):
+    flow = fl.BUILTIN_FLOWS[name]
+    x, y = _near_orbits(flow, np.random.default_rng(8))
     for sign in "+-":
         passes.clear()
         member, converged = fl.flow_pair_contains(flow, 0.1, 0.3, x, y, sign)
         assert converged
-        assert passes == [len(x)]
+        assert passes == [(len(x), 2)]
         assert 0 < member.sum() < len(x)
+
+
+def test_certified_rows_start_at_the_chord(passes):
+    # the last row is the centre of the unit circle, with a threshold 1e-7
+    # below its distance |x| = 1 to the orbit arc: each polyline passes at
+    # cos(h/2), and the chord bound h^2/8 clears the gap only below
+    # h = 6e-4, so that row alone refines on to 1025 vertices
+    flow = fl.BUILTIN_FLOWS["rotation"]
+    x, y = _near_orbits(flow, np.random.default_rng(9), 200)
+    x = np.vstack([x, [[1.0, 0.0]]])
+    y = np.vstack([y, [[0.0, 0.0]]])
+    thresh = np.append(0.3 * np.linalg.norm(y[:-1] - x[:-1], axis=-1),
+                       1.0 - 1e-7)
+    _, member, converged = arc_membership(fl._orbit_arcs(flow, x, 0.5), y,
+                                          thresh, 0.5)
+    assert converged and not member[-1]
+    assert passes[0] == (len(x), 2)
+    assert passes[-1] == (1, 1025)
+    assert [k for _, k in passes] == [2, 3, 5, 9, 17, 33, 65, 129, 257,
+                                      513, 1025]
+
+
+def test_estimated_rows_start_at_17_vertices(passes):
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
+                                 fl.BUILTIN_FLOWS["rotation"])
+    x, y = _near_orbits(pushed, np.random.default_rng(10))
+    _, converged = fl.flow_pair_contains(pushed, 0.1, 0.3, x, y)
+    assert converged
+    assert passes[0] == (len(x), 17)
+
+
+@pytest.mark.parametrize("name", sorted(fl.BUILTIN_FLOWS))
+def test_sampled_orbit_rows_match_the_cap_oracle(name):
+    # rows built as flows._sample_orbit_members builds them, for every
+    # (eps, mu) of check (e), with the transverse slack also past the
+    # aperture so that both sides occur.  Rows whose oracle distance lies
+    # within 1e-9 (1 + d) plus the cap's chord bound of the threshold are
+    # left out: the tolerance rule may decide those either way, and at
+    # eps = 1e-4 it can fire at the chord.  One base point per eps shares
+    # one cap-resolution oracle polyline.
+    flow = fl.BUILTIN_FLOWS[name]
+    rng = np.random.default_rng(11)
+    eps_list, mu_list = fl.C_GRID
+    rows = 24
+    for eps in eps_list:
+        x0 = rng.uniform(-1.0, 1.0, (1, flow.dim))
+        x = np.repeat(x0, rows * len(mu_list), axis=0)
+        on_orbit = flow(rng.uniform(0.2 * eps, eps, len(x)), x)
+        w = rng.normal(size=x.shape)
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        mu = np.repeat(mu_list, rows)
+        slack = rng.choice([0.25, 1.5], len(x)) * mu
+        reach = slack * np.linalg.norm(on_orbit - x, axis=-1)
+        y = on_orbit + reach[:, None] * w
+        oracle = point_polyline_distance(
+            y, flow(_params(eps, "+")[:, None], x0)[:, 0])
+        thresh = mu * np.linalg.norm(y - x, axis=-1)
+        cap_bound = ((eps / geometry.ARC_CAP) ** 2
+                     * flow.curvature(x0, eps)[0] / 8.0)
+        clear = np.abs(oracle - thresh) > 1e-9 * (1.0 + oracle) + cap_bound
+        assert clear.sum() > 0.9 * len(x)
+        expected = oracle < thresh
+        assert 0 < expected[clear].sum() < clear.sum()
+        for i, m in enumerate(mu_list):
+            cell = slice(i * rows, (i + 1) * rows)
+            member, converged = fl.flow_pair_contains(flow, eps, m, x[cell],
+                                                      y[cell])
+            assert converged
+            assert np.array_equal(member[clear[cell]],
+                                  expected[cell][clear[cell]])

@@ -309,18 +309,31 @@ def _half_composition_by_scan(mu, n):
     return True, None
 
 
+def _diagonal_axiom_by_scan(omega, diagonal):
+    """Table scan: the first open where the diagonal filter is 1 and omega
+    is 0."""
+    for d, dv, ov in zip(omega.topology.opens, diagonal.values, omega.values):
+        if dv and not ov:
+            return False, set_of(d)
+    return True, None
+
+
 def test_half_composition_matches_support_scan():
     # every principal pair filter over the square of every topology on at
-    # most 3 points, against the scan of the whole support
+    # most 3 points, against the scan of the whole support for axiom (b)
+    # and of the value tables for axiom (a)
     count = 0
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
             ps = product_topology(t)
+            diagonal = diagonal_filter(ps)
             for r in range(1 << n * n):
                 omega = principal_pair_filter(ps, r)
                 ok, witness = _half_composition_by_scan(omega, n)
                 report = check_uniformity(omega, ps)
                 assert (report.axiom_b, report.axiom_b_witness) == (ok, witness)
+                assert (report.axiom_a, report.axiom_a_witness) == \
+                    _diagonal_axiom_by_scan(omega, diagonal)
                 count += 1
     assert count == 14_914
 

@@ -49,8 +49,6 @@ REFERENCES = {
     "filter_algebra.b_polytope_vertices_bruteforce":
         "tests/test_filter_algebra.py::TestBPolytope"
         "::test_double_description_matches_bruteforce",
-    "filter_algebra.filter_leq":
-        "tests/test_pair_calculus.py::TestUniformity::test_axiom_b_implies_remark",
     "filter_algebra.check_graded_axioms":
         "tests/test_filter_algebra.py::TestBPolytope"
         "::test_fractional_vertex_of_discrete_three_point_space",
