@@ -18,14 +18,14 @@ left only at the boundary, in returned vertices and graded values.
 
 On a finite topology a filter's support is intersection-closed and upward
 closed, so the filter is principal at its minimal open (Alexandrov 1937;
-Barmak 2011).  An ``IndicatorFilter`` stores only that open, ``base``: the
-order test is reverse inclusion of bases, the filter at a point set is the
-filter at its hull, and a pushforward is the hull of the image of
-``base``.  ``bits`` (bit i is the value on ``opens[i]``) and ``values`` are
-views derived on each access.  ``check_filter_axioms`` is the one way from
-a table to a filter; it and the value-table routes
-(``enumerate_filters_bruteforce``, ``b_polytope_vertices_bruteforce``)
-stay independent oracles.
+Barmak 2011).  An ``IndicatorFilter`` stores only that open, ``base``, and
+every decision reads bases: the order test is reverse inclusion, canonical
+order is descending bases, the filter at a point set is the filter at its
+hull, and a pushforward is the hull of the image of ``base``.  The table
+``values`` is derived on each access for output, witnesses and oracles.
+``check_filter_axioms`` is the one way from a table to a filter; it and
+the value-table routes (``enumerate_filters_bruteforce``,
+``b_polytope_vertices_bruteforce``) stay independent oracles.
 
 A family of filters is an int bitset one level up: bit k stands for the
 k-th proper filter in canonical order.  The filter-space topology tau^e has
@@ -68,7 +68,7 @@ POLYTOPE_MAX_OPENS = 8
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
 TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e base, axiom rows
 
-# maps the ASCII digits of format(bits, "b") to the bytes 0 and 1
+# maps the ASCII digits of format(bitset, "b") to the bytes 0 and 1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -79,18 +79,15 @@ class IndicatorFilter:
     base: int  # the minimal open of the support
 
     @property
-    def bits(self) -> int:
-        """The table as a bitset over open indices: bit i is the value on opens[i]."""
-        bits = (1 << len(self.topology.opens)) - 1
+    def values(self) -> tuple[int, ...]:
+        """The 0/1 table over the opens, for output, witnesses and oracles:
+        the value on opens[i] is 1 iff that open contains ``base``."""
+        k = len(self.topology.opens)
+        bitset = (1 << k) - 1  # bit i stands for opens[i]
         for p, containing in enumerate(self.topology.point_opens):
             if self.base >> p & 1:
-                bits &= containing
-        return bits
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        """The 0/1 table over the opens, as a tuple view of ``bits``."""
-        digits = format(self.bits, f"0{len(self.topology.opens)}b")
+                bitset &= containing
+        digits = format(bitset, f"0{k}b")
         return tuple(digits[::-1].encode().translate(_DIGIT_VALUES))
 
     def support(self) -> tuple[int, ...]:
@@ -154,13 +151,13 @@ def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorF
 
     Every filter is principal at its minimal open and distinct opens give
     distinct filters, so the filters are the opens themselves, the empty
-    one excluded in proper mode.  The filter-axioms-n* suite checks
-    validate every filter independently; the brute-force oracle is
-    enumerate_filters_bruteforce.
+    one excluded in proper mode, listed by descending base: for opens a < b
+    as ints the tables first differ on the open a (no open below a holds
+    either base), where the filter at a is 1 and the one at b, no subset
+    of a, is 0.  filter-axioms-n* validates every filter independently;
+    the brute-force oracle is enumerate_filters_bruteforce.
     """
-    out = [IndicatorFilter(t, base) for base in t.opens if base or not proper]
-    out.sort(key=lambda mu: mu.values)
-    return out
+    return [IndicatorFilter(t, base) for base in reversed(t.opens) if base or not proper]
 
 
 def enumerate_filters_bruteforce(t: FiniteTopology, proper: bool = True) -> list[IndicatorFilter]:
@@ -441,7 +438,7 @@ def _solve_exact(rows):
 
 def check_refinement(r: Refinement) -> tuple[bool, object]:
     """Verify the two refinement axioms; witness names the failing
-    (x, mu, D), mu by its 0/1 values over the opens."""
+    (x, mu, D), mu by its 0/1 values and D the first open holding x, not mu's base."""
     t = r.topology
     ok, pair = is_t0(t)
     if not ok:
@@ -456,9 +453,9 @@ def check_refinement(r: Refinement) -> tuple[bool, object]:
         for mu in members:
             if mu.topology != t:
                 return False, ("topology mismatch", x)
-            missing = px.bits & ~mu.bits
-            if missing:
-                return False, (x, mu.values, set_of(t.first_open(missing)))
+            if not filter_leq(px, mu):
+                missing = next(d for d in px.support() if d & mu.base != mu.base)
+                return False, (x, mu.values, set_of(missing))
             if mu.base == px.base:
                 return False, (x, mu.values,
                                "no open distinguishes mu from the point filter")

@@ -8,10 +8,10 @@ Every point p has a smallest open neighbourhood, the AND of the opens
 containing it (Alexandrov 1937).  ``FiniteTopology.hull`` ORs these into
 the smallest open containing a point set, and ``PointMap.image_hull`` takes
 the hull of an image.  A filter is stored as such a smallest open (see
-filter_algebra), so these two are the whole of its kernel.  A family of
-opens, as a filter's value table, is an int bitset over open indices: bit
-i stands for ``opens[i]``.  The per-point tables are built lazily, once
-per object, and then reused.
+filter_algebra), so these two are the whole of its kernel.  ``point_opens``
+holds, per point, the opens containing it as an int bitset over open
+indices (bit i for ``opens[i]``), built once per object: ``is_t0``
+compares them, and a point's minimal open is its lowest member.
 
 The same correspondence runs the other way in ``enumerate_topologies``:
 it picks a minimal open U_p for each point, keeps the transitive choices
@@ -81,7 +81,8 @@ class FiniteTopology:
     def minimal_opens(self) -> tuple[int, ...]:
         """Per point p, the smallest open containing p: a subset of, so as an
         int below, every other open containing p."""
-        return tuple(self.first_open(bits) for bits in self.point_opens)
+        return tuple(self.opens[(bits & -bits).bit_length() - 1]
+                     for bits in self.point_opens)
 
     def hull(self, mask: int) -> int:
         """The smallest open containing the point set ``mask``: the OR of the
@@ -91,11 +92,6 @@ class FiniteTopology:
             if mask >> p & 1:
                 out |= m
         return out
-
-    def first_open(self, bits: int) -> int:
-        """The open of a nonempty open-index bitset that comes first in
-        canonical order."""
-        return self.opens[(bits & -bits).bit_length() - 1]
 
 
 @dataclass(frozen=True)

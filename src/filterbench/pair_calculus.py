@@ -213,7 +213,7 @@ def check_uniformity(omega: IndicatorFilter, ps: ProductSpace) -> UniformityRepo
     diagonal = diagonal_filter(ps)
     a_ok = filter_leq(diagonal, omega)
     a_wit = None if a_ok else set_of(
-        ps.topology.first_open(diagonal.bits & ~omega.bits))
+        next(d for d in diagonal.support() if d & omega.base != omega.base))
     b_ok, b_wit = _half_composition(omega, ps.base.n)
     c_ok = swap_pushforward(omega, ps).base == omega.base
     return UniformityReport(a_ok, a_wit, b_ok, b_wit, c_ok)

@@ -128,15 +128,21 @@ def _filter_axioms(n, config, seed):
     bad = []
     count = 0
     for t in ft.enumerate_topologies(n):
-        for mu in fa.enumerate_filters(t, proper=config.proper):
-            count += 1
+        filters = fa.enumerate_filters(t, proper=config.proper)
+        count += len(filters)
+        if len(set(filters)) < len(filters):
+            bad.append({"opens": t.opens, "error": "a filter is listed twice"})
+        for mu in filters:
             try:
-                fa.check_filter_axioms(t, mu.values, proper=config.proper)
+                rebuilt = fa.check_filter_axioms(t, mu.values, proper=config.proper)
             except Exception as e:  # pragma: no cover - engine bug
                 bad.append({"opens": t.opens, "values": mu.values,
                             "error": str(e)})
                 continue
-            if not _support_characterization_ok(t, mu):
+            if rebuilt != mu:
+                bad.append({"opens": t.opens, "base": mu.base,
+                            "error": "base is not the minimal open"})
+            elif not _support_characterization_ok(t, mu):
                 bad.append({"opens": t.opens, "values": mu.values,
                             "error": "support characterization"})
     return Outcome(not bad, bad[:3] or {"filters": count}, count)

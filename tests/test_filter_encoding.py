@@ -2,10 +2,11 @@
 
 A filter is stored as the minimal open of its support.  Every view and
 operation is compared with its definition evaluated on 0/1 value tables
-that are built literally, over every topology on at most 3 points, in both
-modes, and over the Sierpinski and discrete-2 squares.  Results are
+that are built literally, over every topology on at most 3 points (the
+order on 4), in both modes, and over the Sierpinski and discrete-2 squares.  Results are
 compared as filters, with the filter check_filter_axioms builds from the
-table, so a stored base that is not the minimal open fails too.
+table, so a stored base that is not the minimal open fails too.  The
+routes that decide on bases are also run with the tables disabled.
 """
 
 import itertools
@@ -15,8 +16,12 @@ import pytest
 
 from filterbench.errors import TopologyMismatch
 from filterbench.filter_algebra import (
+    IndicatorFilter,
+    Refinement,
+    _tau_e_base,
     b_polytope_vertices_bruteforce,
     check_filter_axioms,
+    check_refinement,
     enumerate_filters,
     enumerate_filters_bruteforce,
     filter_leq,
@@ -27,19 +32,24 @@ from filterbench.finite_topology import (
     PointMap,
     enumerate_topologies,
     is_continuous,
+    set_of,
 )
 from filterbench.pair_calculus import (
+    check_uniformity,
     compose_filters,
     compose_filters_bruteforce,
     compose_masks,
+    principal_pair_filter,
     product_topology,
     swap_pushforward,
     transpose_mask,
 )
+from filterbench.suites import RunConfig, run_suite
 
 from test_finite_topology import discrete, sierpinski
 
 SMALL = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+FOUR = list(enumerate_topologies(4))
 SQUARES = {"sierpinski": product_topology(sierpinski()),
            "discrete2": product_topology(discrete(2))}
 
@@ -57,14 +67,16 @@ def _filters(t, proper):
 
 @pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
 def test_views_match_the_value_tables(proper):
-    topologies = SMALL + [ps.topology for ps in SQUARES.values()]
-    for t in topologies:
+    # canonical order is ascending tables, also on every topology on 4
+    # points and on the discrete 3-point square (512 opens)
+    topologies = SMALL + FOUR + [ps.topology for ps in SQUARES.values()]
+    for t in topologies + [product_topology(discrete(3)).topology]:
         tables = _tables(t, proper)
         assert sorted(tables) == [mu.values for mu in enumerate_filters(t, proper)]
-        for table in tables:
+    for t in topologies:
+        for table in _tables(t, proper):
             mu = check_filter_axioms(t, table, proper)
             assert mu.values == table
-            assert mu.bits == sum(v << i for i, v in enumerate(table))
             assert mu.support() == tuple(d for d, v in zip(t.opens, table) if v)
 
 
@@ -124,6 +136,47 @@ def test_pair_operations_match_their_definitions(ps, proper):
                  for f, b in zip(opens, nu.values) if b}
         table = tuple(int(any(c & d == c for c in comps)) for d in opens)
         assert compose_filters(mu, nu, ps) == check_filter_axioms(ps.topology, table, False)
+
+
+def test_refinement_witness_is_the_first_open_missing_from_mu():
+    # mu not finer than the point filter of x: the witness is x, mu's table
+    # and the first open holding x with value 0.  The earlier points get
+    # the filter of the empty open, finer than every point filter, so the
+    # check reaches x; on a space that is not T0 it stops before any point.
+    cases = 0
+    for t in (t for n in (1, 2, 3) for t in enumerate_topologies(n, t0_only=True)):
+        finest = check_filter_axioms(t, (1,) * len(t.opens), proper=False)
+        for x in range(t.n):
+            point = [int(d >> x & 1) for d in t.opens]
+            for mu, table in zip(_filters(t, True), _tables(t, True)):
+                missing = [d for d, p, v in zip(t.opens, point, table) if p > v]
+                if not missing:
+                    continue
+                cases += 1
+                assignment = ((finest,),) * x + ((mu,),) * (t.n - x)
+                assert check_refinement(Refinement(t, assignment)) \
+                    == (False, (x, table, set_of(missing[0])))
+    assert cases == 147
+
+
+def test_fast_routes_read_no_value_tables(monkeypatch):
+    # the mirror of the test below: with the value tables disabled, the
+    # routes that decide on bases run and give the results they give intact
+    def no_values(mu):
+        raise AssertionError("a fast route read a value table")
+
+    ps = SQUARES["discrete2"]
+    pair_filters = [principal_pair_filter(ps, r) for r in range(1 << 4)]
+
+    def run():
+        return ([enumerate_filters(t, proper) for t in SMALL for proper in (True, False)],
+                [check_uniformity(omega, ps) for omega in pair_filters],
+                run_suite("finite-pushforward", RunConfig(seed=1, samples=50)).to_json())
+
+    want = run()
+    _tau_e_base.cache_clear()  # so the suite enumerates the filters again
+    monkeypatch.setattr(IndicatorFilter, "values", property(no_values))
+    assert run() == want
 
 
 def test_oracles_read_only_value_tables(monkeypatch):

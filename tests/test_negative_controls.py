@@ -8,6 +8,7 @@ check; the named checks must then fail.  A control with the engine intact
 import numpy as np
 import pytest
 
+from filterbench import filter_algebra as fa
 from filterbench import finite_topology as ft
 from filterbench import flows as fl
 from filterbench import metric_filters as mf
@@ -42,6 +43,13 @@ def _union_only_closure(monkeypatch):
     monkeypatch.setattr(ft, "is_closed_family", closed_under_unions)
 
 
+def _every_point_set_base(monkeypatch):
+    # every nonempty point set as a base: one that is not open repeats the
+    # filter at its hull, and its table is still a filter's
+    monkeypatch.setattr(fa, "enumerate_filters", lambda t, proper=True: [
+        fa.IndicatorFilter(t, b) for b in range(1 << t.n) if b or not proper])
+
+
 def _cone_accepts_everything(monkeypatch):
     monkeypatch.setattr(mf, "v_plus_contains",
                         lambda g, y: np.ones(np.shape(y)[:-1], dtype=bool))
@@ -66,6 +74,8 @@ CONTROLS = {
     "union-only-closure": ("finite-axioms", _union_only_closure,
                            ["enumeration-crosscheck-n3",
                             "enumeration-crosscheck-n4"]),
+    "every-point-set-base": ("finite-axioms", _every_point_set_base,
+                             [f"filter-axioms-n{n}" for n in (2, 3, 4)]),
     "cone-accepts-everything": ("derivative", _cone_accepts_everything,
                                 ["sequence-classification"]),
     "pushforward-of-reversal": ("flows", _pushforward_of_reversal,
