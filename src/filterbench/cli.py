@@ -88,14 +88,16 @@ def _cmd_check(args) -> int:
             witness={"n": t.n, "opens": len(t.opens)}), t0)
     if args.what == "map":
         f = ingest(args.file, "map")
+        pull = ft.pull_table(f.target, f.image, f.source.opens)
 
         def continuity():
-            ok, witness = ft.is_continuous(f)
-            return record("map-continuous", "sec:2.1", ok,
-                          witness={"open_preimage_witness": witness})
+            d = pull.preimage_witness(f.source)
+            return record("map-continuous", "sec:2.1", d is None,
+                          witness={"open_preimage_witness":
+                                   None if d is None else ft.set_of(d)})
 
         def prop26():
-            ok, witness = fa.check_pushforward_continuity(f)
+            ok, witness = fa.check_pushforward_continuity(f.source, pull)
             return record("pushforward-continuity", "prop:prop26", ok,
                           witness={"witness": witness})
         return _single(args, "check:map", continuity, prop26)

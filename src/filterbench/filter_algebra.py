@@ -33,7 +33,10 @@ one base set U_D = {mu : mu(D) = 1} per open D, so a family is tau^e-open
 iff it is the union of the base sets it contains, and no family needs to be
 enumerated.  Pushforward continuity (Prop 2.6) is decided on the base too:
 preimages commute with unions, so f* is continuous iff the preimage of
-every U_D is open.
+every U_D is open.  The check reads the pushed bases from a
+``finite_topology.PullTable``, which the pushforward sweep shares across
+source topologies, and also holds each preimage to the definition
+f* mu (D) = mu(f^-1 D), that is to U_{f^-1 D}.
 
 B-polytope vertices come from an exact double-description method
 (Motzkin; Fukuda & Prodon 1996); the oracle solves every basis by
@@ -58,6 +61,7 @@ from .errors import (
 from .finite_topology import (
     FiniteTopology,
     PointMap,
+    PullTable,
     is_continuous,
     is_t0,
     set_of,
@@ -206,25 +210,46 @@ def _tau_e_uncovered(base: Sequence[int], family: int) -> int:
     return family & ~covered
 
 
-def check_pushforward_continuity(f: PointMap) -> tuple[bool, frozenset[int] | None]:
-    """Verify that f* pulls every tau^e-open back to a tau^e-open.
+def check_pushforward_continuity(source: FiniteTopology,
+                                 pull: PullTable) -> tuple[bool, object]:
+    """Verify that f* pulls every tau^e-open back to a tau^e-open, for the
+    map f from ``source`` whose preimages and pushes ``pull`` holds.
 
     Preimages commute with unions and every tau^e-open is a union of base
     sets U_D, so it suffices that each preimage (f*)^-1(U_D) is open; it
-    is read off the pushed bases, as the source filters whose image has
-    its base inside D.  The witness (on failure, which would indicate
-    an engine bug) is the first target open D, as a point set, whose
-    preimage is not open.
+    is read off the pushes, as the source filters whose pushed base lies
+    in D.  Then each preimage is held to the definition
+    f* mu (D) = mu(f^-1 D), which makes it U_{f^-1 D}: a pushed base lies
+    in D iff the base lies in f^-1 D, the right side read from the
+    preimage table and the tau^e base, never from a push.
+
+    On failure, which would indicate an engine bug, the witness is the
+    first target open D, as a point set, whose preimage is not open, or
+    else {"base": ..., "open": D}, the first filter base and target open
+    on which the pushes and the definition disagree.
     """
-    ok, witness = is_continuous(f)
-    if not ok:
-        raise NotContinuous(witness)
-    universe, base = _tau_e_base(f.source)
-    pushed = [f.image_hull(mu.base) for mu in universe]
-    for d in f.target.opens:
-        preimage = sum(1 << k for k, e in enumerate(pushed) if not e & ~d)
+    d = pull.preimage_witness(source)
+    if d is not None:
+        raise NotContinuous(set_of(d))
+    universe, base = _tau_e_base(source)
+    pushed = [pull.pushes[mu.base] for mu in universe]
+    opens = pull.target.opens
+    preimages = []
+    for d in opens:
+        preimage, bit = 0, 1
+        for e in pushed:
+            if not e & ~d:
+                preimage |= bit
+            bit <<= 1
         if _tau_e_uncovered(base, preimage):
             return False, set_of(d)
+        preimages.append(preimage)
+    index = source.open_index
+    for d, p, preimage in zip(opens, pull.preimages, preimages):
+        wrong = preimage ^ base[index[p]]
+        if wrong:
+            mu = universe[(wrong & -wrong).bit_length() - 1]
+            return False, {"base": set_of(mu.base), "open": set_of(d)}
     return True, None
 
 

@@ -13,6 +13,18 @@ holds, per point, the opens containing it as an int bitset over open
 indices (bit i for ``opens[i]``), built once per object: ``is_t0``
 compares them, and a point's minimal open is its lowest member.
 
+A map's preimages and pushes depend on its target and image only, not on
+its source topology, so ``pull_table`` computes them once into a
+``PullTable``: per target open its preimage, and per listed source point
+set the hull of its image.  The finite-pushforward sweep
+(``suites._pushforward_continuity``) builds one table per (target, image)
+over all source point sets and shares it by every source topology; the
+CLI's ``check map`` builds one over the source opens.  Both decide
+continuity with ``PullTable.preimage_witness`` and Prop 2.6 with
+``filter_algebra.check_pushforward_continuity``.  ``is_continuous`` and
+``PointMap.image_hull`` stay the per-map definitions, which the tests hold
+the tables to; ``filter_algebra.pushforward`` pushes a single filter.
+
 The same correspondence runs the other way in ``enumerate_topologies``:
 it picks a minimal open U_p for each point, keeps the transitive choices
 (q in U_p implies U_q within U_p), and takes the unions of the U_p as the
@@ -129,6 +141,45 @@ class PointMap:
             if mask >> i & 1:
                 image |= 1 << fi
         return self.target.hull(image)
+
+
+@dataclass(frozen=True)
+class PullTable:
+    """What a map into ``target`` pulls back and pushes forward, whatever
+    its source topology: per target open, its preimage as a source point
+    set, and per listed source point set, the hull of its image."""
+
+    target: FiniteTopology
+    preimages: tuple[int, ...]
+    pushes: Mapping[int, int]
+
+    def preimage_witness(self, source: FiniteTopology) -> int | None:
+        """The first target open whose preimage is not open in ``source``,
+        or None: the map from ``source`` is continuous iff this is None."""
+        index = source.open_index
+        for d, p in zip(self.target.opens, self.preimages):
+            if p not in index:
+                return d
+        return None
+
+
+def pull_table(target: FiniteTopology, image: tuple[int, ...],
+               point_sets: Iterable[int]) -> PullTable:
+    """The pull table of the point map with this target and image, pushing
+    the source point sets ``point_sets``.  The push of a point set is the
+    OR of the minimal opens of its points' images, as in
+    ``PointMap.image_hull``."""
+    preimages = tuple(sum(1 << i for i, fi in enumerate(image) if d >> fi & 1)
+                      for d in target.opens)
+    minimal = [target.minimal_opens[fi] for fi in image]
+    pushes = {}
+    for m in point_sets:
+        push = 0
+        for i, u in enumerate(minimal):
+            if m >> i & 1:
+                push |= u
+        pushes[m] = push
+    return PullTable(target, preimages, MappingProxyType(pushes))
 
 
 def validate_topology(n: int, family: Iterable[Iterable[int]]) -> FiniteTopology:

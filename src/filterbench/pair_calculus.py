@@ -81,17 +81,22 @@ def compose_sets(
 
 def compose_masks(n: int, ra: int, rb: int) -> int:
     """Bitmask relational composition; row i of the result is the union of
-    rb-rows reachable from row i of ra."""
+    the rb-rows k with (i, k) in ra.
+
+    Bit-parallel, one product per column k: ``column`` has bit i*n set for
+    every row i, so ``(ra >> k) & column`` marks the rows i holding (i, k),
+    and multiplying it by rb's row k, a number below 2^n, copies that row
+    into each marked row's slot without a carry into the next slot
+    (Warren, Hacker's Delight, 2nd ed. 2012).  At n = 0 there is no row
+    and no pair, and ``column`` would divide by zero.
+    """
+    if n == 0:
+        return 0
     row = (1 << n) - 1
-    rb_rows = [(rb >> (k * n)) & row for k in range(n)]
+    column = ((1 << n * n) - 1) // row
     out = 0
-    for i in range(n):
-        ra_row = (ra >> (i * n)) & row
-        acc = 0
-        for k in range(n):
-            if ra_row >> k & 1:
-                acc |= rb_rows[k]
-        out |= acc << (i * n)
+    for k in range(n):
+        out |= ((ra >> k) & column) * ((rb >> k * n) & row)
     return out
 
 

@@ -177,21 +177,25 @@ def _finite_axioms_checks():
 # --- suite: finite-pushforward -----------------------------------------------
 
 def _pushforward_continuity(a, b, config, seed):
+    """Prop 2.6 on every continuous map between T0 topologies on a and b
+    points.  The loop runs target, image, source: the preimages of the
+    target opens and the pushes of all 2^a source point sets depend only on
+    (target, image), so one pull table serves every source topology, which
+    adds only the continuity lookups and the tau^e check."""
     bad = []
     count = 0
     sources = list(ft.enumerate_topologies(a, t0_only=True))
-    targets = list(ft.enumerate_topologies(b, t0_only=True))
-    for src in sources:
-        for tgt in targets:
-            for image in itertools.product(range(b), repeat=a):
-                f = ft.PointMap(src, tgt, image)
-                if not ft.is_continuous(f)[0]:
+    for tgt in ft.enumerate_topologies(b, t0_only=True):
+        for image in itertools.product(range(b), repeat=a):
+            pull = ft.pull_table(tgt, image, range(1 << a))
+            for src in sources:
+                if pull.preimage_witness(src) is not None:
                     continue
                 count += 1
-                ok, witness = fa.check_pushforward_continuity(f)
+                ok, witness = fa.check_pushforward_continuity(src, pull)
                 if not ok:
                     bad.append({"src": src.opens, "tgt": tgt.opens,
-                                "image": image, "witness": sorted(witness)})
+                                "image": image, "witness": witness})
     return Outcome(not bad, bad[:3] or {"maps": count}, count)
 
 
@@ -214,10 +218,10 @@ def _all_pairs_n2():
 
 
 def _sampled_pairs_n3(seed, count):
-    """count random pairs of relations on 3 points, drawn ra then rb."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield int(rng.integers(0, 512)), int(rng.integers(0, 512))
+    """count random pairs of relations on 3 points, drawn ra then rb, in
+    one call: the same stream as 2 * count scalar draws."""
+    draws = np.random.default_rng(seed).integers(0, 512, size=2 * count).tolist()
+    return zip(draws[0::2], draws[1::2])
 
 
 def _mask_set_mismatch(n, ra, rb):
@@ -695,12 +699,28 @@ def _recipe(report, name, recipe, params, config, seed):
 
 
 def _pushforward_conditions(config, seed):
-    pushed = fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
-                                 fl.BUILTIN_FLOWS["rotation"])
-    rep = fl.check_flow_conditions(pushed, samples=min(config.samples, 1000),
-                                   seed=seed)
+    """lem:lem2 for f*F with f = shear_half and F = rotation: conditions
+    (a), (b) and (d) hold, and f*F is the pushforward,
+    f*F(t, f(x)) = f(F(t, x)) within 1e-9 (1 + |f(F(t, x))|).  A reversed
+    flow meets the conditions too; only the identity tells them apart.
+    The identity draws x and t from its own generator, seeded like the
+    conditions report, so it leaves the report's draws as they are."""
+    spec, flow = BUILTIN_MAPS["shear_half"], fl.BUILTIN_FLOWS["rotation"]
+    pushed = fl.pushforward_flow(spec, flow)
+    samples = min(config.samples, 1000)
+    rep = fl.check_flow_conditions(pushed, samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (samples, flow.dim))
+    t = rng.uniform(-fl.T_MAX, fl.T_MAX, samples)
+    want = spec(flow(t, x))
+    gap = np.linalg.norm(pushed(t, spec(x)) - want, axis=-1)
+    bad = int(np.count_nonzero(
+        gap > 1e-9 * (1 + np.linalg.norm(want, axis=-1))))
     ok = rep.passes["a"] and rep.passes["b"] and rep.passes["d"]
-    return Outcome(ok, {"passes": rep.passes}, min(config.samples, 1000))
+    witness = {"passes": rep.passes}
+    if bad:
+        witness["identity_mismatches"] = bad
+    return Outcome(ok and not bad, witness, samples)
 
 
 def _transport(mname, config, seed):

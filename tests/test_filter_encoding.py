@@ -190,6 +190,7 @@ def test_oracles_read_only_value_tables(monkeypatch):
     want = [[compose_filters(mu, nu, ps) for nu in universe] for mu in universe]
     monkeypatch.setattr(FiniteTopology, "hull", no_hull)
     monkeypatch.setattr(PointMap, "image_hull", no_hull)
+    monkeypatch.setattr("filterbench.finite_topology.pull_table", no_hull)
     tables = [SimpleNamespace(values=mu.values) for mu in universe]
     for row, a in zip(want, tables):
         for composed, b in zip(row, tables):

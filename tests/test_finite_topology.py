@@ -15,9 +15,12 @@ from filterbench.finite_topology import (
     is_closed_family,
     is_continuous,
     is_t0,
+    pull_table,
+    set_of,
     validate_topology,
 )
 from filterbench.filter_algebra import point_filter
+from filterbench.suites import RunConfig, run_suite
 
 
 def sierpinski():
@@ -107,6 +110,45 @@ class TestContinuity:
         ok, witness = is_continuous(PointMap(t, t, (1, 0)))
         assert not ok
         assert witness == frozenset({1})
+
+    def test_shared_pull_tables_match_the_definition(self):
+        # one table per (target, image), as the pushforward sweep shares it,
+        # against is_continuous and image_hull on every map between
+        # topologies on at most 3 points, T0 or not
+        spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(n)]
+        assert len(spaces) == 1 + 4 + 29
+        maps = continuous = 0
+        for tgt in spaces:
+            for src_n in (1, 2, 3):
+                sources = [s for s in spaces if s.n == src_n]
+                for image in itertools.product(range(tgt.n), repeat=src_n):
+                    pull = pull_table(tgt, image, range(1 << src_n))
+                    for src in sources:
+                        f = PointMap(src, tgt, image)
+                        maps += 1
+                        ok, witness = is_continuous(f)
+                        d = pull.preimage_witness(src)
+                        assert (d is None, None if d is None else set_of(d)) \
+                            == (ok, witness)
+                        continuous += ok
+                        assert pull.preimages == tuple(
+                            f.preimage_mask(d) for d in tgt.opens)
+                        assert dict(pull.pushes) == {
+                            m: f.image_hull(m) for m in range(1 << src_n)}
+        assert (maps, continuous) == (24_872, 11_310)
+
+    def test_sweep_visits_every_continuous_map_between_t0_spaces(self):
+        t0 = list(enumerate_topologies(3, t0_only=True))
+        count = 0
+        for tgt in t0:
+            for image in itertools.product(range(3), repeat=3):
+                pull = pull_table(tgt, image, range(8))
+                count += sum(pull.preimage_witness(src) is None for src in t0)
+        report = run_suite("finite-pushforward", RunConfig(seed=1, samples=1))
+        record, = (r for r in report.records
+                   if r.check_id == "pushforward-continuity-3to3")
+        assert count == record.samples == 4_095
+        assert record.witness == {"maps": 4_095}
 
 
 class TestEnumeration:

@@ -5,6 +5,8 @@ check; the named checks must then fail.  A control with the engine intact
 (the unmutated run) must pass, so a failure is the mutation's doing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ def _every_point_set_base(monkeypatch):
         fa.IndicatorFilter(t, b) for b in range(1 << t.n) if b or not proper])
 
 
+def _identity_push(monkeypatch):
+    # every source point set pushed to the same set of target points: right
+    # only for maps between one-point spaces
+    pull_table = ft.pull_table
+    monkeypatch.setattr(ft, "pull_table", lambda target, image, point_sets:
+                        dataclasses.replace(pull_table(target, image, point_sets),
+                                            pushes={m: m for m in point_sets}))
+
+
 def _cone_accepts_everything(monkeypatch):
     monkeypatch.setattr(mf, "v_plus_contains",
                         lambda g, y: np.ones(np.shape(y)[:-1], dtype=bool))
@@ -76,10 +87,15 @@ CONTROLS = {
                             "enumeration-crosscheck-n4"]),
     "every-point-set-base": ("finite-axioms", _every_point_set_base,
                              [f"filter-axioms-n{n}" for n in (2, 3, 4)]),
+    "identity-push": ("finite-pushforward", _identity_push,
+                      [f"pushforward-continuity-{a}to{b}"
+                       for a in (1, 2, 3) for b in (1, 2, 3)
+                       if (a, b) != (1, 1)]),
     "cone-accepts-everything": ("derivative", _cone_accepts_everything,
                                 ["sequence-classification"]),
     "pushforward-of-reversal": ("flows", _pushforward_of_reversal,
-                                [f"transport-{m}" for m in (
+                                ["pushforward-conditions"]
+                                + [f"transport-{m}" for m in (
                                     "identity2d", "rotation_quarter",
                                     "shear_half", "parabolic_shear",
                                     "sine_shear")]),

@@ -102,14 +102,20 @@ class TestComposeSets:
                         compose_sets(a, compose_sets(b, c))
 
     def test_mask_compose_matches_set_compose(self):
-        n = 3
+        # every pair of relations for n <= 2 (n = 0 has only the empty one),
+        # seeded random pairs for n = 3 and 4
         rng = random.Random(0)
-        for _ in range(200):
-            ra = rng.randrange(1 << 9)
-            rb = rng.randrange(1 << 9)
-            via_mask = relation_pairs(n, compose_masks(n, ra, rb))
-            via_sets = compose_sets(relation_pairs(n, ra), relation_pairs(n, rb))
-            assert via_mask == via_sets
+        for n in range(5):
+            relations = 1 << n * n
+            if n <= 2:
+                pairs = itertools.product(range(relations), repeat=2)
+            else:
+                pairs = [(rng.randrange(relations), rng.randrange(relations))
+                         for _ in range(500)]
+            for ra, rb in pairs:
+                via_mask = relation_pairs(n, compose_masks(n, ra, rb))
+                via_sets = compose_sets(relation_pairs(n, ra), relation_pairs(n, rb))
+                assert via_mask == via_sets
 
 
 class TestComposeFilters:

@@ -4,6 +4,7 @@ run, trad2 as a relabelling of the flows records, and pinned reports."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from filterbench import flows as fl
@@ -164,3 +165,14 @@ def test_finite_report_digests_are_pinned(name, proper, seed):
     assert list(_floats(json.loads(text))) == [".config.tol"]
     assert hashlib.sha256(text.encode()).hexdigest() == \
         FINITE_DIGESTS[name, proper][seed - 1]
+
+
+@pytest.mark.parametrize("count", [500, 2000])
+def test_sampled_pairs_are_the_scalar_draws(count):
+    # one batched draw gives the stream of 2 * count scalar draws, so the
+    # sampled pair-composition records keep their pairs
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        scalar = [(int(rng.integers(0, 512)), int(rng.integers(0, 512)))
+                  for _ in range(count)]
+        assert list(suites._sampled_pairs_n3(seed, count)) == scalar
