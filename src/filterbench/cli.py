@@ -130,7 +130,8 @@ def _cmd_check(args) -> int:
         return record("uniformity-axioms", "def:def29", rep.is_uniformity,
                       witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
                                "axiom_c": rep.axiom_c,
-                               "axiom_a_witness": rep.axiom_a_witness})
+                               "axiom_a_witness": rep.axiom_a_witness,
+                               "axiom_b_witness": rep.axiom_b_witness})
     return _single(args, "check:uniformity", uniformity)
 
 

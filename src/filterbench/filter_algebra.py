@@ -11,10 +11,10 @@ B-class filters carry the same axioms with values in [0,1].  Proper mode
 
 The axioms are stated once, as the integer row system of the B-polytope
 (``_b_polytope_system``): sparse rows over the open indices, each tagged
-with the axiom and the witness it encodes.  Both checkers raise from the
-first row a table violates; double description and the basis-enumeration
-oracle read the same rows.  All of it runs in integers; ``Fraction`` is
-left only at the boundary, in returned vertices and graded values.
+with the axiom and the witness it encodes.  ``check_filter_axioms`` raises
+from the first row a table violates, and double description cuts the unit
+cube by the same rows.  All of it runs in integers; ``Fraction`` is left
+only at the boundary, in returned vertices.
 
 On a finite topology a filter's support is intersection-closed and upward
 closed, so the filter is principal at its minimal open (Alexandrov 1937;
@@ -24,8 +24,8 @@ order is descending bases, the filter at a point set is the filter at its
 hull, and a pushforward is the hull of the image of ``base``.  The table
 ``values`` is derived on each access for output, witnesses and oracles.
 ``check_filter_axioms`` is the one way from a table to a filter; it and
-the value-table routes (``enumerate_filters_bruteforce``,
-``b_polytope_vertices_bruteforce``) stay independent oracles.
+``enumerate_filters_bruteforce``, which scans every table, stay
+independent of the bases.
 
 A family of filters is an int bitset one level up: bit k stands for the
 k-th proper filter in canonical order.  The filter-space topology tau^e has
@@ -39,8 +39,12 @@ source topologies, and also holds each preimage to the definition
 f* mu (D) = mu(f^-1 D), that is to U_{f^-1 D}.
 
 B-polytope vertices come from an exact double-description method
-(Motzkin; Fukuda & Prodon 1996); the oracle solves every basis by
-fraction-free elimination (Bareiss 1968).
+(Motzkin; Fukuda & Prodon 1996).
+
+The slow definitions the tests hold these routes to live in
+``tests/oracles.py``, outside the package: the pushforward of one filter
+along a point map, the graded (B-class) axiom check and vertex enumeration
+by solving every basis (Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -58,18 +62,9 @@ from .errors import (
     SizeLimitExceeded,
     TopologyMismatch,
 )
-from .finite_topology import (
-    FiniteTopology,
-    PointMap,
-    PullTable,
-    is_continuous,
-    is_t0,
-    set_of,
-)
+from .finite_topology import FiniteTopology, PullTable, is_t0, set_of
 
-GRADED_TOL = 1e-12
 POLYTOPE_MAX_OPENS = 8
-POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
 TOPOLOGY_CACHE_SIZE = 64  # entries of each per-topology cache: tau^e base, axiom rows
 
 # maps the ASCII digits of format(bitset, "b") to the bytes 0 and 1
@@ -111,12 +106,6 @@ def point_filter(t: FiniteTopology, x: int) -> IndicatorFilter:
 
 
 @dataclass(frozen=True)
-class GradedFilter:
-    topology: FiniteTopology
-    values: tuple  # Fractions or floats in [0, 1]
-
-
-@dataclass(frozen=True)
 class Refinement:
     topology: FiniteTopology
     assignment: tuple[tuple[IndicatorFilter, ...], ...]  # one tuple per point
@@ -132,22 +121,11 @@ def check_filter_axioms(
     values = tuple(values)
     if len(values) != len(topology.opens):
         raise TopologyMismatch("assignment length does not match number of opens")
-    if any(v not in (0, 1) for v in values):  # 0/1 values meet the box rows
+    if any(v not in (0, 1) for v in values):
         raise FilterAxiomViolation("A", None, "values must be 0 or 1")
-    _, equalities, pairs = _b_polytope_system(topology, proper)
-    _raise_first_violation(values, 0, (), equalities, pairs)
+    _raise_first_violation(values, 0, *_b_polytope_system(topology, proper))
     # the support is intersection-closed, so its first open is its minimal one
     return IndicatorFilter(topology, topology.opens[values.index(1)])
-
-
-def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
-    """f* mu (A) = mu(f^{-1}(A)); requires a continuous f."""
-    ok, witness = is_continuous(f)
-    if not ok:
-        raise NotContinuous(witness)
-    if mu.topology != f.source:
-        raise TopologyMismatch("filter does not live on the source topology")
-    return IndicatorFilter(f.target, f.image_hull(mu.base))
 
 
 def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorFilter]:
@@ -159,7 +137,8 @@ def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorF
     as ints the tables first differ on the open a (no open below a holds
     either base), where the filter at a is 1 and the one at b, no subset
     of a, is 0.  filter-axioms-n* validates every filter independently;
-    the brute-force oracle is enumerate_filters_bruteforce.
+    the brute-force oracle is enumerate_filters_bruteforce, which the
+    tests run.
     """
     return [IndicatorFilter(t, base) for base in reversed(t.opens) if base or not proper]
 
@@ -255,32 +234,16 @@ def check_pushforward_continuity(source: FiniteTopology,
 
 # --- B-class filters ---------------------------------------------------------
 
-def check_graded_axioms(
-    t: FiniteTopology, values: Sequence, proper: bool = True
-) -> GradedFilter:
-    """Validate a [0,1] table; exact on int and Fraction values, within
-    GRADED_TOL otherwise.  Raises FilterAxiomViolation like
-    check_filter_axioms."""
-    values = tuple(values)
-    if len(values) != len(t.opens):
-        raise TopologyMismatch("assignment length does not match number of opens")
-    exact = all(isinstance(v, (Fraction, int)) for v in values)
-    if any(v != v for v in values):  # NaN fails every row comparison
-        raise FilterAxiomViolation("A", None, _violation_message("A", None))
-    _raise_first_violation(values, 0 if exact else GRADED_TOL,
-                           *_b_polytope_system(t, proper))
-    return GradedFilter(t, values)
-
-
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def _b_polytope_system(t: FiniteTopology, proper: bool):
     """The filter axioms as integer rows over the canonical opens order.
 
-    Returns (box, equalities, pairs), each a tuple of rows
-    (((open index, coef), ...), rhs, axiom, witness).  Box and pair rows
-    mean terms . v <= rhs; equality rows fix one coordinate, terms . v = rhs.
+    Returns (equalities, pairs), each a tuple of rows
+    (((open index, coef), ...), rhs, axiom, witness).  Pair rows mean
+    terms . v <= rhs; equality rows fix one coordinate, terms . v = rhs.
+    The box 0 <= v_i <= 1 is not a row: check_filter_axioms admits only 0
+    and 1, and double description starts from the unit cube.
 
-    - box: 0 <= v_i <= 1, tagged "A" with witness None;
     - equalities: mu(X) = 1 ("A", X) and, in proper mode, mu(empty) = 0
       ("proper", 0);
     - pairs, for each pair a < b of opens: v_a - v_b <= 0 ("B", (a, b))
@@ -292,8 +255,6 @@ def _b_polytope_system(t: FiniteTopology, proper: bool):
     """
     opens = t.opens
     index = t.open_index
-    box = tuple(row for i in range(len(opens))
-                for row in ((((i, -1),), 0, "A", None), (((i, 1),), 1, "A", None)))
     equalities = ((((index[t.full_mask], 1),), 1, "A", t.full_mask),)
     if proper:
         equalities += ((((index[0], 1),), 0, "proper", 0),)
@@ -306,13 +267,13 @@ def _b_polytope_system(t: FiniteTopology, proper: bool):
             else:
                 pairs.append((((i, 1), (j, 1), (index[a | b], -1), (index[a & b], -1)),
                               0, "C", (a, b)))
-    return box, equalities, tuple(pairs)
+    return equalities, tuple(pairs)
 
 
-def _raise_first_violation(values, eps, box, equalities, pairs) -> None:
-    """Raise FilterAxiomViolation from the first row, in the order box,
-    equalities, pairs, that values violate by more than eps."""
-    for rows, two_sided in ((box, False), (equalities, True), (pairs, False)):
+def _raise_first_violation(values, eps, equalities, pairs) -> None:
+    """Raise FilterAxiomViolation from the first row, equalities before
+    pairs, that values violate by more than eps."""
+    for rows, two_sided in ((equalities, True), (pairs, False)):
         for terms, b, axiom, witness in rows:
             excess = -b
             for i, c in terms:
@@ -330,7 +291,7 @@ def _violation_message(axiom: str, witness) -> str:
         return f"supermodularity fails on {sorted(set_of(a))}, {sorted(set_of(b))}"
     if axiom == "proper":
         return "mu(empty) must be 0 in proper mode"
-    return "values must lie in [0, 1]" if witness is None else "mu(X) must be 1"
+    return "mu(X) must be 1"
 
 
 def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fraction, ...]]:
@@ -342,19 +303,19 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
     also has the fractional vertex (0, 0, 0, 1/2, 0, 1/2, 1/2, 1), and so
     does every topology whose opens form the same Boolean lattice.
 
-    The equalities fix their coordinates, the box rows give the starting
-    polytope over the free ones, and each pair row cuts the current polytope
+    The equalities fix their coordinates, the unit cube over the free ones
+    is the starting polytope, and each pair row cuts the current polytope
     in turn: vertices on the violated side are dropped, and every edge from
     a strictly satisfied vertex to a violated one contributes its crossing
     point.  Two vertices span an edge iff no third vertex is tight on every
-    row they share.  b_polytope_vertices_bruteforce is the independent
-    oracle.
+    row they share.  The independent oracle, in tests/oracles.py, solves
+    every basis of these rows and the cube's box rows.
     """
     k = len(t.opens)
     if k > POLYTOPE_MAX_OPENS:
         raise SizeLimitExceeded(
             f"vertex enumeration supports at most {POLYTOPE_MAX_OPENS} opens")
-    _, equalities, pairs = _b_polytope_system(t, proper)
+    equalities, pairs = _b_polytope_system(t, proper)
     fixed: dict[int, int] = {}
     for ((i, _),), b, _, _ in equalities:
         if fixed.setdefault(i, b) != b:
@@ -390,73 +351,6 @@ def b_polytope_vertices(t: FiniteTopology, proper: bool = True) -> list[tuple[Fr
         if not vertices:
             return []
     return sorted(tuple(Fraction(v) for v in x) for x, _ in vertices)
-
-
-def b_polytope_vertices_bruteforce(
-    t: FiniteTopology, proper: bool = True
-) -> list[tuple[Fraction, ...]]:
-    """Vertices by solving every basis of the row system; the oracle for
-    b_polytope_vertices.  A basis solution num / det is kept when
-    row . num <= rhs * det on every inequality row, tested in integers.
-    C(rows, dim) grows fast, hence the tighter guard."""
-    k = len(t.opens)
-    if k > POLYTOPE_BRUTEFORCE_MAX_OPENS:
-        raise SizeLimitExceeded(
-            f"brute-force vertex enumeration supports at most "
-            f"{POLYTOPE_BRUTEFORCE_MAX_OPENS} opens")
-    box, equalities, pairs = _b_polytope_system(t, proper)
-    ineqs = box + pairs
-    vertices: set[tuple[Fraction, ...]] = set()
-    for combo in itertools.combinations(ineqs, k - len(equalities)):
-        sol = _solve_exact(equalities + combo)
-        if sol is None:
-            continue
-        num, det = sol
-        if all(sum([a * num[i] for i, a in terms]) <= b * det
-               for terms, b, _, _ in ineqs):
-            vertices.add(tuple(Fraction(v, det) for v in num))
-    return sorted(vertices)
-
-
-def _solve_exact(rows):
-    """Solve the square system of sparse integer rows, terms . v = rhs.
-
-    Returns (num, det) with v = num / det and det > 0, or None if singular.
-    Fraction-free (Bareiss) elimination: every division is exact, and num
-    holds the integer Cramer numerators.
-    """
-    n = len(rows)
-    a = []
-    for terms, b, *_ in rows:
-        row = [0] * n + [b]
-        for i, c in terms:
-            row[i] += c
-        a.append(row)
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        tail = a[col][col + 1:]
-        for r in range(col + 1, n):  # columns up to col are not read again
-            row = a[r]
-            f = row[col]
-            row[col + 1:] = [(x * pv - f * y) // prev for x, y in zip(row[col + 1:], tail)]
-        prev = pv
-    # the upper triangle of a is the eliminated system, with det = +-prev;
-    # back-substitute the integer Cramer numerators det * v, again with
-    # exact divisions only
-    det = prev
-    num = [0] * n
-    for r in range(n - 1, -1, -1):
-        row = a[r]
-        acc = det * row[n] - sum(row[j] * num[j] for j in range(r + 1, n))
-        num[r] = acc // row[r]
-    if det < 0:
-        return [-v for v in num], -det
-    return num, det
 
 
 # --- refinements -------------------------------------------------------------

@@ -6,8 +6,8 @@ equal bit-for-bit.
 
 Every point p has a smallest open neighbourhood, the AND of the opens
 containing it (Alexandrov 1937).  ``FiniteTopology.hull`` ORs these into
-the smallest open containing a point set, and ``PointMap.image_hull`` takes
-the hull of an image.  A filter is stored as such a smallest open (see
+the smallest open containing a point set, and ``pull_table`` takes the
+hull of an image.  A filter is stored as such a smallest open (see
 filter_algebra), so these two are the whole of its kernel.  ``point_opens``
 holds, per point, the opens containing it as an int bitset over open
 indices (bit i for ``opens[i]``), built once per object: ``is_t0``
@@ -21,9 +21,11 @@ set the hull of its image.  The finite-pushforward sweep
 over all source point sets and shares it by every source topology; the
 CLI's ``check map`` builds one over the source opens.  Both decide
 continuity with ``PullTable.preimage_witness`` and Prop 2.6 with
-``filter_algebra.check_pushforward_continuity``.  ``is_continuous`` and
-``PointMap.image_hull`` stay the per-map definitions, which the tests hold
-the tables to; ``filter_algebra.pushforward`` pushes a single filter.
+``filter_algebra.check_pushforward_continuity``; a table is the only map
+route.  ``PointMap`` holds a map as read from a spec file and validates
+its image.  The per-map definitions of preimage, image hull, continuity
+and single-filter pushforward, which the tests hold the tables to, live
+in ``tests/oracles.py``.
 
 The same correspondence runs the other way in ``enumerate_topologies``:
 it picks a minimal open U_p for each point, keeps the transitive choices
@@ -119,29 +121,6 @@ class PointMap:
             if not 0 <= i < self.target.n:
                 raise IndexOutOfRange(f"target index {i} out of range")
 
-    def preimage_mask(self, target_mask: int) -> int:
-        m = 0
-        for i, fi in enumerate(self.image):
-            if target_mask >> fi & 1:
-                m |= 1 << i
-        return m
-
-    @cached_property
-    def open_preimages(self) -> tuple[int | None, ...]:
-        """Per target open, the index of its preimage among the source opens,
-        or None where the preimage is not open."""
-        index = self.source.open_index
-        return tuple(index.get(self.preimage_mask(d)) for d in self.target.opens)
-
-    def image_hull(self, mask: int) -> int:
-        """The smallest target open containing the image of the source point
-        set ``mask``."""
-        image = 0
-        for i, fi in enumerate(self.image):
-            if mask >> i & 1:
-                image |= 1 << fi
-        return self.target.hull(image)
-
 
 @dataclass(frozen=True)
 class PullTable:
@@ -167,8 +146,7 @@ def pull_table(target: FiniteTopology, image: tuple[int, ...],
                point_sets: Iterable[int]) -> PullTable:
     """The pull table of the point map with this target and image, pushing
     the source point sets ``point_sets``.  The push of a point set is the
-    OR of the minimal opens of its points' images, as in
-    ``PointMap.image_hull``."""
+    OR of the minimal opens of its points' images: the hull of its image."""
     preimages = tuple(sum(1 << i for i, fi in enumerate(image) if d >> fi & 1)
                       for d in target.opens)
     minimal = [target.minimal_opens[fi] for fi in image]
@@ -243,14 +221,6 @@ def is_t0(t: FiniteTopology) -> tuple[bool, tuple[int, int] | None]:
         if profile in profiles:
             return False, (profiles[profile], x)
         profiles[profile] = x
-    return True, None
-
-
-def is_continuous(f: PointMap) -> tuple[bool, frozenset[int] | None]:
-    """True iff the preimage of every target open is a source open."""
-    for d, i in zip(f.target.opens, f.open_preimages):
-        if i is None:
-            return False, set_of(d)
     return True, None
 
 

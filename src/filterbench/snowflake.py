@@ -7,9 +7,9 @@ d((x1,y1),(x2,y2)) = |x1-x2| + |y1-y2|^(1/m): the arc of p at x is
 metric. Polynomial coefficients are exact rationals; coefficient equality
 is exact. Everything metric is numerical: arc distances come from one
 row-batched kernel, `arc_distances`. It scans all rows against one shared
-grid of ARC_GRID arc parameters, in blocks of ARC_ROWS rows, then refines
-each row's grid minimum by golden-section search on the bracket around it,
-all rows advancing together. Separation witnesses are finite-scale (a tail
+grid of ARC_GRID arc parameters, then refines each row's grid minimum by
+golden-section search on the bracket around it, all rows advancing
+together. Separation witnesses are finite-scale (a tail
 of on-arc points plus a generator whose aperture lies strictly below every
 observed distance ratio of that tail).
 """
@@ -32,8 +32,9 @@ from .errors import (
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 60
 ARC_GRID = 2048
-# rows per kernel block: one (ARC_ROWS, ARC_GRID) float64 temporary is 1 MiB
-ARC_ROWS = 64
+# box counting: ball radii, and points of the grid covered on [0, 1]
+BOX_RADII = (0.35, 0.3, 0.25, 0.2, 0.15)
+BOX_GRID = 200_000
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,18 @@ def _arc_cost(offsets: np.ndarray, p: Polynomial, ts, m: int) -> np.ndarray:
             + np.abs(offsets[..., 1] - p(ts)) ** (1.0 / m))
 
 
-def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray,
-               m: int) -> np.ndarray:
-    """One block of arc_distances: grid scan, then golden-section
-    refinement of every row's bracket at once."""
+def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
+    """Mixed-product distance from each row of (N, 2) offsets (y - x) to
+    the arc {x + (t, p(t)) : 0 <= t <= eps} of R x R_m.
+
+    The mixed metric is not smooth, so a global grid scan over ARC_GRID
+    parameters comes first; golden-section search then refines the
+    bracket around each row's grid minimum.
+    """
+    offsets = np.asarray(offsets, float)
+    if offsets.ndim != 2 or offsets.shape[1] != 2:
+        raise ValueError(f"offsets must be (N, 2), not {offsets.shape}")
+    ts = np.linspace(0.0, eps, ARC_GRID)
     # each row against the whole grid, as one (rows, ARC_GRID) array
     vals = _arc_cost(offsets[:, None], p, ts, m)
     i = np.argmin(vals, axis=1)
@@ -165,24 +174,6 @@ def _arc_block(offsets: np.ndarray, p: Polynomial, ts: np.ndarray,
         fc = np.where(left, fs, f_kept)
         fd = np.where(left, f_kept, fs)
     return np.minimum(best, np.minimum(fc, fd))
-
-
-def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
-    """Mixed-product distance from each row of (N, 2) offsets (y - x) to
-    the arc {x + (t, p(t)) : 0 <= t <= eps} of R x R_m.
-
-    The mixed metric is not smooth, so a global grid scan over ARC_GRID
-    parameters comes first; golden-section search then refines the
-    bracket around each row's grid minimum.
-    """
-    offsets = np.asarray(offsets, float)
-    if offsets.ndim != 2 or offsets.shape[1] != 2:
-        raise ValueError(f"offsets must be (N, 2), not {offsets.shape}")
-    ts = np.linspace(0.0, eps, ARC_GRID)
-    out = np.empty(len(offsets))
-    for lo in range(0, len(offsets), ARC_ROWS):
-        out[lo:lo + ARC_ROWS] = _arc_block(offsets[lo:lo + ARC_ROWS], p, ts, m)
-    return out
 
 
 def polynomial_filter_contains(g: PolynomialGenerator, ys) -> np.ndarray:
@@ -343,13 +334,14 @@ def check_metric_axioms(distance: Callable, sampler: Callable,
     return float(np.minimum(slack, 0.0).min())
 
 
-def box_counting_dimension(m: int, radii=None, grid: int = 200_000) -> dict:
+def box_counting_dimension(m: int) -> dict:
     """Box-counting estimate of the dimension of [0, 1] under the snowflake
     metric, using only the distance function: greedy ball covering of a
-    fine grid, then a slope fit of log N against log(1/r)."""
+    grid of BOX_GRID points by balls of the BOX_RADII, then a slope fit of
+    log N against log(1/r)."""
     sp = SnowflakeSpace(m)
-    if radii is None:
-        radii = np.array([0.35, 0.3, 0.25, 0.2, 0.15])
+    radii = np.array(BOX_RADII)
+    grid = BOX_GRID
     pts = np.linspace(0.0, 1.0, grid)
     counts = []
     for r in radii:

@@ -4,7 +4,8 @@ A suite is one table of ``(check_id, anchor, body)`` entries, so each check
 is declared once; parameterised bodies are bound with functools.partial.  A
 body takes ``(config, seed)`` and returns an Outcome: the verdict inputs,
 witness and sample count.  The runner derives the seed from (config seed,
-check id), times the body and builds the CheckRecord.  Checks may run on
+check id), times the body and builds the CheckRecord; a passing body that
+counted no samples gives an inconclusive record.  Checks may run on
 several worker threads; records are sorted by check id, so reports are
 byte-identical for equal (suite, config) regardless of worker count.
 
@@ -70,10 +71,14 @@ class Outcome(NamedTuple):
 
     def record(self, check_id: str, anchor: str, check_seed: int,
                elapsed: float = 0.0) -> CheckRecord:
-        return record(check_id, anchor, self.ok, witness=self.witness,
+        """The check's record.  A check over no samples shows nothing, so
+        one that would pass is inconclusive, its witness under "vacuous"."""
+        vacuous = self.samples == 0 and self.ok and not self.inconclusive
+        return record(check_id, anchor, self.ok,
+                      witness={"vacuous": self.witness} if vacuous else self.witness,
                       seed=check_seed if self.seed is None else self.seed,
                       samples=self.samples, elapsed=elapsed,
-                      inconclusive=self.inconclusive)
+                      inconclusive=self.inconclusive or vacuous)
 
 
 def _check_seed(config: RunConfig, check_id: str) -> int:

@@ -1,0 +1,174 @@
+"""Slow definitions of the finite constructions, which the tests hold the
+fast routes of ``filterbench`` to.
+
+Each is the construction as the paper states it, evaluated literally:
+the preimage of a target open and the image hull under a point map,
+continuity (every target open pulls back to an open), the pushforward
+f* mu (D) = mu(f^-1 D) of one filter (Prop 2.6), the B-class axioms on a
+[0, 1] table, and the B-polytope vertices of ``def:dfiltbc`` by solving
+every basis of its rows.  No module of the package imports this one, so a
+fast route cannot lean on the definition it is checked against;
+``tests/test_reachability.py`` holds both directions.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from filterbench.errors import (
+    FilterAxiomViolation,
+    NotContinuous,
+    SizeLimitExceeded,
+    TopologyMismatch,
+)
+from filterbench.filter_algebra import (
+    IndicatorFilter,
+    _b_polytope_system,
+    _raise_first_violation,
+)
+from filterbench.finite_topology import FiniteTopology, PointMap, set_of
+
+GRADED_TOL = 1e-12
+POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
+
+
+# --- point maps --------------------------------------------------------------
+
+def preimage_mask(f: PointMap, target_mask: int) -> int:
+    """f^-1 of the target point set ``target_mask``, as a source point set."""
+    m = 0
+    for i, fi in enumerate(f.image):
+        if target_mask >> fi & 1:
+            m |= 1 << i
+    return m
+
+
+def image_hull(f: PointMap, mask: int) -> int:
+    """The smallest target open containing the image of the source point
+    set ``mask``."""
+    image = 0
+    for i, fi in enumerate(f.image):
+        if mask >> i & 1:
+            image |= 1 << fi
+    return f.target.hull(image)
+
+
+def is_continuous(f: PointMap) -> tuple[bool, frozenset[int] | None]:
+    """True iff the preimage of every target open is a source open; on
+    failure the first target open whose preimage is not."""
+    for d in f.target.opens:
+        if preimage_mask(f, d) not in f.source.open_index:
+            return False, set_of(d)
+    return True, None
+
+
+def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
+    """f* mu (A) = mu(f^{-1}(A)); requires a continuous f."""
+    ok, witness = is_continuous(f)
+    if not ok:
+        raise NotContinuous(witness)
+    if mu.topology != f.source:
+        raise TopologyMismatch("filter does not live on the source topology")
+    return IndicatorFilter(f.target, image_hull(f, mu.base))
+
+
+# --- B-class filters ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class GradedFilter:
+    topology: FiniteTopology
+    values: tuple  # Fractions or floats in [0, 1]
+
+
+def check_graded_axioms(
+    t: FiniteTopology, values: Sequence, proper: bool = True
+) -> GradedFilter:
+    """Validate a [0,1] table; exact on int and Fraction values, within
+    GRADED_TOL otherwise.  Raises FilterAxiomViolation like
+    check_filter_axioms: a value outside [0, 1] (NaN included) first, then
+    the first equality or pair row violated."""
+    values = tuple(values)
+    if len(values) != len(t.opens):
+        raise TopologyMismatch("assignment length does not match number of opens")
+    eps = 0 if all(isinstance(v, (Fraction, int)) for v in values) else GRADED_TOL
+    if not all(-v <= eps and v - 1 <= eps for v in values):  # NaN fails both
+        raise FilterAxiomViolation("A", None, "values must lie in [0, 1]")
+    _raise_first_violation(values, eps, *_b_polytope_system(t, proper))
+    return GradedFilter(t, values)
+
+
+def box_rows(t: FiniteTopology) -> tuple:
+    """The rows -v_i <= 0 and v_i <= 1 per open, in the row format of
+    ``_b_polytope_system``, tagged "A" with witness None."""
+    return tuple(row for i in range(len(t.opens))
+                 for row in ((((i, -1),), 0, "A", None), (((i, 1),), 1, "A", None)))
+
+
+def b_polytope_vertices_bruteforce(
+    t: FiniteTopology, proper: bool = True
+) -> list[tuple[Fraction, ...]]:
+    """Vertices by solving every basis of the row system; the oracle for
+    b_polytope_vertices.  A basis solution num / det is kept when
+    row . num <= rhs * det on every inequality row, tested in integers.
+    C(rows, dim) grows fast, hence the tighter guard."""
+    k = len(t.opens)
+    if k > POLYTOPE_BRUTEFORCE_MAX_OPENS:
+        raise SizeLimitExceeded(
+            f"brute-force vertex enumeration supports at most "
+            f"{POLYTOPE_BRUTEFORCE_MAX_OPENS} opens")
+    equalities, pairs = _b_polytope_system(t, proper)
+    ineqs = box_rows(t) + pairs
+    vertices: set[tuple[Fraction, ...]] = set()
+    for combo in itertools.combinations(ineqs, k - len(equalities)):
+        sol = _solve_exact(equalities + combo)
+        if sol is None:
+            continue
+        num, det = sol
+        if all(sum([a * num[i] for i, a in terms]) <= b * det
+               for terms, b, _, _ in ineqs):
+            vertices.add(tuple(Fraction(v, det) for v in num))
+    return sorted(vertices)
+
+
+def _solve_exact(rows):
+    """Solve the square system of sparse integer rows, terms . v = rhs.
+
+    Returns (num, det) with v = num / det and det > 0, or None if singular.
+    Fraction-free (Bareiss) elimination: every division is exact, and num
+    holds the integer Cramer numerators.
+    """
+    n = len(rows)
+    a = []
+    for terms, b, *_ in rows:
+        row = [0] * n + [b]
+        for i, c in terms:
+            row[i] += c
+        a.append(row)
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        tail = a[col][col + 1:]
+        for r in range(col + 1, n):  # columns up to col are not read again
+            row = a[r]
+            f = row[col]
+            row[col + 1:] = [(x * pv - f * y) // prev for x, y in zip(row[col + 1:], tail)]
+        prev = pv
+    # the upper triangle of a is the eliminated system, with det = +-prev;
+    # back-substitute the integer Cramer numerators det * v, again with
+    # exact divisions only
+    det = prev
+    num = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = det * row[n] - sum(row[j] * num[j] for j in range(r + 1, n))
+        num[r] = acc // row[r]
+    if det < 0:
+        return [-v for v in num], -det
+    return num, det

@@ -12,32 +12,38 @@ from filterbench.errors import (
     TopologyMismatch,
 )
 from filterbench.filter_algebra import (
-    GRADED_TOL,
     _b_polytope_system,
-    _solve_exact,
     _tau_e_base,
     _tau_e_uncovered,
     b_polytope_vertices,
-    b_polytope_vertices_bruteforce,
     check_filter_axioms,
-    check_graded_axioms,
     check_pushforward_continuity,
     check_refinement,
     enumerate_filters,
     enumerate_filters_bruteforce,
     filter_leq,
-    pushforward,
     Refinement,
     point_filter,
 )
 from filterbench.finite_topology import (
     PointMap,
     enumerate_topologies,
-    is_continuous,
     pull_table,
     validate_topology,
 )
 
+from oracles import (
+    GRADED_TOL,
+    POLYTOPE_BRUTEFORCE_MAX_OPENS,
+    GradedFilter,
+    _solve_exact,
+    b_polytope_vertices_bruteforce,
+    box_rows,
+    check_graded_axioms,
+    image_hull,
+    is_continuous,
+    pushforward,
+)
 from test_finite_topology import discrete, indiscrete, sierpinski
 
 
@@ -146,7 +152,6 @@ class TestPushforward:
             for t in tops:
                 for image in itertools.product(range(t.n), repeat=s.n):
                     f = PointMap(s, t, image)
-                    from filterbench.finite_topology import is_continuous
                     if not is_continuous(f)[0]:
                         continue
                     for x in range(s.n):
@@ -284,7 +289,7 @@ class TestTauE:
                 sources = enumerate_filters(f.source)
                 targets = enumerate_filters(f.target)
                 index = {nu.base: j for j, nu in enumerate(targets)}
-                push = [index[f.image_hull(mu.base)] for mu in sources]
+                push = [index[image_hull(f, mu.base)] for mu in sources]
                 true_push = push
                 pull = _pull(f)
                 if reverse:
@@ -327,7 +332,7 @@ class TestGradedTolerance:
             for mu in enumerate_filters(t, proper):
                 noisy = tuple(v + s * GRADED_TOL / 8
                               for v, s in zip(mu.values, (1, -1, -1, 1)))
-                assert check_graded_axioms(t, noisy, proper).values == noisy
+                assert check_graded_axioms(t, noisy, proper) == GradedFilter(t, noisy)
 
     @pytest.mark.parametrize("proper, i, axiom, witness", [
         (False, 0, "B", (0, 0b10)),      # mu(empty) above mu({1})
@@ -377,8 +382,9 @@ class TestBPolytope:
     def test_guards(self):
         with pytest.raises(SizeLimitExceeded):
             # a chain of 7 opens on 6 points
+            k = POLYTOPE_BRUTEFORCE_MAX_OPENS
             b_polytope_vertices_bruteforce(
-                validate_topology(6, [(1 << i) - 1 for i in range(7)]))
+                validate_topology(k, [(1 << i) - 1 for i in range(k + 1)]))
         with pytest.raises(SizeLimitExceeded):
             b_polytope_vertices(discrete(4))
 
@@ -414,8 +420,8 @@ class TestBPolytope:
         p = (0, 0, 0, half, 0, half, half, 1)
         for proper in (True, False):
             check_graded_axioms(t, p, proper=proper)
-            box, equalities, pairs = _b_polytope_system(t, proper)
-            tight = [row for row in box + pairs
+            equalities, pairs = _b_polytope_system(t, proper)
+            tight = [row for row in box_rows(t) + pairs
                      if sum(a * p[i] for i, a in row[0]) == row[1]]
             dim = len(t.opens) - len(equalities)
             certified = False

@@ -1,8 +1,10 @@
 """Negative controls: a check that cannot fail shows nothing.
 
 Each control mutates one engine function and runs the suite that holds the
-check; the named checks must then fail.  A control with the engine intact
-(the unmutated run) must pass, so a failure is the mutation's doing.
+check; the named checks must then give the control's verdict: ``fail``, or
+``inconclusive`` where the mutation leaves a check nothing to count.  A
+control with the engine intact (the unmutated run) must pass, so the
+verdict is the mutation's doing.
 """
 
 import dataclasses
@@ -61,6 +63,18 @@ def _identity_push(monkeypatch):
                                             pushes={m: m for m in point_sets}))
 
 
+def _empty_t0_enumeration(monkeypatch):
+    enumerate_topologies = ft.enumerate_topologies
+    monkeypatch.setattr(ft, "enumerate_topologies", lambda n, t0_only=False:
+                        iter(()) if t0_only else enumerate_topologies(n))
+
+
+def _every_map_discontinuous(monkeypatch):
+    # the empty open's preimage is always open, so this is never right
+    monkeypatch.setattr(ft.PullTable, "preimage_witness",
+                        lambda pull, source: pull.target.opens[0])
+
+
 def _cone_accepts_everything(monkeypatch):
     monkeypatch.setattr(mf, "v_plus_contains",
                         lambda g, y: np.ones(np.shape(y)[:-1], dtype=bool))
@@ -72,33 +86,40 @@ def _pushforward_of_reversal(monkeypatch):
                         pushforward(f, flow.reversed(), seed))
 
 
-# (suite, mutation, the checks it must make fail)
+PUSHFORWARD_CONTINUITY = [f"pushforward-continuity-{a}to{b}"
+                          for a in (1, 2, 3) for b in (1, 2, 3)]
+
+# (suite, mutation, the checks it acts on, the verdict it must give them)
 CONTROLS = {
     "reversed-compose": ("pair-composition", _reversed_composition,
-                         ["principal-compose-discrete2-exhaustive"]),
+                         ["principal-compose-discrete2-exhaustive"], "fail"),
     "swapped-compose-masks": ("pair-composition", _swapped_compose_masks,
                               ["mask-set-compose-n2-exhaustive",
-                               "mask-set-compose-n3-sampled"]),
+                               "mask-set-compose-n3-sampled"], "fail"),
     "identity-swap": ("pair-composition", _identity_swap_table,
                       ["swap-interplay-discrete2-exhaustive",
-                       "uniformity-asymmetric-witness"]),
+                       "uniformity-asymmetric-witness"], "fail"),
     "union-only-closure": ("finite-axioms", _union_only_closure,
                            ["enumeration-crosscheck-n3",
-                            "enumeration-crosscheck-n4"]),
+                            "enumeration-crosscheck-n4"], "fail"),
     "every-point-set-base": ("finite-axioms", _every_point_set_base,
-                             [f"filter-axioms-n{n}" for n in (2, 3, 4)]),
+                             [f"filter-axioms-n{n}" for n in (2, 3, 4)],
+                             "fail"),
     "identity-push": ("finite-pushforward", _identity_push,
-                      [f"pushforward-continuity-{a}to{b}"
-                       for a in (1, 2, 3) for b in (1, 2, 3)
-                       if (a, b) != (1, 1)]),
+                      [c for c in PUSHFORWARD_CONTINUITY
+                       if c != "pushforward-continuity-1to1"], "fail"),
+    "empty-t0-enumeration": ("finite-pushforward", _empty_t0_enumeration,
+                             PUSHFORWARD_CONTINUITY, "inconclusive"),
+    "every-map-discontinuous": ("finite-pushforward", _every_map_discontinuous,
+                                PUSHFORWARD_CONTINUITY, "inconclusive"),
     "cone-accepts-everything": ("derivative", _cone_accepts_everything,
-                                ["sequence-classification"]),
+                                ["sequence-classification"], "fail"),
     "pushforward-of-reversal": ("flows", _pushforward_of_reversal,
                                 ["pushforward-conditions"]
                                 + [f"transport-{m}" for m in (
                                     "identity2d", "rotation_quarter",
                                     "shear_half", "parabolic_shear",
-                                    "sine_shear")]),
+                                    "sine_shear")], "fail"),
 }
 
 
@@ -108,9 +129,9 @@ def _verdicts(suite):
 
 @pytest.mark.parametrize("control", CONTROLS)
 def test_mutation_fails_its_checks(control, monkeypatch):
-    suite, mutate, check_ids = CONTROLS[control]
+    suite, mutate, check_ids, verdict = CONTROLS[control]
     intact = _verdicts(suite)
     assert [intact[c] for c in check_ids] == ["pass"] * len(check_ids)
     mutate(monkeypatch)
     mutated = _verdicts(suite)
-    assert [mutated[c] for c in check_ids] == ["fail"] * len(check_ids)
+    assert [mutated[c] for c in check_ids] == [verdict] * len(check_ids)

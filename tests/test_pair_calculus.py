@@ -10,7 +10,6 @@ from filterbench.filter_algebra import (
     check_filter_axioms,
     enumerate_filters,
     filter_leq,
-    pushforward,
 )
 from filterbench.finite_topology import (
     PointMap,
@@ -35,6 +34,7 @@ from filterbench.pair_calculus import (
     transpose_mask,
 )
 
+from oracles import pushforward
 from test_finite_topology import discrete, indiscrete, sierpinski
 
 

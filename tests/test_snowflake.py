@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from filterbench import snowflake
 from filterbench.errors import ConstraintViolation, TrivialDevelopment
 from filterbench.snowflake import (
     ARC_GRID,
-    ARC_ROWS,
     BUILTIN_FUNCS,
     GOLDEN,
     MixedProductSpace,
@@ -25,6 +25,9 @@ from filterbench.snowflake import (
 from filterbench.suites import DERIVABILITY_TRIPLES, SEPARATION_PAIRS
 
 P = Polynomial.from_coeffs
+
+# the largest batch a suite submits: the 64-row separation tail
+TAIL_ROWS = 64
 
 POLYS = [P([0, 1]), P([0, 1, 1]), P([0, -2, 0, 3]), P([0, "1/3", "-1/2"]),
          P([0, 0, 1])]
@@ -162,7 +165,7 @@ class TestMembership:
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.5, 2)
         assert polynomial_filter_contains(g, np.zeros((1, 2))).tolist() == [False]
 
-    @pytest.mark.parametrize("rows", [1, ARC_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, TAIL_ROWS + 1])
     def test_batch_equals_single_points(self, rows):
         rng = np.random.default_rng(3)
         g = PolynomialGenerator(np.array([0.1, -0.1]), P([0, 1, 1]), 0.4,
@@ -257,8 +260,8 @@ class TestArcKernel:
                          + np.maximum(np.abs(dx - ts) - h, 0.0))
                 assert got >= lower.min()
 
-    @pytest.mark.parametrize("rows", [1, 2, ARC_ROWS, ARC_ROWS + 1,
-                                      ARC_ROWS + 2])
+    @pytest.mark.parametrize("rows", [1, 2, TAIL_ROWS, TAIL_ROWS + 1,
+                                      TAIL_ROWS + 2])
     def test_batch_equals_single_rows(self, rows):
         rng = np.random.default_rng(rows)
         offs = rng.uniform(-0.5, 0.5, (rows, 2))
@@ -381,9 +384,12 @@ class TestDimension:
 
     @pytest.mark.parametrize("m,grid,k", [(4, 283, 6), (3, 2293, 299),
                                           (4, 2029, 2)])
-    def test_counts_when_the_first_window_is_covered(self, m, grid, k):
+    def test_counts_when_the_first_window_is_covered(self, m, grid, k,
+                                                      monkeypatch):
         # r^m (grid - 1) = k: some balls cover their whole first window, so
         # the search runs again on a doubled window
-        radii = np.array([(k / (grid - 1)) ** (1.0 / m), 0.3])
-        out = box_counting_dimension(m, radii, grid)
+        radii = ((k / (grid - 1)) ** (1.0 / m), 0.3)
+        monkeypatch.setattr(snowflake, "BOX_RADII", radii)
+        monkeypatch.setattr(snowflake, "BOX_GRID", grid)
+        out = box_counting_dimension(m)
         assert out["counts"].tolist() == self._counts_ref(m, radii, grid)

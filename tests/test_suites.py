@@ -176,3 +176,18 @@ def test_sampled_pairs_are_the_scalar_draws(count):
         scalar = [(int(rng.integers(0, 512)), int(rng.integers(0, 512)))
                   for _ in range(count)]
         assert list(suites._sampled_pairs_n3(seed, count)) == scalar
+
+
+def test_a_check_over_no_samples_does_not_pass():
+    # a pass over nothing becomes inconclusive, with the body's witness
+    # under "vacuous"; a failure or an inconclusive body keeps its record
+    def verdict(outcome):
+        r = outcome.record("c", "a", 7)
+        return r.verdict, r.witness
+
+    assert verdict(suites.Outcome(True, {"maps": 0}, 0)) == \
+        ("inconclusive", {"vacuous": {"maps": 0}})
+    assert verdict(suites.Outcome(True, {"maps": 1}, 1)) == ("pass", {"maps": 1})
+    assert verdict(suites.Outcome(False, {"bad": 1}, 0)) == ("fail", {"bad": 1})
+    assert verdict(suites.Outcome(True, "undecided", 0, inconclusive=True)) == \
+        ("inconclusive", "undecided")
