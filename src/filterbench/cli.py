@@ -75,15 +75,20 @@ def _config(args) -> RunConfig:
 
 # --- check -------------------------------------------------------------------
 
+def _decided(check_id: str, anchor: str, ok, witness):
+    """A `check` record: each decides the one object it was given."""
+    return record(check_id, anchor, ok, witness=witness, samples=1)
+
+
 def _cmd_check(args) -> int:
     if args.what == "topology":
         t = ingest(args.file, "topology")
 
         def t0():
             ok, witness = ft.is_t0(t)
-            return record("topology-t0", "sec:2.1", True,
-                          witness={"t0": ok, "witness": witness})
-        return _single(args, "check:topology", lambda: record(
+            return _decided("topology-t0", "sec:2.1", True,
+                            witness={"t0": ok, "witness": witness})
+        return _single(args, "check:topology", lambda: _decided(
             "topology-valid", "sec:2.1", True,
             witness={"n": t.n, "opens": len(t.opens)}), t0)
     if args.what == "map":
@@ -92,14 +97,14 @@ def _cmd_check(args) -> int:
 
         def continuity():
             d = pull.preimage_witness(f.source)
-            return record("map-continuous", "sec:2.1", d is None,
-                          witness={"open_preimage_witness":
-                                   None if d is None else ft.set_of(d)})
+            return _decided("map-continuous", "sec:2.1", d is None,
+                            witness={"open_preimage_witness":
+                                     None if d is None else ft.set_of(d)})
 
         def prop26():
             ok, witness = fa.check_pushforward_continuity(f.source, pull)
-            return record("pushforward-continuity", "prop:prop26", ok,
-                          witness={"witness": witness})
+            return _decided("pushforward-continuity", "prop:prop26", ok,
+                            witness={"witness": witness})
         return _single(args, "check:map", continuity, prop26)
     if args.what == "filter":
         def axioms():
@@ -107,17 +112,17 @@ def _cmd_check(args) -> int:
                 mu = ingest(args.file, "filter",
                             proper=not args.improper_filters)
             except FilterAxiomViolation as e:
-                return record("filter-axioms", "def:dfilta", False,
-                              witness={"axiom": e.axiom, "error": str(e)})
-            return record("filter-axioms", "def:dfilta", True,
-                          witness={"support": [sorted(ft.set_of(s))
-                                               for s in mu.support()]})
+                return _decided("filter-axioms", "def:dfilta", False,
+                                witness={"axiom": e.axiom, "error": str(e)})
+            return _decided("filter-axioms", "def:dfilta", True,
+                            witness={"support": [sorted(ft.set_of(s))
+                                                 for s in mu.support()]})
         return _single(args, "check:filter", axioms)
     if args.what == "refinement":
         def refinement():
             ok, witness = fa.check_refinement(ingest(args.file, "refinement"))
-            return record("refinement-valid", "def:def27", ok,
-                          witness={"witness": witness})
+            return _decided("refinement-valid", "def:def27", ok,
+                            witness={"witness": witness})
         return _single(args, "check:refinement", refinement)
 
     def uniformity():
@@ -127,11 +132,11 @@ def _cmd_check(args) -> int:
         omega = pc.principal_pair_filter(
             ps, pc.relation_mask(rel.n, list(rel.pairs)))
         rep = pc.check_uniformity(omega, ps)
-        return record("uniformity-axioms", "def:def29", rep.is_uniformity,
-                      witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
-                               "axiom_c": rep.axiom_c,
-                               "axiom_a_witness": rep.axiom_a_witness,
-                               "axiom_b_witness": rep.axiom_b_witness})
+        return _decided("uniformity-axioms", "def:def29", rep.is_uniformity,
+                        witness={"axiom_a": rep.axiom_a, "axiom_b": rep.axiom_b,
+                                 "axiom_c": rep.axiom_c,
+                                 "axiom_a_witness": rep.axiom_a_witness,
+                                 "axiom_b_witness": rep.axiom_b_witness})
     return _single(args, "check:uniformity", uniformity)
 
 

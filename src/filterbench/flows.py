@@ -13,13 +13,17 @@ uniform polyline, doubled towards a 2^14 cap, and a row is decided once
 its polyline distance d is further from mu * d(x, y) than the chord bound
 h^2 C / 8 for parameter step h, or once that bound is at most
 1e-9 (1 + d).  C bounds the orbit's sup|c''|.  Each built-in constructor
-declares it in closed form, so those decisions are certified and start at
-the chord (2 vertices, then 3, 5, 9, 17, ...); translation and
-linear_shear orbits (C = 0) are decided at the chord, and a reversed flow
-keeps its flow's bound.  A pushed-forward flow has no bound: its arcs
-start at 17 vertices, and the kernel estimates C from second differences
-of the polyline.  Rows still undecided at the cap are reported through
-the converged flag, never silently passed.
+declares it in closed form, together with a speed bound S on sup|c'|, so
+those decisions are certified and start at the chord (2 vertices, then 3,
+5, 9, 17, ...); translation and linear_shear orbits (C = 0) are decided at
+the chord, and a reversed flow keeps its flow's bounds.  A flow pushed
+forward by a map that declares its derivative bounds (maps.MapSpec: every
+linear map, parabolic_shear and sine_shear) is certified too, with C built
+from the map's bounds and the flow's S and C (pushforward_flow).  Any other
+pushed-forward flow has no bound: its arcs start at 17 vertices, and the
+kernel estimates C from second differences of the polyline.  Rows still
+undecided at the cap are reported through the converged flag, never
+silently passed.
 """
 
 from __future__ import annotations
@@ -48,14 +52,16 @@ class Flow:
     against the leading axes of x, so t (N,) with x (N, dim) moves each row
     by its own time and t (B, 1) with x (N, dim) gives (B, N, dim).
 
-    ``curvature(x, eps)`` bounds sup |d^2/dt^2 F(t, x)| over |t| <= eps for
-    each row of x (N, dim); None when no bound is known.
+    ``curvature(x, eps)`` bounds sup |d^2/dt^2 F(t, x)| and ``speed(x, eps)``
+    bounds sup |d/dt F(t, x)| over |t| <= eps for each row of x (N, dim);
+    each is None when no bound is known.
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
+    speed: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __call__(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -67,7 +73,7 @@ class Flow:
 
     def reversed(self) -> "Flow":
         return Flow(self.name + "_reversed", self.dim,
-                    lambda t, x: self.fn(-t, x), self.curvature)
+                    lambda t, x: self.fn(-t, x), self.curvature, self.speed)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -84,7 +90,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def translation_flow(u) -> Flow:
     u = np.asarray(u, dtype=float)
     return Flow("translation", len(u), lambda t, x: x + t[..., None] * u,
-                curvature=lambda x, eps: np.zeros(len(x)))
+                curvature=lambda x, eps: np.zeros(len(x)),
+                speed=lambda x, eps: np.full(len(x), _norms(u)))
 
 
 def rotation_flow(omega: float = 1.0) -> Flow:
@@ -93,13 +100,16 @@ def rotation_flow(omega: float = 1.0) -> Flow:
         x0, x1 = x[..., 0], x[..., 1]
         return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=-1)
     return Flow("rotation", 2, fn,
-                curvature=lambda x, eps: omega ** 2 * _norms(x))
+                curvature=lambda x, eps: omega ** 2 * _norms(x),
+                speed=lambda x, eps: abs(omega) * _norms(x))
 
 
 def scaling_flow(rate: float = 1.0) -> Flow:
     return Flow("scaling", 2, lambda t, x: np.exp(rate * t)[..., None] * x,
                 curvature=lambda x, eps: (rate ** 2 * np.exp(abs(rate) * eps)
-                                          * _norms(x)))
+                                          * _norms(x)),
+                speed=lambda x, eps: (abs(rate) * np.exp(abs(rate) * eps)
+                                      * _norms(x)))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -120,16 +130,19 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def linear_flow(generator) -> Flow:
     """exp(t g) x; |c''| = |g^2 exp(t g) x| <= |g^2|_F e^(|g|_F |t|) |x|,
-    which is 0 for a nilpotent g with g^2 = 0."""
+    which is 0 for a nilpotent g with g^2 = 0, and
+    |c'| = |g exp(t g) x| <= |g|_F e^(|g|_F |t|) |x|."""
     g = np.asarray(generator, dtype=float)
     # computed per call, not here: a matmul at import would load BLAS
     # buffers into every process that imports the package
     curvature = lambda x, eps: (np.linalg.norm(g @ g)
                                 * np.exp(np.linalg.norm(g) * eps) * _norms(x))
+    speed = lambda x, eps: (np.linalg.norm(g) * np.exp(np.linalg.norm(g) * eps)
+                            * _norms(x))
     return Flow("linear", g.shape[0],
                 lambda t, x: (_expm(t[..., None, None] * g)
                               @ x[..., None])[..., 0],
-                curvature=curvature)
+                curvature=curvature, speed=speed)
 
 
 BUILTIN_FLOWS: dict[str, Flow] = {
@@ -162,9 +175,11 @@ def flow_pair_contains(flow: Flow, eps: float, mu: float,
     geometry.arc_membership until the chord bound h^2 C / 8 can no longer
     flip the comparison against mu * d(x, y).  C is the flow's declared
     curvature bound, which makes the decision certified and lets
-    refinement start at the chord (2 vertices), or, for a flow without one
-    (a pushed-forward flow), an estimate from the polyline's second
-    differences, which starts at 17 vertices.  Rows still ambiguous at the
+    refinement start at the chord (2 vertices).  Every built-in flow, its
+    reversal and its pushforward by a map with declared derivative bounds
+    has one.  For a flow without one (a pushforward by a map without those
+    bounds), C is estimated from the polyline's second differences, and
+    refinement starts at 17 vertices.  Rows still ambiguous at the
     subdivision cap make the converged flag false.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -448,16 +463,32 @@ def step3_composition_check(
 # --- pushforward and transport -----------------------------------------------
 
 def pushforward_flow(f: MapSpec, flow: Flow, seed: int = 0) -> Flow:
-    """Conjugated flow f*F(t, x) = f(F(t, f^-1(x)))."""
+    """Conjugated flow f*F(t, x) = f(F(t, f^-1(x))).
+
+    Its orbit through x is c = f(p) along the orbit p of q = f^-1(x), so
+    c'' = D^2 f[p', p'] + Df p''.  With |p'| <= S = speed(q, eps), p stays in
+    B(q, S eps), and when f declares H and J (maps.MapSpec) and F declares
+    S and C, the pushed flow declares
+    C(x, eps) = H S^2 + J(q, S eps) C_F(q, eps).  Otherwise it declares no
+    curvature bound, and its arcs are decided with an estimated one.
+    """
     if f.dim != flow.dim:
         raise DomainViolation(
             f"map {f.name} acts on dimension {f.dim}, flow {flow.name} "
             f"on dimension {flow.dim}")
     rng = np.random.default_rng(seed)
     f.check_inverse(rng.uniform(-1.0, 1.0, size=(256, f.dim)))
+    curvature = None
+    if all(b is not None for b in (f.hessian_bound, f.jacobian_bound,
+                                   flow.speed, flow.curvature)):
+        def curvature(x, eps):
+            q = f.inverse(x)
+            s = flow.speed(q, eps)
+            return (f.hessian_bound * s * s
+                    + f.jacobian_bound(q, s * eps) * flow.curvature(q, eps))
     return Flow(
         f"{f.name}_pushforward_{flow.name}", flow.dim,
-        lambda t, x: f(flow.fn(t, f.inverse(x))))
+        lambda t, x: f(flow.fn(t, f.inverse(x))), curvature)
 
 
 def check_flow_transport(

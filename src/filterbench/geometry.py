@@ -19,10 +19,12 @@ or once ``h^2 C / 8 <= ARC_RTOL * (1 + d)``.  Rows still undecided at the
 cap make the converged flag false.
 
 The arc evaluator supplies C per row.  Where it has a certified bound (the
-built-in flows), the bound holds for every h, so refinement starts at the
-chord (k = 2) and goes 2, 3, 5, 9, 17, ...; a decision is certified up to
-floating-point rounding, and an arc with C = 0 is decided at the chord.
-Where it has none (pushed-forward flows, curves), refinement starts at
+built-in flows, their reversals, and their pushforwards by maps that
+declare derivative bounds), the bound holds for every h, so refinement
+starts at the chord (k = 2) and goes 2, 3, 5, 9, 17, ...; a decision is
+certified up to floating-point rounding, and an arc with C = 0 is decided
+at the chord.  Where it has none (curves, and flows pushed by maps without
+declared bounds), refinement starts at
 ``ARC_START_VERTICES`` = 17, and C is estimated as twice the largest
 ``|v_(i-1) - 2 v_i + v_(i+1)| / h^2`` over the level's vertices, and never
 lower than the estimate of the level before; such a decision is only as

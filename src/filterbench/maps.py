@@ -3,6 +3,10 @@
 The built-ins cover the desk-check batteries: linear maps, shears, rotations
 and a handful of fixed nonlinear diffeomorphisms in dimensions 2 and 3.
 Vectorized over the leading axis: fn((N, d)) -> (N, d).
+
+Linear maps, ``parabolic_shear`` and ``sine_shear`` also declare bounds on
+their derivatives, which certify the curvature of pushed-forward flow
+orbits (flows.pushforward_flow); the other maps declare none.
 """
 
 from __future__ import annotations
@@ -17,11 +21,23 @@ from .errors import InverseResidualTooLarge, NotLipschitz
 
 @dataclass(frozen=True)
 class MapSpec:
+    """A map f with its Jacobian at a single point, (d,) -> (d, d), and its
+    inverse where exact.
+
+    Two optional declared bounds, None when unknown:
+    ``hessian_bound`` H with |D^2 f(p)[v, v]| <= H |v|^2 for every p and v;
+    ``jacobian_bound(p, r)`` bounding the spectral norm |Df|_2 over the ball
+    B(p_i, r_i) for each row of p (N, d), with r a radius or one per row.
+    """
+
     name: str
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]  # at a single point -> (d, d)
+    jacobian: Callable[[np.ndarray], np.ndarray]
     inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessian_bound: Optional[float] = None
+    jacobian_bound: Optional[
+        Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float))
@@ -39,6 +55,7 @@ class MapSpec:
 
 
 def linear_map(a: np.ndarray, name: str | None = None) -> MapSpec:
+    """x -> A x: D^2 f = 0, and |Df|_2 = |A|_2 everywhere."""
     a = np.asarray(a, dtype=float)
     inv = np.linalg.inv(a)
     return MapSpec(
@@ -47,6 +64,9 @@ def linear_map(a: np.ndarray, name: str | None = None) -> MapSpec:
         lambda x: x @ a.T,
         lambda x: a,
         lambda x: x @ inv.T,
+        hessian_bound=0.0,
+        # an SVD per call, not here: most linear maps are never pushed along
+        jacobian_bound=lambda p, r: np.full(len(p), np.linalg.norm(a, 2)),
     )
 
 
@@ -59,11 +79,20 @@ def shear_map(k: float) -> MapSpec:
     return linear_map(np.array([[1.0, k], [0.0, 1.0]]), name=f"shear({k:g})")
 
 
+def _shear_norm(k):
+    """Spectral norm of [[1, k], [0, 1]], increasing in |k|."""
+    k = np.abs(k)
+    return (k + np.sqrt(k * k + 4.0)) / 2.0
+
+
 def builtin_nonlinear_maps() -> list[MapSpec]:
     """Fixed nonlinear diffeomorphisms with analytic Jacobians.
 
     The 2D ones are triangular shears with exact inverses; the 3D ones are
-    triangular with unit Jacobian determinant.
+    triangular with unit Jacobian determinant.  ``parabolic_shear`` and
+    ``sine_shear`` declare their derivative bounds: D^2 f[v, v] is
+    (2 v_1^2, 0) and (-sin(p_1) v_1^2, 0), and Df = [[1, k], [0, 1]] with
+    k = 2 p_1, at most 2 (|p_1| + r) on B(p, r), and k = cos(p_1).
     """
     maps = []
     maps.append(MapSpec(
@@ -71,12 +100,16 @@ def builtin_nonlinear_maps() -> list[MapSpec]:
         lambda p: np.stack([p[..., 0] + p[..., 1] ** 2, p[..., 1]], axis=-1),
         lambda p: np.array([[1.0, 2.0 * p[1]], [0.0, 1.0]]),
         lambda p: np.stack([p[..., 0] - p[..., 1] ** 2, p[..., 1]], axis=-1),
+        hessian_bound=2.0,
+        jacobian_bound=lambda p, r: _shear_norm(2.0 * (np.abs(p[:, 1]) + r)),
     ))
     maps.append(MapSpec(
         "sine_shear", 2,
         lambda p: np.stack([p[..., 0] + np.sin(p[..., 1]), p[..., 1]], axis=-1),
         lambda p: np.array([[1.0, np.cos(p[1])], [0.0, 1.0]]),
         lambda p: np.stack([p[..., 0] - np.sin(p[..., 1]), p[..., 1]], axis=-1),
+        hessian_bound=1.0,
+        jacobian_bound=lambda p, r: np.full(len(p), _shear_norm(1.0)),
     ))
     maps.append(MapSpec(
         "cubic_shear", 2,

@@ -36,7 +36,7 @@ from . import flows as fl
 from . import metric_filters as mf
 from . import pair_calculus as pc
 from . import snowflake as sf
-from .errors import ConfigInvalid, UnknownSuite
+from .errors import ConfigInvalid, RecipeUnsatisfiable, UnknownSuite
 from .geometry import segment_projection_parameter, unit
 from .maps import BUILTIN_MAPS, MapSpec, linear_map
 from .reporting import CheckRecord, SuiteReport, record
@@ -698,9 +698,16 @@ def _translation_pair_agreement(config, seed):
 
 
 def _recipe(report, name, recipe, params, config, seed):
-    return recipe_outcome(recipe(fl.BUILTIN_FLOWS[name],
-                                 report=report(name, config)[1],
-                                 samples=config.samples, seed=seed, **params))
+    """A recipe that cannot construct its constants fails, with the reason
+    as its witness: the theorem says they exist for a flow that meets the
+    conditions."""
+    rep = report(name, config)[1]
+    try:
+        out = recipe(fl.BUILTIN_FLOWS[name], report=rep,
+                     samples=config.samples, seed=seed, **params)
+    except RecipeUnsatisfiable as e:
+        return Outcome(False, {"unsatisfiable": str(e)})
+    return recipe_outcome(out)
 
 
 def _pushforward_conditions(config, seed):

@@ -139,6 +139,24 @@ class TestMain:
         assert code == 0
         assert out["summary"]["fail"] == 0
 
+    @pytest.mark.parametrize("what, payload", [
+        ("topology", SIERPINSKI),
+        ("map", {"kind": "map", "source": SIERPINSKI, "target": SIERPINSKI,
+                 "image": [0, 1]}),
+        ("filter", {"kind": "filter", "topology": SIERPINSKI,
+                    "values": [0, 1, 1]}),
+        ("refinement", {"kind": "refinement", "topology": SIERPINSKI,
+                        "assignment": [[[0, 1, 1]], [[0, 0, 1]]]}),
+        ("uniformity", {"kind": "relation", "n": 2,
+                        "pairs": [[0, 1], [0, 0], [1, 1]]}),
+    ])
+    def test_check_records_count_the_one_object(self, tmp_path, capsys, what,
+                                                payload):
+        main(["check", what, write(tmp_path, "spec.json", payload)])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records
+        assert [r["samples"] for r in records] == [1] * len(records)
+
     def test_noncontinuous_map_fails(self, tmp_path, capsys):
         payload = {"kind": "map", "source": SIERPINSKI, "target": SIERPINSKI,
                    "image": [1, 0]}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from filterbench import flows as fl
+from filterbench import geometry
 from filterbench import suites
 from filterbench.cli import main
 from filterbench.errors import (
@@ -326,6 +327,33 @@ class TestTransport:
             BUILTIN_MAPS["shear_half"], BUILTIN_FLOWS["rotation"],
             samples=500, seed=9)
         assert verdict == "commute", witness
+
+    def test_every_pushed_flow_a_suite_builds_is_certified(self,
+                                                          monkeypatch):
+        # pushforward-conditions and the transport maps push flows whose
+        # curvature the maps' declared bounds certify: none of their arcs
+        # is decided with an estimated C, so none starts at 17 vertices
+        built, estimated = [], []
+        pushforward = fl.pushforward_flow
+        scan = geometry._polyline_sq_min
+
+        def recording(f, flow, seed=0):
+            built.append(pushforward(f, flow, seed))
+            return built[-1]
+
+        def scanning(vertices, z, ts, turns):
+            estimated.append(turns)
+            return scan(vertices, z, ts, turns)
+
+        monkeypatch.setattr(fl, "pushforward_flow", recording)
+        monkeypatch.setattr(geometry, "_polyline_sq_min", scanning)
+        suites.run_suite("flows", RunConfig(seed=1, samples=50))
+        assert {p.name for p in built} == {
+            f"{BUILTIN_MAPS[m].name}_pushforward_{flow}" for m, flow in
+            [("shear_half", "rotation")]
+            + [(m, "translation") for m in suites.TRANSPORT_MAPS]}
+        assert all(p.curvature is not None for p in built)
+        assert estimated and not any(estimated)
 
     def test_collapse_map_rejected(self):
         collapse = MapSpec("collapse", 2,

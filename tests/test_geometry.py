@@ -1,6 +1,6 @@
 """Tests of the arc-membership kernel against the slow polyline oracle and
-against the exact orbits of the built-in flows, and of the flows' declared
-curvature bounds."""
+against the exact orbits of the built-in flows and of one pushed-forward
+flow, and of the flows' declared curvature and speed bounds."""
 
 import dataclasses
 
@@ -209,6 +209,24 @@ def _shear_step(x):
     return np.array([x[1], 0.0])    # exp(t g) x = x + t g x, g^2 = 0
 
 
+def _parabola_orbit(x, y, lo, hi):
+    """Exact distance from y to the orbit (q_0 + s^2, s), s = x_1 + t in
+    [x_1 + lo, x_1 + hi], q_0 = x_0 - x_1^2: the nearest of the arc's ends
+    and the real parts of the roots of the derivative of the squared
+    distance, 4 s^3 + (4 (q_0 - y_0) + 2) s - 2 y_1."""
+    q0, s_lo, s_hi = x[0] - x[1] ** 2, x[1] + lo, x[1] + hi
+    best = []
+    for y0, y1 in y:
+        roots = np.roots([4.0, 0.0, 4.0 * (q0 - y0) + 2.0, -2.0 * y1]).real
+        s = np.concatenate([np.clip(roots, s_lo, s_hi), [s_lo, s_hi]])
+        best.append(np.min(np.hypot(q0 + s * s - y0, s - y1)))
+    return np.array(best)
+
+
+PARABOLIC_TRANSLATION = fl.pushforward_flow(BUILTIN_MAPS["parabolic_shear"],
+                                            fl.translation_flow([0.0, 1.0]))
+
+
 EXACT_ORBITS = {
     "translation": (fl.BUILTIN_FLOWS["translation"],
                     _segment_orbit(lambda x: np.array([1.0, 0.0]))),
@@ -218,6 +236,9 @@ EXACT_ORBITS = {
                      _segment_orbit(_shear_step)),
     "rotation": (fl.BUILTIN_FLOWS["rotation"], _circle_orbit(1.0)),
     "rotation(-2)": (fl.rotation_flow(-2.0), _circle_orbit(-2.0)),
+    # a curved pushed orbit, c'' = (2, 0), whose declared C = 2 is exact
+    "parabolic_shear*translation(0,1)": (PARABOLIC_TRANSLATION,
+                                         _parabola_orbit),
 }
 ORBIT_EPS = 0.5
 
@@ -274,6 +295,18 @@ def test_exact_orbit_check_detects_a_false_curvature_bound():
     assert wrong > 0
 
 
+def test_exact_orbit_check_detects_a_false_hessian_bound():
+    # negative control: a parabolic shear that declares itself affine makes
+    # its pushed translation orbits straight, C = 0, though they bend with
+    # |c''| = 2
+    flat = dataclasses.replace(BUILTIN_MAPS["parabolic_shear"],
+                               hessian_bound=0.0)
+    pushed = fl.pushforward_flow(flat, fl.translation_flow([0.0, 1.0]))
+    assert np.all(pushed.curvature(np.zeros((3, 2)), ORBIT_EPS) == 0.0)
+    wrong, _, _ = _exact_side_errors(pushed, _parabola_orbit, "+", False, 6)
+    assert wrong > 0
+
+
 # --- declared curvature bounds -----------------------------------------------
 
 CURVATURE_FLOWS = {
@@ -283,13 +316,25 @@ CURVATURE_FLOWS = {
     "linear_spiral": fl.linear_flow([[0.3, -1.0], [1.0, -0.2]]),
     "linear_shear": fl.BUILTIN_FLOWS["linear_shear"],
 }
+# every map that declares its derivative bounds
+BOUNDED_MAPS = sorted(m for m, spec in BUILTIN_MAPS.items()
+                      if spec.hessian_bound is not None)
+PUSHED_FLOWS = {
+    f"{m}*{name}": fl.pushforward_flow(BUILTIN_MAPS[m], flow)
+    for m in BOUNDED_MAPS
+    for name, flow in {"translation(1,0)": fl.translation_flow([1.0, 0.0]),
+                       "translation(0.3,-0.8)": fl.translation_flow([0.3, -0.8]),
+                       "rotation(2)": fl.rotation_flow(2.0),
+                       "scaling(-1.5)": fl.scaling_flow(-1.5)}.items()}
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("sign", ["+", "-"])
-@pytest.mark.parametrize("name", sorted(CURVATURE_FLOWS))
+@pytest.mark.parametrize("name", sorted(CURVATURE_FLOWS) + sorted(PUSHED_FLOWS))
 def test_declared_curvature_dominates_the_sampled_one(name, sign, reverse):
-    flow = CURVATURE_FLOWS[name]
+    # eps = ORBIT_EPS: at eps = 1e-3 the rounding of the 2001-point second
+    # differences alone reads about 4e-4 on straight orbits
+    flow = {**CURVATURE_FLOWS, **PUSHED_FLOWS}[name]
     if reverse:
         flow = flow.reversed()
     x = np.random.default_rng(7).uniform(-1.0, 1.0, (20, flow.dim))
@@ -306,11 +351,47 @@ def test_declared_curvature_dominates_the_sampled_one(name, sign, reverse):
         assert np.allclose(sampled, declared, rtol=1e-5)
 
 
+def test_declared_speed_dominates_the_sampled_one():
+    rng = np.random.default_rng(8)
+    ts = np.linspace(-ORBIT_EPS, ORBIT_EPS, 2001)
+    for flow in [*CURVATURE_FLOWS.values(), *fl.BUILTIN_FLOWS.values()]:
+        x = rng.uniform(-1.0, 1.0, (20, flow.dim))
+        for f in (flow, flow.reversed()):
+            c = f(ts[:, None], x)
+            sampled = np.linalg.norm(np.diff(c, axis=0), axis=-1).max(axis=0)
+            sampled /= ts[1] - ts[0]
+            assert np.all(sampled <= f.speed(x, ORBIT_EPS) * (1 + 1e-6) + 1e-9)
+
+
+@pytest.mark.parametrize("name", BOUNDED_MAPS)
+def test_declared_map_bounds_dominate_the_sampled_ones(name):
+    # |Df|_2 at points of each ball B(p, r), and second differences of f
+    # along unit directions, against the declared J and H
+    f = BUILTIN_MAPS[name]
+    rng = np.random.default_rng(12)
+    p = rng.uniform(-1.0, 1.0, (50, 2))
+    r = rng.uniform(0.0, 0.5, len(p))
+    w = rng.normal(size=(len(p), 40, 2))
+    w *= (r[:, None] * rng.uniform(0.0, 1.0, w.shape[:2])
+          / np.linalg.norm(w, axis=-1))[..., None]
+    sampled = np.array([[np.linalg.norm(f.jacobian(q), 2) for q in ball]
+                        for ball in p[:, None] + w]).max(axis=1)
+    assert np.all(sampled <= f.jacobian_bound(p, r) * (1 + 1e-12))
+    v = rng.normal(size=p.shape)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    h = 1e-3
+    second = np.linalg.norm(f(p + h * v) - 2 * f(p) + f(p - h * v),
+                            axis=-1) / (h * h)
+    assert np.all(second <= f.hessian_bound + 1e-6)
+
+
 def test_only_pushed_forward_flows_estimate_their_curvature():
+    # a flow pushed by a map that declares no derivative bounds
     for flow in fl.BUILTIN_FLOWS.values():
-        assert flow.curvature is not None
+        assert flow.curvature is not None and flow.speed is not None
         assert flow.reversed().curvature is flow.curvature
-    pushed = fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
+        assert flow.reversed().speed is flow.speed
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
                                  fl.BUILTIN_FLOWS["rotation"])
     assert pushed.curvature is None
 
@@ -369,7 +450,7 @@ def test_certified_rows_start_at_the_chord(passes):
 
 
 def test_estimated_rows_start_at_17_vertices(passes):
-    pushed = fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
                                  fl.BUILTIN_FLOWS["rotation"])
     x, y = _near_orbits(pushed, np.random.default_rng(10))
     _, converged = fl.flow_pair_contains(pushed, 0.1, 0.3, x, y)
@@ -377,7 +458,15 @@ def test_estimated_rows_start_at_17_vertices(passes):
     assert passes[0] == (len(x), 17)
 
 
-@pytest.mark.parametrize("name", sorted(fl.BUILTIN_FLOWS))
+SAMPLED_ORBIT_FLOWS = {
+    **fl.BUILTIN_FLOWS,
+    "shear_half*rotation": fl.pushforward_flow(BUILTIN_MAPS["shear_half"],
+                                               fl.BUILTIN_FLOWS["rotation"]),
+    "parabolic_shear*translation(0,1)": PARABOLIC_TRANSLATION,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_ORBIT_FLOWS))
 def test_sampled_orbit_rows_match_the_cap_oracle(name):
     # rows built as flows._sample_orbit_members builds them, for every
     # (eps, mu) of check (e), with the transverse slack also past the
@@ -386,7 +475,7 @@ def test_sampled_orbit_rows_match_the_cap_oracle(name):
     # left out: the tolerance rule may decide those either way, and at
     # eps = 1e-4 it can fire at the chord.  One base point per eps shares
     # one cap-resolution oracle polyline.
-    flow = fl.BUILTIN_FLOWS[name]
+    flow = SAMPLED_ORBIT_FLOWS[name]
     rng = np.random.default_rng(11)
     eps_list, mu_list = fl.C_GRID
     rows = 24

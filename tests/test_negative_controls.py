@@ -17,7 +17,7 @@ from filterbench import finite_topology as ft
 from filterbench import flows as fl
 from filterbench import metric_filters as mf
 from filterbench import pair_calculus as pc
-from filterbench.suites import RunConfig, run_suite
+from filterbench.suites import FLOW_NAMES, RunConfig, run_suite
 
 CONFIG = RunConfig(seed=1, samples=50)
 
@@ -86,6 +86,21 @@ def _pushforward_of_reversal(monkeypatch):
                         pushforward(f, flow.reversed(), seed))
 
 
+def _unreversed_reversal(monkeypatch):
+    # a reversal that leaves the flow as it is.  step3 may then meet a chain
+    # constant too large for its aperture floor (C = 966 for scaling at seed
+    # 1), which must give a failing record and not stop the run
+    monkeypatch.setattr(fl.Flow, "reversed", lambda flow: flow)
+
+
+def _sign_ignored(monkeypatch):
+    # the backward filter read as the forward one
+    contains = fl.flow_pair_contains
+    monkeypatch.setattr(fl, "flow_pair_contains",
+                        lambda flow, eps, mu, x, y, sign="+":
+                        contains(flow, eps, mu, x, y))
+
+
 PUSHFORWARD_CONTINUITY = [f"pushforward-continuity-{a}to{b}"
                           for a in (1, 2, 3) for b in (1, 2, 3)]
 
@@ -120,6 +135,13 @@ CONTROLS = {
                                     "identity2d", "rotation_quarter",
                                     "shear_half", "parabolic_shear",
                                     "sine_shear")], "fail"),
+    "unreversed-reversal": ("flows", _unreversed_reversal,
+                            [f"{kind}-{name}" for kind in (
+                                "lemacon", "reversal-identity")
+                             for name in FLOW_NAMES], "fail"),
+    "sign-ignored": ("flows", _sign_ignored,
+                     [f"reversal-identity-{name}" for name in FLOW_NAMES],
+                     "fail"),
 }
 
 

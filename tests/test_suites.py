@@ -9,6 +9,7 @@ import pytest
 
 from filterbench import flows as fl
 from filterbench import suites
+from filterbench.errors import RecipeUnsatisfiable
 from filterbench.suites import SUITE_NAMES, TRAD2_CHECKS, RunConfig, run_suite
 
 CONFIG = RunConfig(seed=4, samples=100)
@@ -191,3 +192,20 @@ def test_a_check_over_no_samples_does_not_pass():
     assert verdict(suites.Outcome(False, {"bad": 1}, 0)) == ("fail", {"bad": 1})
     assert verdict(suites.Outcome(True, "undecided", 0, inconclusive=True)) == \
         ("inconclusive", "undecided")
+
+
+def test_an_unsatisfiable_recipe_fails_its_record(monkeypatch):
+    # a recipe that cannot construct its constants ends its own check, not
+    # the run
+    def unsatisfiable(flow, **kwargs):
+        raise RecipeUnsatisfiable("no aperture above the floor")
+
+    anchor, _, params = suites.FLOW_RECIPES["step3"]
+    monkeypatch.setitem(suites.FLOW_RECIPES, "step3",
+                        (anchor, unsatisfiable, params))
+    records = {r.check_id: r for r in run_suite("flows", CONFIG).records}
+    for name in suites.FLOW_NAMES:
+        rec = records[f"step3-{name}"]
+        assert (rec.verdict, rec.samples) == ("fail", 0)
+        assert rec.witness == {"unsatisfiable": "no aperture above the floor"}
+        assert records[f"step1-{name}"].verdict == "pass"
