@@ -93,7 +93,8 @@ def _arc_parameters(eps: float, sign: str, k: int) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sum over the leading (coordinate) axis of u * v, in coordinate order."""
+    """Sum over the leading (coordinate) axis of u * v, in coordinate order;
+    u and v may also be lists of per-coordinate arrays."""
     out = u[0] * v[0]
     for c in range(1, len(u)):
         out += u[c] * v[c]

@@ -2,8 +2,14 @@
 tubes, sequence classification and derivative desk-checks.
 
 The directional filter mu_{x,u} is generated by the cones V+(x, u, eps,
-sigma), each decided by ``v_plus_contains``.  A backward curve filter is
-the forward filter of the reversed curve (see ``CurveFilter``).
+sigma), each decided by ``v_plus_contains``; one generator may hold a cone
+per row of a batch.  Sequence classification is row-batched:
+``classify_sequences`` decides B sequences, each against its own mu_{x,u},
+in one pass of array operations, and ``classify_sequence`` is its one-row
+call.  A row's distances, directions and direction limit carry the bits
+of the per-sequence computation that ``tests/oracles.py`` keeps, and the
+tests hold every verdict field to it.  A backward curve filter is the
+forward filter of the reversed curve (see ``CurveFilter``).
 
 Everything here is numerical.  Filter comparisons between generated filters
 are semi-decided: certified rules (generator monotonicity, exact generator
@@ -29,10 +35,10 @@ from .errors import (
     SingularJacobian,
 )
 from .geometry import (
+    _dot,
     angle_between,
     arc_membership,
     point_polyline_distance,
-    point_segment_distance,
     segment_projection_parameter,  # perfbench's tracer tests read it here
     unit,
 )
@@ -49,10 +55,12 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_unit(u: np.ndarray) -> None:
-    """Raise NonUnitDirection unless |u| is within UNIT_TOL of 1; NaN fails."""
-    norm = np.linalg.norm(u)
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise NonUnitDirection(f"|u| = {norm}")
+    """Raise NonUnitDirection unless |u| is within UNIT_TOL of 1, for u (d,)
+    or for every row of u (..., d); NaN fails."""
+    norm = np.atleast_1d(np.linalg.norm(u, axis=-1))
+    bad = ~(np.abs(norm - 1.0) <= UNIT_TOL)
+    if bad.any():
+        raise NonUnitDirection(f"|u| = {norm[bad][0]}")
 
 
 def _check_length(what: str, n: int, against: str, dim: int) -> None:
@@ -65,7 +73,10 @@ def _check_length(what: str, n: int, against: str, dim: int) -> None:
 @dataclass(frozen=True)
 class ConeGenerator:
     """V+(x, u, eps, sigma): points y != x whose distance to the segment
-    x .. x + eps*u is below sigma * d(x, y)."""
+    x .. x + eps*u is below sigma * d(x, y).
+
+    x and u are one point and direction (d,), or one per row (..., d), so
+    that one generator holds a cone for each row of a batch."""
 
     x: np.ndarray
     u: np.ndarray
@@ -73,7 +84,8 @@ class ConeGenerator:
     sigma: float
 
     def __post_init__(self):
-        _check_length("x", len(self.x), "the length of u", len(self.u))
+        _check_length("x", np.shape(self.x)[-1], "the length of u",
+                      np.shape(self.u)[-1])
         _check_unit(self.u)
         if not self.eps > 0:
             raise InvalidWitness("eps must be positive")
@@ -86,11 +98,22 @@ class ConeGenerator:
 
 
 def v_plus_contains(g: ConeGenerator, y: np.ndarray) -> np.ndarray:
-    """Membership (vectorized over leading axes of y)."""
+    """Membership (vectorized over leading axes of y; a generator of
+    per-row cones broadcasts its x and u against them).
+
+    The point of the segment closest to y is x + s u, with s = <y - x, u>
+    clamped to [0, eps] since u is a unit vector.  The sums run coordinate
+    by coordinate, so every operation runs along the rows."""
     y = np.asarray(y, dtype=float)
-    _check_length("y", y.shape[-1], "the length of x", len(g.x))
-    d_xy = np.linalg.norm(y - g.x, axis=-1)
-    d_seg = point_segment_distance(y, np.asarray(g.x, float), g.tip)
+    x = np.asarray(g.x, dtype=float)
+    u = np.asarray(g.u, dtype=float)
+    _check_length("y", y.shape[-1], "the length of x", x.shape[-1])
+    offset = [y[..., c] - x[..., c] for c in range(x.shape[-1])]
+    along = [u[..., c] for c in range(x.shape[-1])]
+    d_xy = np.sqrt(_dot(offset, offset))
+    s = np.clip(_dot(offset, along), 0.0, g.eps)
+    across = [o - s * a for o, a in zip(offset, along)]
+    d_seg = np.sqrt(_dot(across, across))
     return (d_xy > 0) & (d_seg < g.sigma * d_xy)
 
 
@@ -159,48 +182,66 @@ class SequenceVerdict:
     agreement: bool
 
 
-def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
-    """Cross-validated convergence test against mu_{x,u}.
+def classify_sequences(seqs: np.ndarray, x, u) -> list[SequenceVerdict]:
+    """Cross-validated convergence test of each sequence of seqs (B, n, d)
+    against its own mu_{x,u}, for the rows of x and u (B, d).
 
     (i) direct: the sequence converges to x and normalized increments
     converge to u; (ii) generator: the tail lies in every sampled cone.
     Disagreement between the two flags an engine bug via ``agreement``.
+    Distances to x cover every term, so a term at x raises DegenerateTerm;
+    everything else reads only the tail, the last max(5, ceil(n / 10))
+    terms.
     """
-    seq = np.asarray(seq, dtype=float)
+    seqs = np.asarray(seqs, dtype=float)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if not 0 < np.linalg.norm(u) < np.inf:
-        raise NonUnitDirection(f"direction must be finite and nonzero, u = {u}")
+    norm = np.linalg.norm(u, axis=-1)
+    finite = (0 < norm) & (norm < np.inf)
+    if not finite.all():
+        raise NonUnitDirection(
+            f"direction must be finite and nonzero, u = {u[~finite][0]}")
     u = unit(u)
-    dists = np.linalg.norm(seq - x, axis=-1)
-    if np.any(dists == 0):
+    # a squared distance is zero exactly where the distance is, whatever
+    # the order of its sum; coordinate by coordinate runs along the terms
+    terms = [seqs[..., c] - x[:, c, None] for c in range(x.shape[-1])]
+    if np.any(_dot(terms, terms) == 0):
         raise DegenerateTerm("sequence terms must differ from the base point")
-    tail_n = max(5, int(np.ceil(len(seq) * 0.1)))
-    tail = slice(len(seq) - tail_n, len(seq))
+    n = seqs.shape[1]
+    tail = seqs[:, n - max(5, int(np.ceil(n * 0.1))):n]
+    offsets = tail - x[:, None]
+    dists = np.linalg.norm(offsets, axis=-1)
 
-    converges = bool(np.max(dists[tail]) < 1e-3)
-    dirs = (seq - x) / dists[:, None]
-    dir_sum = dirs[tail].sum(axis=0)
-    if np.linalg.norm(dir_sum) < 1e-12:
-        # directions cancel (e.g. alternating signs): no limit possible
-        mean_dir = dirs[-1]
-        spread = np.pi
-    else:
-        mean_dir = unit(dir_sum)
-        spread = float(np.max(angle_between(dirs[tail], mean_dir)))
-    has_direction = converges and spread < DIR_TOL
-    direction_limit = mean_dir if has_direction else None
-    direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
+    converges = dists.max(axis=1) < 1e-3
+    dirs = offsets / dists[..., None]
+    dir_sum = dirs.sum(axis=1)
+    # directions that cancel (e.g. alternating signs) have no limit
+    cancels = np.linalg.norm(dir_sum, axis=-1) < 1e-12
+    mean_dir = unit(np.where(cancels[:, None], dirs[:, -1], dir_sum))
+    spread = np.where(cancels, np.pi,
+                      angle_between(dirs, mean_dir[:, None]).max(axis=1))
+    has_direction = converges & (spread < DIR_TOL)
+    direct = has_direction & (angle_between(mean_dir, u) < DIR_TOL)
 
-    generator_ok = all(
-        v_plus_contains(ConeGenerator(x, u, eps, sigma), seq[tail]).all()
-        for eps, sigma in GENERATOR_GRID)
-    return SequenceVerdict(
-        converges_to_point=converges,
-        direction_limit=direction_limit,
-        matches_filter=direct and generator_ok,
-        agreement=direct == generator_ok,
-    )
+    # one cone per row: x and u broadcast against the (B, tail, d) tail
+    generator_ok = np.logical_and.reduce([
+        v_plus_contains(ConeGenerator(x[:, None], u[:, None], eps, sigma),
+                        tail).all(axis=-1)
+        for eps, sigma in GENERATOR_GRID])
+    return [SequenceVerdict(
+        converges_to_point=bool(conv),
+        direction_limit=limit if has else None,
+        matches_filter=bool(dir_ok and gen_ok),
+        agreement=bool(dir_ok == gen_ok),
+    ) for conv, has, limit, dir_ok, gen_ok in zip(
+        converges, has_direction, mean_dir, direct, generator_ok)]
+
+
+def classify_sequence(seq: np.ndarray, x, u) -> SequenceVerdict:
+    """``classify_sequences`` on the one sequence seq (n, d) at x along u."""
+    return classify_sequences(np.asarray(seq, float)[None],
+                              np.asarray(x, float)[None],
+                              np.asarray(u, float)[None])[0]
 
 
 # --- curve filters -----------------------------------------------------------

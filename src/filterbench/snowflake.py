@@ -6,10 +6,16 @@ d((x1,y1),(x2,y2)) = |x1-x2| + |y1-y2|^(1/m): the arc of p at x is
 {x + (t, p(t)) : 0 <= t <= eps}, and a generator's exponent m fixes the
 metric. Polynomial coefficients are exact rationals; coefficient equality
 is exact. Everything metric is numerical: arc distances come from one
-row-batched kernel, `arc_distances`. It scans all rows against one shared
-grid of ARC_GRID arc parameters, then refines each row's grid minimum by
-golden-section search on the bracket around it, all rows advancing
-together. Separation witnesses are finite-scale (a tail
+batched kernel, `arc_distances`, over jobs (offsets, p, eps, m). It scans
+each job's rows against one shared grid of ARC_GRID arc parameters, then
+refines every row's grid minimum by golden-section search on the bracket
+around it, in one search for all rows of the jobs that share eps and m.
+Each row evaluates its own polynomial by Horner's rule, so a row's
+distance is bit-identical to the one its job would get alone.
+`separate_polynomials_batch` and `check_poly_derivable_batch` submit all
+their items at once, one arc search per exponent and phase;
+`separate_polynomials` and `check_poly_derivable` are their one-item
+calls. Separation witnesses are finite-scale (a tail
 of on-arc points plus a generator whose aperture lies strictly below every
 observed distance ratio of that tail).
 """
@@ -130,35 +136,30 @@ class PolynomialGenerator:
             raise DegenerateGenerator("need eps > 0 and lam in (0, 1)")
 
 
-def _arc_cost(offsets: np.ndarray, p: Polynomial, ts, m: int) -> np.ndarray:
+def _arc_cost(offsets: np.ndarray, ts, pts, m: int) -> np.ndarray:
     """Mixed distance |dx - t| + |dy - p(t)|^(1/m) from offsets (..., 2),
-    y - x, to the arc points at parameters ts."""
+    y - x, to the arc points (ts, pts = p(ts))."""
     return (np.abs(offsets[..., 0] - ts)
-            + np.abs(offsets[..., 1] - p(ts)) ** (1.0 / m))
+            + np.abs(offsets[..., 1] - pts) ** (1.0 / m))
 
 
-def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
-    """Mixed-product distance from each row of (N, 2) offsets (y - x) to
-    the arc {x + (t, p(t)) : 0 <= t <= eps} of R x R_m.
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row's polynomial at its own parameter: column i of coeffs
+    (K, N), constant-first and zero-padded, at t[i].  Leading zeros keep
+    the running value at 0, so each row gets Polynomial.__call__'s bits."""
+    out = np.zeros_like(t)
+    for c in coeffs[::-1]:
+        out = out * t + c
+    return out
 
-    The mixed metric is not smooth, so a global grid scan over ARC_GRID
-    parameters comes first; golden-section search then refines the
-    bracket around each row's grid minimum.
-    """
-    offsets = np.asarray(offsets, float)
-    if offsets.ndim != 2 or offsets.shape[1] != 2:
-        raise ValueError(f"offsets must be (N, 2), not {offsets.shape}")
-    ts = np.linspace(0.0, eps, ARC_GRID)
-    # each row against the whole grid, as one (rows, ARC_GRID) array
-    vals = _arc_cost(offsets[:, None], p, ts, m)
-    i = np.argmin(vals, axis=1)
-    best = vals[np.arange(len(i)), i]
-    a = ts[np.maximum(i - 1, 0)]
-    b = ts[np.minimum(i + 1, ARC_GRID - 1)]
+
+def _golden_refine(offsets, coeffs, a, b, m: int) -> np.ndarray:
+    """Golden-section search of each row's arc cost on its bracket [a, b],
+    all rows advancing together; the smaller of the two final probes."""
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc = _arc_cost(offsets, p, c, m)
-    fd = _arc_cost(offsets, p, d, m)
+    fc = _arc_cost(offsets, c, _horner(coeffs, c), m)
+    fd = _arc_cost(offsets, d, _horner(coeffs, d), m)
     for _ in range(GOLDEN_ITERS):
         # left rows keep [a, d] and probe a new c; the others keep [c, b]
         # and probe a new d
@@ -168,35 +169,115 @@ def arc_distances(offsets, p: Polynomial, eps: float, m: int) -> np.ndarray:
         kept = np.where(left, c, d)
         f_kept = np.where(left, fc, fd)
         s = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fs = _arc_cost(offsets, p, s, m)
+        fs = _arc_cost(offsets, s, _horner(coeffs, s), m)
         c = np.where(left, s, kept)
         d = np.where(left, kept, s)
         fc = np.where(left, fs, f_kept)
         fd = np.where(left, f_kept, fs)
-    return np.minimum(best, np.minimum(fc, fd))
+    return np.minimum(fc, fd)
 
 
-def polynomial_filter_contains(g: PolynomialGenerator, ys) -> np.ndarray:
+def _grid_scan(offsets, p: Polynomial, eps: float, m: int):
+    """Each row's smallest arc cost over ARC_GRID parameters on [0, eps],
+    and the bracket [a, b] of grid neighbours around it.  The (rows,
+    ARC_GRID) cost array lives only for this call."""
+    ts = np.linspace(0.0, eps, ARC_GRID)
+    vals = _arc_cost(offsets[:, None], ts, p(ts), m)
+    i = np.argmin(vals, axis=1)
+    return (vals[np.arange(len(i)), i], ts[np.maximum(i - 1, 0)],
+            ts[np.minimum(i + 1, ARC_GRID - 1)])
+
+
+def arc_distances(jobs) -> list[np.ndarray]:
+    """Mixed-product distances for each job (offsets, p, eps, m): from each
+    row of the (N, 2) offsets (y - x) to the arc {x + (t, p(t)) : 0 <= t
+    <= eps} of R x R_m.
+
+    The mixed metric is not smooth, so a global grid scan over ARC_GRID
+    parameters comes first, one job at a time with p(ts) shared by its
+    rows.  Golden-section search then refines the bracket around each row's
+    grid minimum, in one search for all rows of the jobs that share eps
+    and m.  Every row evaluates its own polynomial, so its distance has
+    the bits a batch of its own would give.
+    """
+    out = [None] * len(jobs)
+    searches = {}
+    for k, (offsets, p, eps, m) in enumerate(jobs):
+        offsets = np.asarray(offsets, float)
+        if offsets.ndim != 2 or offsets.shape[1] != 2:
+            raise ValueError(f"offsets must be (N, 2), not {offsets.shape}")
+        out[k], a, b = _grid_scan(offsets, p, eps, m)
+        searches.setdefault((eps, m), []).append(
+            (k, offsets, p.float_coeffs, a, b))
+    for (_, m), group in searches.items():
+        ks, offsets, coeffs, a, b = zip(*group)
+        sizes = [len(o) for o in offsets]
+        # one zero-padded coefficient column per row
+        width = max(map(len, coeffs))
+        columns = np.repeat(np.array([c + (0.0,) * (width - len(c))
+                                      for c in coeffs]).T, sizes, axis=1)
+        refined = _golden_refine(np.concatenate(offsets), columns,
+                                 np.concatenate(a), np.concatenate(b), m)
+        for k, r in zip(ks, np.split(refined, np.cumsum(sizes)[:-1])):
+            out[k] = np.minimum(out[k], r)
+    return out
+
+
+def polynomial_filter_contains(jobs) -> list[np.ndarray]:
     """Membership of each row of ys, (N, 2) points of R x R_m with m = g.m,
-    in V+(x, p, eps, lam): y belongs when y != x and its distance to the
-    arc of p over [0, eps] at x is below lam d(x, y)."""
-    offsets = np.asarray(ys, float) - g.x
-    d_arc = arc_distances(offsets, g.p, g.eps, g.m)
-    d_xy = MixedProductSpace(g.m).offset_distances(offsets)
-    return (d_xy != 0.0) & (d_arc < g.lam * d_xy)
+    in V+(x, p, eps, lam) for each job (g, ys): y belongs when y != x and
+    its distance to the arc of p over [0, eps] at x is below lam d(x, y).
+    One arc_distances call serves every job."""
+    offsets = [np.asarray(ys, float) - g.x for g, ys in jobs]
+    d_arcs = arc_distances([(o, g.p, g.eps, g.m)
+                            for o, (g, _) in zip(offsets, jobs)])
+    out = []
+    for o, d_arc, (g, _) in zip(offsets, d_arcs, jobs):
+        d_xy = MixedProductSpace(g.m).offset_distances(o)
+        out.append((d_xy != 0.0) & (d_arc < g.lam * d_xy))
+    return out
 
 
-def _tail_ratios(p1: Polynomial, p2: Polynomial, m: int, x,
-                 t0: float, count: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """On-arc p1 points t_h = t0 / h and their distance ratios to the p2
-    arc (generator horizon twice t0)."""
+def _tail_ratios(pairs, x, t0: float, count: int):
+    """For each (p1, p2, m): on-arc p1 points t_h = t0 / h at x and their
+    distance ratios to the p2 arc (generator horizon twice t0)."""
     x = np.asarray(x, float)
     t_h = t0 / np.arange(1, count + 1, dtype=float)
-    seq = np.stack([x[0] + t_h, x[1] + p1(t_h)], axis=-1)
-    offsets = seq - x
-    ratios = (arc_distances(offsets, p2, 2.0 * t0, m)
-              / MixedProductSpace(m).offset_distances(offsets))
-    return seq, ratios, 2.0 * t0
+    seqs = [np.stack([x[0] + t_h, x[1] + p1(t_h)], axis=-1)
+            for p1, _, _ in pairs]
+    d_arcs = arc_distances([(seq - x, p2, 2.0 * t0, m) for seq, (
+        _, p2, m) in zip(seqs, pairs)])
+    return [(seq, d_arc / MixedProductSpace(m).offset_distances(seq - x))
+            for seq, d_arc, (_, _, m) in zip(seqs, d_arcs, pairs)]
+
+
+def separate_polynomials_batch(pairs) -> list:
+    """``separate_polynomials`` for each (p1, p2, m), with one arc search
+    per exponent for the tails and one for their membership check."""
+    for p1, p2, m in pairs:
+        validate_generator_polynomial(p1, m)
+        validate_generator_polynomial(p2, m)
+    origin = np.zeros(2)
+    t0 = 0.1
+    out = ["equal" if p1 == p2 else None for p1, p2, _ in pairs]
+    distinct = [k for k, o in enumerate(out) if o is None]
+    tails = _tail_ratios([pairs[k] for k in distinct], origin, t0, 64)
+    for k, (seq, ratios) in zip(distinct, tails):
+        min_ratio = float(ratios.min())
+        if min_ratio <= 0.0:
+            raise ConstraintViolation(
+                "distinct polynomials produced a zero distance ratio")
+        _, p2, m = pairs[k]
+        out[k] = {"status": "separated", "sequence": seq,
+                  "generator": PolynomialGenerator(
+                      origin, p2, 2.0 * t0, min(0.9 * min_ratio, 0.99), m),
+                  "min_ratio": min_ratio}
+    # an explicit membership check of each whole tail, not a reuse of ratios
+    members = polynomial_filter_contains(
+        [(out[k]["generator"], out[k]["sequence"]) for k in distinct])
+    for k, member in zip(distinct, members):
+        out[k]["verified"] = not bool(member.any())
+    return out
 
 
 def separate_polynomials(p1: Polynomial, p2: Polynomial, m: int):
@@ -204,27 +285,7 @@ def separate_polynomials(p1: Polynomial, p2: Polynomial, m: int):
     witness: the tail t_h = 0.1 / h (h = 1..64) on the p1 arc at the origin
     with a generator of the p2 filter whose aperture sits strictly below
     every observed distance ratio, so the whole tail fails membership."""
-    validate_generator_polynomial(p1, m)
-    validate_generator_polynomial(p2, m)
-    if p1 == p2:
-        return "equal"
-    origin = np.zeros(2)
-    seq, ratios, eps0 = _tail_ratios(p1, p2, m, origin, 0.1, 64)
-    min_ratio = float(ratios.min())
-    if min_ratio <= 0.0:
-        raise ConstraintViolation(
-            "distinct polynomials produced a zero distance ratio")
-    lam0 = min(0.9 * min_ratio, 0.99)
-    gen = PolynomialGenerator(origin, p2, eps0, lam0, m)
-    # an explicit membership check of the whole tail, not a reuse of ratios
-    verified = not polynomial_filter_contains(gen, seq).any()
-    return {
-        "status": "separated",
-        "sequence": seq,
-        "generator": gen,
-        "min_ratio": min_ratio,
-        "verified": bool(verified),
-    }
+    return separate_polynomials_batch([(p1, p2, m)])[0]
 
 
 @dataclass(frozen=True)
@@ -266,6 +327,40 @@ def truncated_composition(f: Func1D, x: float, p: Polynomial, m: int) -> np.ndar
     return q
 
 
+def check_poly_derivable_batch(jobs) -> list[dict]:
+    """``check_poly_derivable`` for each (f, x, p, m), with one arc search
+    per exponent for all image points."""
+    t0 = 0.05
+    t_h = t0 / 2.0 ** np.arange(24, dtype=float)
+    out, arcs, bounds = [], [], []
+    for f, x, p, m in jobs:
+        validate_generator_polynomial(p, m)
+        q = truncated_composition(f, x, p, m)
+        if np.max(np.abs(q[1:])) < 1e-12:
+            raise TrivialDevelopment(
+                f"development of {f.name} at {x} along the arc is trivial")
+        q_poly = Polynomial.from_coeffs(
+            [Fraction(c).limit_denominator(10 ** 12) for c in np.where(
+                np.abs(q) < 1e-15, 0.0, q)])
+        # image points (t, f(x + p(t)) - f(x)) relative to the image of x
+        vals = f(x + p(t_h)) - f(x)
+        imgs = np.stack([t_h, vals], axis=-1)
+        # the image parameter itself gives an exact distance upper bound
+        # (the pure Taylor residual); the grid search loses it to the
+        # square-root cusp at tiny scales. Per point, as a scalar, like d_xy.
+        at_param = np.array([float(abs(v - q_poly(t)) ** (1.0 / m))
+                             for v, t in zip(vals, t_h)])
+        out.append({"oracle_coeffs": q})
+        arcs.append((imgs, q_poly, 2.0 * t0, m))
+        bounds.append((at_param, MixedProductSpace(m).offset_distances(imgs)))
+    for o, d_arc, (at_param, d_xy) in zip(out, arc_distances(arcs), bounds):
+        ratios = np.minimum(d_arc, at_param) / d_xy
+        o["ratios"] = ratios
+        o["matches"] = bool(ratios[-1] < 1e-3
+                            and ratios[-1] <= ratios[0] + 1e-3)
+    return out
+
+
 def check_poly_derivable(f: Func1D, x: float, p: Polynomial, m: int) -> dict:
     """Transports on-arc sample points through f in the graph setting and
     compares against the analytic truncation oracle q.
@@ -275,34 +370,7 @@ def check_poly_derivable(f: Func1D, x: float, p: Polynomial, m: int) -> dict:
     residual O(t^(m+1)) snowflaked to O(t^(1+1/m)), so the membership
     ratios at t = 0.05 / 2^h, h = 0..23, must shrink below 1e-3.
     """
-    validate_generator_polynomial(p, m)
-    q = truncated_composition(f, x, p, m)
-    if np.max(np.abs(q[1:])) < 1e-12:
-        raise TrivialDevelopment(
-            f"development of {f.name} at {x} along the arc is trivial")
-    q_poly = Polynomial.from_coeffs(
-        [Fraction(c).limit_denominator(10 ** 12) for c in np.where(
-            np.abs(q) < 1e-15, 0.0, q)])
-    t0 = 0.05
-    t_h = t0 / 2.0 ** np.arange(24, dtype=float)
-    # image points (t, f(x + p(t)) - f(x)) relative to the image of x
-    vals = f(x + p(t_h)) - f(x)
-    imgs = np.stack([t_h, vals], axis=-1)
-    d_xy = MixedProductSpace(m).offset_distances(imgs)
-    # the image parameter itself gives an exact distance upper bound (the
-    # pure Taylor residual); the grid search loses it to the square-root
-    # cusp at tiny scales. Per point, as a scalar, like d_xy.
-    at_param = np.array([float(abs(v - q_poly(t)) ** (1.0 / m))
-                         for v, t in zip(vals, t_h)])
-    d_arc = np.minimum(arc_distances(imgs, q_poly, 2.0 * t0, m),
-                       at_param)
-    ratios = d_arc / d_xy
-    ok = bool(ratios[-1] < 1e-3 and ratios[-1] <= ratios[0] + 1e-3)
-    return {
-        "oracle_coeffs": q,
-        "ratios": ratios,
-        "matches": ok,
-    }
+    return check_poly_derivable_batch([(f, x, p, m)])[0]
 
 
 BUILTIN_FUNCS: dict[str, Func1D] = {

@@ -409,23 +409,33 @@ def _cones_checks():
 
 # --- suite: derivative -------------------------------------------------------
 
+SEQUENCE_TERMS = 2000
+# (sequence, term, coordinate) elements per classify_sequences call: 8
+# sequences of 2000 plane terms.  A fixed budget keeps the temporaries small
+# whatever the sample count, and larger batches run no faster
+SEQUENCE_BATCH_ELEMENTS = 1 << 15
+
+
 def make_sequence(kind: str, x, u) -> np.ndarray:
-    """The first 2000 terms of a sequence of the given kind at x along u."""
-    h = np.arange(1, 2001, dtype=float)
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    perp = np.array([-u[1], u[0]])
+    """The first SEQUENCE_TERMS terms of a sequence of the given kind at x
+    along u: (terms, 2) for one x and u (2,), and (B, terms, 2) for rows of
+    x and u (B, 2)."""
+    h = np.arange(1, SEQUENCE_TERMS + 1, dtype=float)
+    # built coordinate-major, (2, ..., terms), and returned as a view
+    x = np.moveaxis(np.asarray(x, float), -1, 0)[..., None]
+    u = np.moveaxis(np.asarray(u, float), -1, 0)[..., None]
+    perp = np.stack([-u[1], u[0]])
     if kind == "with-direction":
-        return x + (1.0 / h)[:, None] * u + (1.0 / h ** 2)[:, None] * perp
-    if kind == "without-direction":
+        seq = x + (1.0 / h) * u + (1.0 / h ** 2) * perp
+    elif kind == "without-direction":
         signs = np.where(h % 2 == 0, 1.0, -1.0)
-        return x + (signs / h)[:, None] * u
-    if kind == "divergent":
+        seq = x + (signs / h) * u
+    elif kind == "divergent":
         # bounce between two fixed points, never settling
-        a = x + u
-        b = x - u
-        return np.where((h % 2 == 0)[:, None], a, b)
-    raise ValueError(kind)
+        seq = np.where(h % 2 == 0, x + u, x - u)
+    else:
+        raise ValueError(kind)
+    return np.moveaxis(seq, 0, -1)
 
 
 def _sequence_classification(config, seed):
@@ -434,23 +444,27 @@ def _sequence_classification(config, seed):
     counts = {"with-direction": total // 2,
               "without-direction": total // 4,
               "divergent": total - total // 2 - total // 4}
+    chunk = max(1, SEQUENCE_BATCH_ELEMENTS // (2 * SEQUENCE_TERMS))
     bad = []
     for kind, cnt in sorted(counts.items()):
-        for i in range(cnt):
-            th = rng.uniform(0, 2 * np.pi)
-            u = np.array([np.cos(th), np.sin(th)])
-            x = rng.uniform(-1, 1, 2)
-            seq = make_sequence(kind, x, u)
-            v = mf.classify_sequence(seq, x, u)
-            expect_conv = kind != "divergent"
-            expect_dir = kind == "with-direction"
-            has_dir = v.direction_limit is not None and v.matches_filter
-            if not v.agreement or v.converges_to_point != expect_conv \
-                    or has_dir != expect_dir:
-                bad.append({"kind": kind, "x": x, "u": u,
-                            "converges": v.converges_to_point,
-                            "matches": v.matches_filter,
-                            "agreement": v.agreement})
+        # one row (theta, x) per sequence: the stream and the values of
+        # drawing theta and then x for each sequence in turn
+        th, *coords = rng.uniform([0, -1, -1], [2 * np.pi, 1, 1], (cnt, 3)).T
+        xs = np.stack(coords, axis=-1)
+        us = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        expect_conv = kind != "divergent"
+        expect_dir = kind == "with-direction"
+        for lo in range(0, cnt, chunk):
+            x, u = xs[lo:lo + chunk], us[lo:lo + chunk]
+            verdicts = mf.classify_sequences(make_sequence(kind, x, u), x, u)
+            for xi, ui, v in zip(x, u, verdicts):
+                has_dir = v.direction_limit is not None and v.matches_filter
+                if not v.agreement or v.converges_to_point != expect_conv \
+                        or has_dir != expect_dir:
+                    bad.append({"kind": kind, "x": xi, "u": ui,
+                                "converges": v.converges_to_point,
+                                "matches": v.matches_filter,
+                                "agreement": v.agreement})
     return Outcome(not bad, bad[:3] or {"sequences": total}, total)
 
 
@@ -538,12 +552,12 @@ def _metric_axioms(space, sample, config, seed):
 
 
 def _separation_distinct(config, seed):
-    bad = []
-    for c1, c2, m in SEPARATION_PAIRS:
-        out = sf.separate_polynomials(Polynomial.from_coeffs(c1),
-                                      Polynomial.from_coeffs(c2), m)
-        if out == "equal" or not out["verified"]:
-            bad.append({"p1": c1, "p2": c2, "m": m})
+    outs = sf.separate_polynomials_batch(
+        [(Polynomial.from_coeffs(c1), Polynomial.from_coeffs(c2), m)
+         for c1, c2, m in SEPARATION_PAIRS])
+    bad = [{"p1": c1, "p2": c2, "m": m}
+           for (c1, c2, m), out in zip(SEPARATION_PAIRS, outs)
+           if out == "equal" or not out["verified"]]
     return Outcome(not bad, bad or {"pairs": len(SEPARATION_PAIRS)},
                    len(SEPARATION_PAIRS))
 
@@ -565,13 +579,12 @@ def _separation_equal(config, seed):
 
 
 def _derivability(config, seed):
-    bad = []
-    for fname, coeffs, m, x in DERIVABILITY_TRIPLES:
-        out = sf.check_poly_derivable(sf.BUILTIN_FUNCS[fname], x,
-                                      Polynomial.from_coeffs(coeffs), m)
-        if not out["matches"]:
-            bad.append({"f": fname, "p": coeffs, "m": m, "x": x,
-                        "ratios": out["ratios"]})
+    outs = sf.check_poly_derivable_batch(
+        [(sf.BUILTIN_FUNCS[fname], x, Polynomial.from_coeffs(coeffs), m)
+         for fname, coeffs, m, x in DERIVABILITY_TRIPLES])
+    bad = [{"f": fname, "p": coeffs, "m": m, "x": x, "ratios": out["ratios"]}
+           for (fname, coeffs, m, x), out in zip(DERIVABILITY_TRIPLES, outs)
+           if not out["matches"]]
     return Outcome(not bad,
                    bad[:3] or {"triples": len(DERIVABILITY_TRIPLES)},
                    len(DERIVABILITY_TRIPLES))

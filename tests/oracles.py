@@ -1,13 +1,15 @@
-"""Slow definitions of the finite constructions, which the tests hold the
-fast routes of ``filterbench`` to.
+"""Slow definitions of the finite constructions and of sequence
+classification, which the tests hold the fast routes of ``filterbench`` to.
 
 Each is the construction as the paper states it, evaluated literally:
 the preimage of a target open and the image hull under a point map,
 continuity (every target open pulls back to an open), the pushforward
 f* mu (D) = mu(f^-1 D) of one filter (Prop 2.6), the B-class axioms on a
-[0, 1] table, and the B-polytope vertices of ``def:dfiltbc`` by solving
-every basis of its rows.  No module of the package imports this one, so a
-fast route cannot lean on the definition it is checked against;
+[0, 1] table, the B-polytope vertices of ``def:dfiltbc`` by solving
+every basis of its rows, and the convergence test of one sequence against
+mu_{x,u} (sec:1:step7) with its cones decided by the distance to their
+segment.  No module of the package imports this one, so a fast route
+cannot lean on the definition it is checked against;
 ``tests/test_reachability.py`` holds both directions.
 """
 
@@ -18,8 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from filterbench.errors import (
+    DegenerateTerm,
     FilterAxiomViolation,
+    NonUnitDirection,
     NotContinuous,
     SizeLimitExceeded,
     TopologyMismatch,
@@ -30,6 +36,8 @@ from filterbench.filter_algebra import (
     _raise_first_violation,
 )
 from filterbench.finite_topology import FiniteTopology, PointMap, set_of
+from filterbench.geometry import angle_between, point_segment_distance, unit
+from filterbench.metric_filters import DIR_TOL, GENERATOR_GRID, SequenceVerdict
 
 GRADED_TOL = 1e-12
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
@@ -172,3 +180,50 @@ def _solve_exact(rows):
     if det < 0:
         return [-v for v in num], -det
     return num, det
+
+
+# --- sequence classification -------------------------------------------------
+
+def classify_sequence(seq, x, u) -> SequenceVerdict:
+    """One sequence seq (n, d) against mu_{x,u}: (i) direct, the sequence
+    converges to x and its normalized increments converge to u; (ii)
+    generator, its tail lies in V+(x, u, eps, sigma) for each (eps, sigma)
+    of GENERATOR_GRID, a point y != x being in the cone when its distance
+    to the segment x .. x + eps u is below sigma d(x, y)."""
+    seq = np.asarray(seq, dtype=float)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not 0 < np.linalg.norm(u) < np.inf:
+        raise NonUnitDirection(f"direction must be finite and nonzero, u = {u}")
+    u = unit(u)
+    dists = np.linalg.norm(seq - x, axis=-1)
+    if np.any(dists == 0):
+        raise DegenerateTerm("sequence terms must differ from the base point")
+    tail_n = max(5, int(np.ceil(len(seq) * 0.1)))
+    tail = slice(len(seq) - tail_n, len(seq))
+
+    converges = bool(np.max(dists[tail]) < 1e-3)
+    dirs = (seq - x) / dists[:, None]
+    dir_sum = dirs[tail].sum(axis=0)
+    if np.linalg.norm(dir_sum) < 1e-12:
+        # directions cancel (e.g. alternating signs): no limit possible
+        mean_dir = dirs[-1]
+        spread = np.pi
+    else:
+        mean_dir = unit(dir_sum)
+        spread = float(np.max(angle_between(dirs[tail], mean_dir)))
+    has_direction = converges and spread < DIR_TOL
+    direction_limit = mean_dir if has_direction else None
+    direct = has_direction and float(angle_between(mean_dir, u)) < DIR_TOL
+
+    d_tail = dists[tail]  # nonzero: every term differs from x
+    generator_ok = all(
+        np.all(point_segment_distance(seq[tail], x, x + eps * u)
+               < sigma * d_tail)
+        for eps, sigma in GENERATOR_GRID)
+    return SequenceVerdict(
+        converges_to_point=converges,
+        direction_limit=direction_limit,
+        matches_filter=direct and generator_ok,
+        agreement=direct == generator_ok,
+    )

@@ -7,7 +7,7 @@ from filterbench.errors import (
     NonUnitDirection,
     SingularJacobian,
 )
-from filterbench.geometry import angle_between, unit
+from filterbench.geometry import angle_between, point_segment_distance, unit
 from filterbench.maps import BUILTIN_MAPS, linear_map
 from filterbench.metric_filters import (
     ConeGenerator,
@@ -16,6 +16,7 @@ from filterbench.metric_filters import (
     check_bound_batch,
     check_commutation_directional,
     classify_sequence,
+    classify_sequences,
     curve_filter,
     envelope_radius,
     euclidean,
@@ -25,6 +26,8 @@ from filterbench.metric_filters import (
     v_plus_contains,
     CurveSpec,
 )
+from filterbench.suites import SEQUENCE_BATCH_ELEMENTS, SEQUENCE_TERMS
+from oracles import classify_sequence as classify_sequence_oracle
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -114,6 +117,30 @@ class TestConeMembership:
         by_angle = np.abs(y[:, 1]) < 0.4 * np.linalg.norm(y, axis=-1)
         assert np.array_equal(v_plus_contains(g, y)[interior], by_angle[interior])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_per_row_cones_match_the_segment_rule(self, dim):
+        # one generator with a cone per row decides each row as the cone's
+        # own generator does, and as the distance to the segment does
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-1, 1, (6, dim))
+        u = unit(rng.normal(size=(6, dim)))
+        y = x[:, None] + rng.uniform(-0.6, 0.6, (6, 500, dim))
+        eps, sigma = 0.5, 0.4
+        got = v_plus_contains(ConeGenerator(x[:, None], u[:, None], eps,
+                                            sigma), y)
+        assert got.shape == (6, 500) and got.any() and not got.all()
+        for xi, ui, yi, row in zip(x, u, y, got):
+            assert row.tolist() == v_plus_contains(
+                ConeGenerator(xi, ui, eps, sigma), yi).tolist()
+            d_xy = np.linalg.norm(yi - xi, axis=-1)
+            d_seg = point_segment_distance(yi, xi, xi + eps * ui)
+            assert row.tolist() == (d_seg < sigma * d_xy).tolist()
+
+    def test_per_row_cones_check_every_direction(self):
+        u = np.array([[[1.0, 0.0]], [[0.0, 2.0]]])
+        with pytest.raises(NonUnitDirection):
+            ConeGenerator(np.zeros((2, 1, 2)), u, 1.0, 0.5)
+
 
 class TestClassifySequence:
     def test_exact_ray_matches(self):
@@ -180,6 +207,86 @@ class TestClassifySequence:
             v = classify_sequence(seq, ORIGIN, u)
             assert v.agreement
             assert v.matches_filter == (kind == 0)
+
+
+def _mixed_rows(b: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b sequences of SEQUENCE_TERMS plane terms, cycling through five kinds:
+    with a direction, along another direction, alternating (its tail's
+    directions cancel exactly), divergent, and with a direction but a u of
+    length 3 that the classifier normalises."""
+    h = np.arange(1, SEQUENCE_TERMS + 1, dtype=float)[:, None]
+    seqs, xs, us = [], [], []
+    for i in range(b):
+        x = rng.uniform(-1, 1, 2)
+        u = unit(rng.normal(size=2))
+        perp = np.array([-u[1], u[0]])
+        kind = i % 5
+        if kind == 0:
+            seq = x + u / h + perp / h ** 2
+        elif kind == 1:
+            seq = x + perp / h
+        elif kind == 2:
+            x, u = ORIGIN, E1
+            seq = (-1.0) ** h / h * E1
+        elif kind == 3:
+            seq = x + 2.0 * np.hstack([np.cos(h), np.sin(h)])
+        else:
+            seq = x + u / h
+            u = 3.0 * u
+        seqs.append(seq)
+        xs.append(x)
+        us.append(u)
+    return np.array(seqs), np.array(xs), np.array(us)
+
+
+def _assert_same_verdict(v, ref):
+    assert v.converges_to_point == ref.converges_to_point
+    assert v.matches_filter == ref.matches_filter
+    assert v.agreement == ref.agreement
+    if ref.direction_limit is None:
+        assert v.direction_limit is None
+    else:
+        assert v.direction_limit.tobytes() == ref.direction_limit.tobytes()
+
+
+class TestClassifySequencesBatch:
+    """classify_sequences against the per-sequence oracle, field by field."""
+
+    CHUNK = SEQUENCE_BATCH_ELEMENTS // (2 * SEQUENCE_TERMS)
+
+    @pytest.mark.parametrize("b", [1, 2, 5, CHUNK + 1])
+    def test_matches_the_oracle(self, b):
+        seqs, xs, us = _mixed_rows(b, np.random.default_rng(b))
+        got = classify_sequences(seqs, xs, us)
+        assert len(got) == b
+        for v, seq, x, u in zip(got, seqs, xs, us):
+            _assert_same_verdict(v, classify_sequence_oracle(seq, x, u))
+        # every kind gives its verdict
+        kinds = [(v.converges_to_point, v.direction_limit is not None,
+                  v.matches_filter, v.agreement) for v in got[:5]]
+        assert kinds == [(True, True, True, True), (True, True, False, True),
+                         (True, False, False, True),
+                         (False, False, False, True),
+                         (True, True, True, True)][:b]
+
+    def test_one_row_call_is_classify_sequence(self):
+        seqs, xs, us = _mixed_rows(5, np.random.default_rng(0))
+        for seq, x, u, v in zip(seqs, xs, us, classify_sequences(seqs, xs, us)):
+            _assert_same_verdict(classify_sequence(seq, x, u), v)
+
+    def test_one_degenerate_row_raises(self):
+        seqs, xs, us = _mixed_rows(3, np.random.default_rng(1))
+        seqs[1, 700] = xs[1]
+        with pytest.raises(DegenerateTerm):
+            classify_sequences(seqs, xs, us)
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0]],
+                             ids=["zero", "nan"])
+    def test_zero_or_nan_direction_in_one_row_raises(self, bad):
+        seqs, xs, us = _mixed_rows(3, np.random.default_rng(2))
+        us[2] = bad
+        with pytest.raises(NonUnitDirection):
+            classify_sequences(seqs, xs, us)
 
 
 class TestCurveFilters:

@@ -33,6 +33,16 @@ POLYS = [P([0, 1]), P([0, 1, 1]), P([0, -2, 0, 3]), P([0, "1/3", "-1/2"]),
          P([0, 0, 1])]
 
 
+def arc_rows(offsets, p, eps, m):
+    """arc_distances on the one job (offsets, p, eps, m)."""
+    return arc_distances([(offsets, p, eps, m)])[0]
+
+
+def contains(g, ys):
+    """polynomial_filter_contains on the one job (g, ys)."""
+    return polynomial_filter_contains([(g, ys)])[0]
+
+
 # --- reference: scalar grid scan plus golden-section search, one point at a
 # time; arc_distances must match it bit for bit ------------------------------
 
@@ -155,15 +165,15 @@ class TestPolynomial:
 class TestMembership:
     def test_on_arc_point(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.3, 2)
-        assert polynomial_filter_contains(g, [[0.2, 0.2]]).tolist() == [True]
+        assert contains(g, [[0.2, 0.2]]).tolist() == [True]
 
     def test_backward_point_excluded(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.5, 2)
-        assert polynomial_filter_contains(g, [[-0.1, 0.0]]).tolist() == [False]
+        assert contains(g, [[-0.1, 0.0]]).tolist() == [False]
 
     def test_base_point_excluded(self):
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.5, 2)
-        assert polynomial_filter_contains(g, np.zeros((1, 2))).tolist() == [False]
+        assert contains(g, np.zeros((1, 2))).tolist() == [False]
 
     @pytest.mark.parametrize("rows", [1, TAIL_ROWS + 1])
     def test_batch_equals_single_points(self, rows):
@@ -171,9 +181,9 @@ class TestMembership:
         g = PolynomialGenerator(np.array([0.1, -0.1]), P([0, 1, 1]), 0.4,
                                 0.5, 2)
         ys = np.vstack([g.x, rng.uniform(-0.5, 0.8, (rows - 1, 2))])
-        got = polynomial_filter_contains(g, ys)
+        got = contains(g, ys)
         assert got.dtype == bool and got.shape == (rows,)
-        assert got.tolist() == [polynomial_filter_contains(g, y[None])[0]
+        assert got.tolist() == [contains(g, y[None])[0]
                                 for y in ys]
         assert not got[0]  # the base point
 
@@ -188,10 +198,10 @@ class TestMembership:
         def rule(m):
             d = np.array([float(MixedProductSpace(m).distance(y, x))
                           for y in ys])
-            return (d != 0) & (arc_distances(ys - x, g.p, g.eps, m)
+            return (d != 0) & (arc_rows(ys - x, g.p, g.eps, m)
                                < g.lam * d)
 
-        got = polynomial_filter_contains(g, ys)
+        got = contains(g, ys)
         assert got.tolist() == rule(3).tolist()
         assert got.tolist() != rule(2).tolist()
 
@@ -200,17 +210,18 @@ class TestMembership:
         small = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.2, 0.2, 2)
         large = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.4, 0.4, 2)
         ys = rng.uniform(-0.5, 0.5, (200, 2))
-        in_small = polynomial_filter_contains(small, ys)
+        in_small = contains(small, ys)
         assert in_small.any()
-        assert not (in_small & ~polynomial_filter_contains(large, ys)).any()
+        assert not (in_small & ~contains(large, ys)).any()
 
 
 class TestArcKernel:
     @pytest.mark.parametrize("c1,c2,m", SEPARATION_PAIRS)
     def test_separation_tails_match_scalar_reference(self, c1, c2, m):
         x = np.zeros(2)
-        seq, ratios, eps = _tail_ratios(P(c1), P(c2), m, x, 0.1, 64)
-        ref = np.array([_graph_ref(y, x, P(c2), eps, m)
+        [(seq, ratios)] = _tail_ratios([(P(c1), P(c2), m)], x, 0.1, 64)
+        # the generator horizon is twice t0
+        ref = np.array([_graph_ref(y, x, P(c2), 0.2, m)
                         / float(MixedProductSpace(m).distance(y, x))
                         for y in seq])
         assert ratios.tobytes() == ref.tobytes()
@@ -230,7 +241,7 @@ class TestArcKernel:
             p, m = POLYS[k % len(POLYS)], 2 + k % 3
             eps = rng.uniform(0.01, 1.0)
             y, x = rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2)
-            assert arc_distances((y - x)[None], p, eps, m)[0] == _graph_ref(
+            assert arc_rows((y - x)[None], p, eps, m)[0] == _graph_ref(
                 y, x, p, eps, m)
 
     def test_against_dense_grid(self):
@@ -246,7 +257,7 @@ class TestArcKernel:
             lip = sum(abs(float(c)) * i * eps ** (i - 1)
                       for i, c in enumerate(p.coeffs) if i)
             dx, dy = rng.uniform(-0.5, 0.5, 2)
-            got = arc_distances(np.array([[dx, dy]]), p, eps, m)[0]
+            got = arc_rows(np.array([[dx, dy]]), p, eps, m)[0]
             for n in (ARC_GRID, dense):
                 ts = np.linspace(0.0, eps, n)
                 snow = np.abs(dy - p(ts))
@@ -265,27 +276,40 @@ class TestArcKernel:
     def test_batch_equals_single_rows(self, rows):
         rng = np.random.default_rng(rows)
         offs = rng.uniform(-0.5, 0.5, (rows, 2))
-        got = arc_distances(offs, POLYS[1], 0.3, 2)
+        got = arc_rows(offs, POLYS[1], 0.3, 2)
         assert got.shape == (rows,)
-        assert got.tolist() == [float(arc_distances(o[None], POLYS[1], 0.3, 2)[0])
+        assert got.tolist() == [float(arc_rows(o[None], POLYS[1], 0.3, 2)[0])
                                 for o in offs]
+        # one call for jobs of two horizons and both exponents, with a
+        # polynomial of every degree 1..m: each job as computed alone, so no
+        # row reads another job's polynomial
+        jobs = [(rng.uniform(-0.5, 0.5, (rows, 2)),
+                 P([0, *rng.integers(1, 4, deg) * rng.choice([-1, 1], deg)]),
+                 eps, m)
+                for eps in (0.3, 0.2) for m in (2, 3)
+                for deg in range(1, m + 1)]
+        got = arc_distances(jobs)
+        assert len(got) == len(jobs) == 10
+        for (offs, p, eps, m), d in zip(jobs, got):
+            assert d.tolist() == arc_rows(offs, p, eps, m).tolist()
 
     def test_bad_offset_shape(self):
         with pytest.raises(ValueError):
-            arc_distances(np.zeros((4, 3)), POLYS[0], 0.3, 2)
+            arc_rows(np.zeros((4, 3)), POLYS[0], 0.3, 2)
 
     def test_one_dimensional_offsets_rejected(self):
         # (N,) offsets have no reading: neither as N line points nor, for
         # N = 2, as one point of the plane
         for n in (1, 2, 5):
             with pytest.raises(ValueError):
-                arc_distances(np.zeros(n), POLYS[0], 0.3, 2)
+                arc_rows(np.zeros(n), POLYS[0], 0.3, 2)
         g = PolynomialGenerator(np.zeros(2), P([0, 1]), 0.5, 0.3, 2)
         with pytest.raises(ValueError):
-            polynomial_filter_contains(g, np.array([0.2, 0.2]))
+            contains(g, np.array([0.2, 0.2]))
 
     def test_empty_batch(self):
-        assert arc_distances(np.zeros((0, 2)), POLYS[0], 0.3, 2).shape == (0,)
+        assert arc_rows(np.zeros((0, 2)), POLYS[0], 0.3, 2).shape == (0,)
+        assert arc_distances([]) == []
 
 
 class TestSeparation:

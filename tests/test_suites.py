@@ -3,11 +3,15 @@ run, trad2 as a relabelling of the flows records, and pinned reports."""
 
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from filterbench import flows as fl
+from filterbench import metric_filters as mf
+from filterbench import snowflake as sf
 from filterbench import suites
 from filterbench.errors import RecipeUnsatisfiable
 from filterbench.suites import SUITE_NAMES, TRAD2_CHECKS, RunConfig, run_suite
@@ -209,3 +213,62 @@ def test_an_unsatisfiable_recipe_fails_its_record(monkeypatch):
         assert (rec.verdict, rec.samples) == ("fail", 0)
         assert rec.witness == {"unsatisfiable": "no aperture above the floor"}
         assert records[f"step1-{name}"].verdict == "pass"
+
+
+# --- batched checks: guards against a drift back to one item at a time -----
+
+def test_sequence_classification_classifies_in_chunks(monkeypatch):
+    rows = []
+    classify = mf.classify_sequences
+
+    def counting(seqs, x, u):
+        rows.append((x, u))
+        return classify(seqs, x, u)
+
+    monkeypatch.setattr(mf, "classify_sequences", counting)
+    out = suites._sequence_classification(RunConfig(samples=500), 7)
+    chunk = suites.SEQUENCE_BATCH_ELEMENTS // (2 * suites.SEQUENCE_TERMS)
+    # 250 sequences: 125 with a direction, 62 without, 63 divergent
+    assert out.ok and out.samples == 250
+    assert max(len(x) for x, _ in rows) <= chunk
+    assert len(rows) <= sum(math.ceil(c / chunk) for c in (125, 62, 63))
+    # the rows are the scalar draws of theta, then x, sequence by sequence
+    rng = np.random.default_rng(7)
+    scalar = []
+    for _ in range(250):
+        th = rng.uniform(0, 2 * np.pi)
+        scalar.append([*rng.uniform(-1, 1, 2), np.cos(th), np.sin(th)])
+    assert np.hstack([np.vstack([x for x, _ in rows]),
+                      np.vstack([u for _, u in rows])]).tolist() == scalar
+
+
+@pytest.mark.parametrize("body, exponents", [
+    (suites._separation_distinct, [2, 3, 2, 3]),  # tails, then membership
+    (suites._derivability, [2, 3]),
+], ids=["separation", "derivability"])
+def test_snowflake_checks_search_once_per_exponent_and_phase(body, exponents,
+                                                             monkeypatch):
+    searched = []
+    refine = sf._golden_refine
+
+    def counting(offsets, coeffs, a, b, m):
+        searched.append(m)
+        return refine(offsets, coeffs, a, b, m)
+
+    monkeypatch.setattr(sf, "_golden_refine", counting)
+    assert body(CONFIG, 7).ok
+    assert searched == exponents
+
+
+def test_sequence_classification_memory_is_bounded():
+    # the chunks keep one body's traced peak small at the CLI's default
+    # 2000 samples (0.9 MiB with 8 sequences per chunk, 6.0 MiB with 65)
+    config = RunConfig(samples=2000)
+    suites._sequence_classification(config, 7)
+    tracemalloc.start()
+    try:
+        suites._sequence_classification(config, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
