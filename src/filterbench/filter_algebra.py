@@ -11,10 +11,13 @@ B-class filters carry the same axioms with values in [0,1].  Proper mode
 
 The axioms are stated once, as the integer row system of the B-polytope
 (``_b_polytope_system``): sparse rows over the open indices, each tagged
-with the axiom and the witness it encodes.  ``check_filter_axioms`` raises
-from the first row a table violates, and double description cuts the unit
-cube by the same rows.  All of it runs in integers; ``Fraction`` is left
-only at the boundary, in returned vertices.
+with the axiom and the witness it encodes.  ``check_filter_tables``
+decides a batch of tables against these rows, one row at a time for the
+whole batch: bit j of an int stands for table j, so a row costs a few
+big-int operations however many tables there are, and each table keeps
+the first row it violates.  Double description cuts the unit cube by the
+same rows.  All of it runs in integers; ``Fraction`` is left only at the
+boundary, in returned vertices.
 
 On a finite topology a filter's support is intersection-closed and upward
 closed, so the filter is principal at its minimal open (Alexandrov 1937;
@@ -23,7 +26,8 @@ every decision reads bases: the order test is reverse inclusion, canonical
 order is descending bases, the filter at a point set is the filter at its
 hull, and a pushforward is the hull of the image of ``base``.  The table
 ``values`` is derived on each access for output, witnesses and oracles.
-``check_filter_axioms`` is the one way from a table to a filter; it and
+``check_filter_tables`` is the one way from a table to a filter, and
+``check_filter_axioms`` is its one-table call; they and
 ``enumerate_filters_bruteforce``, which scans every table, stay
 independent of the bases.
 
@@ -42,9 +46,10 @@ B-polytope vertices come from an exact double-description method
 (Motzkin; Fukuda & Prodon 1996).
 
 The slow definitions the tests hold these routes to live in
-``tests/oracles.py``, outside the package: the pushforward of one filter
-along a point map, the graded (B-class) axiom check and vertex enumeration
-by solving every basis (Bareiss 1968).
+``tests/oracles.py``, outside the package: the axiom rows applied to one
+table at a time, the pushforward of one filter along a point map, the
+graded (B-class) axiom check and vertex enumeration by solving every basis
+(Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from .errors import (
     NotContinuous,
     SizeLimitExceeded,
     TopologyMismatch,
+    WorkbenchError,
 )
 from .finite_topology import FiniteTopology, PullTable, is_t0, set_of
 
@@ -111,21 +117,82 @@ class Refinement:
     assignment: tuple[tuple[IndicatorFilter, ...], ...]  # one tuple per point
 
 
+def check_filter_tables(
+    topology: FiniteTopology, tables: Sequence[Sequence[int]], proper: bool = True
+) -> list[IndicatorFilter | WorkbenchError]:
+    """Validate a batch of 0/1 assignments in the canonical opens order.
+    Per table, the result is its filter, or the error that rejects it:
+    TopologyMismatch for a wrong length, else FilterAxiomViolation for a
+    value other than 0 and 1 (0.9 or "1" included: nothing is converted),
+    else FilterAxiomViolation with the axiom and witness of the first row
+    of ``_b_polytope_system`` the table violates.
+
+    Each row is decided for the whole batch at once.  ``cols[i]`` has bit
+    j set when table j is 1 on opens[i], so the violators of a B row
+    v_a <= v_b are ``cols[a] & ~cols[b]``, and a C row compares the 2-bit
+    sums v_a + v_b and v_{a|b} + v_{a&b}, each held as its high bit (the
+    AND) and low bit (the XOR) over the batch (Warren, Hacker's Delight,
+    2nd ed. 2012).  A row's kind is read from its number of terms."""
+    k = len(topology.opens)
+    tables = [tuple(values) for values in tables]
+    out: list = [None] * len(tables)
+    cols = [0] * k
+    pending = 0  # the tables no check has rejected yet
+    for j, values in enumerate(tables):
+        if len(values) != k:
+            out[j] = TopologyMismatch("assignment length does not match number of opens")
+        elif any(v not in (0, 1) for v in values):
+            out[j] = FilterAxiomViolation("A", None, "values must be 0 or 1")
+        else:
+            bit = 1 << j
+            pending |= bit
+            for i, v in enumerate(values):
+                if v:
+                    cols[i] |= bit
+    equalities, pairs = _b_polytope_system(topology, proper)
+    for terms, rhs, axiom, witness in equalities + pairs:
+        if len(terms) == 4:             # v_a + v_b <= v_{a|b} + v_{a&b}
+            (a, _), (b, _), (u, _), (m, _) = terms
+            hl, ll = cols[a] & cols[b], cols[a] ^ cols[b]
+            hr, lr = cols[u] & cols[m], cols[u] ^ cols[m]
+            bad = pending & ((hl & ~hr) | (~(hl ^ hr) & ll & ~lr))
+        elif len(terms) == 2:           # v_a <= v_b
+            (a, _), (b, _) = terms
+            bad = pending & cols[a] & ~cols[b]
+        else:                           # v_i = rhs
+            (i, _), = terms
+            bad = pending & (cols[i] if rhs == 0 else ~cols[i])
+        if bad:
+            pending ^= bad
+            while bad:
+                low = bad & -bad
+                out[low.bit_length() - 1] = FilterAxiomViolation(
+                    axiom, witness, _violation_message(axiom, witness))
+                bad ^= low
+            if not pending:
+                break
+    while pending:
+        low = pending & -pending
+        j = low.bit_length() - 1
+        # the support is intersection-closed, so its first open is its
+        # minimal one
+        out[j] = IndicatorFilter(topology, topology.opens[tables[j].index(1)])
+        pending ^= low
+    return out
+
+
 def check_filter_axioms(
     topology: FiniteTopology, values: Sequence[int], proper: bool = True
 ) -> IndicatorFilter:
     """Validate a 0/1 assignment in the canonical opens order; raises
     FilterAxiomViolation with a witness.  Any other value, 0.9 or "1"
-    included, is rejected, not converted.  The one way from a table to a
+    included, is rejected, not converted.  The one-table call of
+    ``check_filter_tables``, which is the one way from a table to a
     filter."""
-    values = tuple(values)
-    if len(values) != len(topology.opens):
-        raise TopologyMismatch("assignment length does not match number of opens")
-    if any(v not in (0, 1) for v in values):
-        raise FilterAxiomViolation("A", None, "values must be 0 or 1")
-    _raise_first_violation(values, 0, *_b_polytope_system(topology, proper))
-    # the support is intersection-closed, so its first open is its minimal one
-    return IndicatorFilter(topology, topology.opens[values.index(1)])
+    result, = check_filter_tables(topology, [values], proper)
+    if isinstance(result, WorkbenchError):
+        raise result
+    return result
 
 
 def enumerate_filters(t: FiniteTopology, proper: bool = True) -> list[IndicatorFilter]:
@@ -241,7 +308,7 @@ def _b_polytope_system(t: FiniteTopology, proper: bool):
     Returns (equalities, pairs), each a tuple of rows
     (((open index, coef), ...), rhs, axiom, witness).  Pair rows mean
     terms . v <= rhs; equality rows fix one coordinate, terms . v = rhs.
-    The box 0 <= v_i <= 1 is not a row: check_filter_axioms admits only 0
+    The box 0 <= v_i <= 1 is not a row: check_filter_tables admits only 0
     and 1, and double description starts from the unit cube.
 
     - equalities: mu(X) = 1 ("A", X) and, in proper mode, mu(empty) = 0
@@ -268,18 +335,6 @@ def _b_polytope_system(t: FiniteTopology, proper: bool):
                 pairs.append((((i, 1), (j, 1), (index[a | b], -1), (index[a & b], -1)),
                               0, "C", (a, b)))
     return equalities, tuple(pairs)
-
-
-def _raise_first_violation(values, eps, equalities, pairs) -> None:
-    """Raise FilterAxiomViolation from the first row, equalities before
-    pairs, that values violate by more than eps."""
-    for rows, two_sided in ((equalities, True), (pairs, False)):
-        for terms, b, axiom, witness in rows:
-            excess = -b
-            for i, c in terms:
-                excess += c * values[i]
-            if excess > eps or two_sided and -excess > eps:
-                raise FilterAxiomViolation(axiom, witness, _violation_message(axiom, witness))
 
 
 def _violation_message(axiom: str, witness) -> str:

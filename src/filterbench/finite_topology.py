@@ -8,10 +8,15 @@ Every point p has a smallest open neighbourhood, the AND of the opens
 containing it (Alexandrov 1937).  ``FiniteTopology.hull`` ORs these into
 the smallest open containing a point set, and ``pull_table`` takes the
 hull of an image.  A filter is stored as such a smallest open (see
-filter_algebra), so these two are the whole of its kernel.  ``point_opens``
-holds, per point, the opens containing it as an int bitset over open
-indices (bit i for ``opens[i]``), built once per object: ``is_t0``
-compares them, and a point's minimal open is its lowest member.
+filter_algebra), so these two are the whole of its kernel.  The hull
+reads byte tables, ``hull_tables``: per run of 8 points, the hull of each
+of the run's point sets (256 for a full run), built once per object from
+the minimal opens by a low-bit recurrence, so a hull costs one lookup per
+8 points (the int-bitset idiom of Warren, Hacker's Delight, 2nd ed.
+2012).  ``point_opens`` holds, per point, the opens containing it as an
+int bitset over open indices (bit i for ``opens[i]``), built once per
+object: ``is_t0`` compares them, and a point's minimal open is its lowest
+member.
 
 A map's preimages and pushes depend on its target and image only, not on
 its source topology, so ``pull_table`` computes them once into a
@@ -30,16 +35,17 @@ in ``tests/oracles.py``.
 The same correspondence runs the other way in ``enumerate_topologies``:
 it picks a minimal open U_p for each point, keeps the transitive choices
 (q in U_p implies U_q within U_p), and takes the unions of the U_p as the
-opens.  That is 2^(n(n-1)) candidates, 4 096 at n = 4, yielded in
-ascending order of the family bitset (bit m for open m).  The guard stays
-at n <= 4, since n = 5 has 2^20 candidates.  ``is_closed_family`` is the
-closure test of the brute-force oracle, ``suites.bruteforce_topologies``,
-and the enumeration does not use it.
+opens, yielded in ascending order of the family bitset (bit m for open
+m).  It picks the U_p one point at a time and drops a choice as soon as
+it breaks transitivity with an earlier point, so of the 2^(n(n-1))
+candidates, 4 096 at n = 4, it never builds the ones an early point
+rules out.  The guard stays at n <= 4, since n = 5 has 2^20 candidates.
+The brute-force oracle, ``suites.bruteforce_topologies``, scans subset
+families for closure and shares no code with the enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -98,13 +104,30 @@ class FiniteTopology:
         return tuple(self.opens[(bits & -bits).bit_length() - 1]
                      for bits in self.point_opens)
 
+    @cached_property
+    def hull_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per run of 8 points, from point 0 up, the hull of each point set
+        within the run: entry v of table j is the OR of the minimal opens of
+        the points 8j + i for the bits i of v.  The last run may be shorter,
+        and its table has one entry per point set of that run."""
+        tables = []
+        for start in range(0, self.n, 8):
+            minimal = self.minimal_opens[start:start + 8]
+            table = [0] * (1 << len(minimal))
+            for v in range(1, len(table)):
+                low = v & -v
+                table[v] = table[v ^ low] | minimal[low.bit_length() - 1]
+            tables.append(tuple(table))
+        return tuple(tables)
+
     def hull(self, mask: int) -> int:
         """The smallest open containing the point set ``mask``: the OR of the
-        minimal opens of its points."""
+        minimal opens of its points, one table lookup per run of 8 points.
+        Bits at n and above name no point and are ignored."""
         out = 0
-        for p, m in enumerate(self.minimal_opens):
-            if mask >> p & 1:
-                out |= m
+        for table in self.hull_tables:
+            out |= table[mask & (len(table) - 1)]
+            mask >>= 8
         return out
 
 
@@ -195,22 +218,6 @@ def _validate_masks(n: int, masks: set[int]) -> FiniteTopology:
     return FiniteTopology(n, tuple(ordered))
 
 
-def is_closed_family(n: int, masks: set[int]) -> bool:
-    """Closure predicate without witness construction.
-
-    Oracle side only: ``suites.bruteforce_topologies`` scans families with
-    it, and ``enumerate_topologies`` does not call it."""
-    full = (1 << n) - 1
-    if 0 not in masks or full not in masks:
-        return False
-    ordered = list(masks)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a | b not in masks or a & b not in masks:
-                return False
-    return True
-
-
 def is_t0(t: FiniteTopology) -> tuple[bool, tuple[int, int] | None]:
     """True iff the open-neighborhood families of distinct points differ.
 
@@ -244,12 +251,17 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FiniteTopolo
         raise SizeLimitExceeded(f"enumerate_topologies supports n <= {ENUMERATION_MAX_POINTS}")
     if n < 0:
         raise SizeLimitExceeded(f"enumerate_topologies needs n >= 0, got {n}")
-    # candidates for U_p: every point set that holds p
-    choices = [[m for m in range(1 << n) if m >> p & 1] for p in range(n)]
+    # choices of U_0..U_p, extended one point at a time: a U_p is dropped
+    # as soon as it breaks transitivity with an earlier point q, that is
+    # q in U_p but U_q not within U_p, or p in U_q but U_p not within U_q
+    partial = [()]
+    for p in range(n):
+        partial = [u + (up,) for u in partial
+                   for up in range(1 << n) if up >> p & 1
+                   if not any(up >> q & 1 and uq & ~up or uq >> p & 1 and up & ~uq
+                              for q, uq in enumerate(u))]
     found = []
-    for u in itertools.product(*choices):
-        if any(u[q] & ~up for up in u for q in range(n) if up >> q & 1):
-            continue
+    for u in partial:
         if t0_only and len(set(u)) < n:
             continue
         # unions[s] is the union of U_p over the points p of s

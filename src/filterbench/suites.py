@@ -36,7 +36,8 @@ from . import flows as fl
 from . import metric_filters as mf
 from . import pair_calculus as pc
 from . import snowflake as sf
-from .errors import ConfigInvalid, RecipeUnsatisfiable, UnknownSuite
+from .errors import (ConfigInvalid, RecipeUnsatisfiable, UnknownSuite,
+                     WorkbenchError)
 from .geometry import segment_projection_parameter, unit
 from .maps import BUILTIN_MAPS, MapSpec, linear_map
 from .reporting import CheckRecord, SuiteReport, record
@@ -87,20 +88,44 @@ def _check_seed(config: RunConfig, check_id: str) -> int:
 
 # --- finite-topology oracles -------------------------------------------------
 
+def _pair_closed(has_a: int, has_b: int, has_union: int, has_meet: int) -> int:
+    """The families, as a bitset, in which a pair of point sets obeys the
+    closure rule: those that lack one of the two, or hold both their union
+    and their intersection."""
+    return ~(has_a & has_b) | (has_union & has_meet)
+
+
 def bruteforce_topologies(n: int) -> set[tuple[int, ...]]:
     """All topologies on n points by a literal closure scan: every family of
-    subsets that holds the empty and the full set, kept where
-    ``ft.is_closed_family`` accepts it.  The oracle of
+    subsets that holds the empty and the full set, kept where every pair of
+    its members has its union and its intersection in it.  The oracle of
     ``ft.enumerate_topologies``, which builds topologies from minimal opens
-    and shares no code with this scan."""
+    and shares no code with this scan.
+
+    The scan runs over all families at once.  Family f holds the optional
+    point set m (neither empty nor full) when bit m - 1 of f is set, and
+    ``has[m]`` is the bitset of the families that hold m: the periodic
+    pattern of 2^(m-1) zeros then 2^(m-1) ones.  One big-int operation per
+    pair of point sets then applies the closure rule to every family
+    (Knuth, TAOCP 4A, sec. 7.1.3)."""
     full = (1 << n) - 1
-    optional = range(1, full)
+    optional = max(full - 1, 0)
+    ones = (1 << (1 << optional)) - 1  # every family
+    has = [ones] * (full + 1)          # the empty and the full set: all
+    for m in range(1, full):
+        run = 1 << (m - 1)
+        has[m] = (((1 << run) - 1) << run) * (ones // ((1 << 2 * run) - 1))
+    closed = ones
+    for b in range(full + 1):
+        for a in range(b):
+            closed &= _pair_closed(has[a], has[b], has[a | b], has[a & b])
     out = set()
-    for k in range(len(optional) + 1):
-        for picked in itertools.combinations(optional, k):
-            masks = {0, full, *picked}
-            if ft.is_closed_family(n, masks):
-                out.add(tuple(sorted(masks)))
+    while closed:
+        low = closed & -closed
+        f = low.bit_length() - 1
+        out.add(tuple(m for m in range(full + 1)
+                      if m in (0, full) or f >> (m - 1) & 1))
+        closed ^= low
     return out
 
 
@@ -112,7 +137,7 @@ def _support_characterization_ok(t: ft.FiniteTopology,
         return False
     for a in sup:
         for b in sup:
-            if a & b in t.opens and a & b not in sup:
+            if a & b in t.open_index and a & b not in sup:
                 return False
         for d in t.opens:
             if a & d == a and d not in sup:
@@ -137,18 +162,17 @@ def _filter_axioms(n, config, seed):
         count += len(filters)
         if len(set(filters)) < len(filters):
             bad.append({"opens": t.opens, "error": "a filter is listed twice"})
-        for mu in filters:
-            try:
-                rebuilt = fa.check_filter_axioms(t, mu.values, proper=config.proper)
-            except Exception as e:  # pragma: no cover - engine bug
-                bad.append({"opens": t.opens, "values": mu.values,
-                            "error": str(e)})
-                continue
-            if rebuilt != mu:
+        tables = [mu.values for mu in filters]
+        rebuilt = fa.check_filter_tables(t, tables, proper=config.proper)
+        for mu, values, got in zip(filters, tables, rebuilt):
+            if isinstance(got, WorkbenchError):  # pragma: no cover - engine bug
+                bad.append({"opens": t.opens, "values": values,
+                            "error": str(got)})
+            elif got != mu:
                 bad.append({"opens": t.opens, "base": mu.base,
                             "error": "base is not the minimal open"})
             elif not _support_characterization_ok(t, mu):
-                bad.append({"opens": t.opens, "values": mu.values,
+                bad.append({"opens": t.opens, "values": values,
                             "error": "support characterization"})
     return Outcome(not bad, bad[:3] or {"filters": count}, count)
 

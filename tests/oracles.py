@@ -2,8 +2,10 @@
 classification, which the tests hold the fast routes of ``filterbench`` to.
 
 Each is the construction as the paper states it, evaluated literally:
-the preimage of a target open and the image hull under a point map,
-continuity (every target open pulls back to an open), the pushforward
+the closure test of one family of point sets, the filter axioms row by
+row on one table, the hull of a point set point by point, the preimage
+of a target open and the image hull under a point map, continuity (every
+target open pulls back to an open), the pushforward
 f* mu (D) = mu(f^-1 D) of one filter (Prop 2.6), the B-class axioms on a
 [0, 1] table, the B-polytope vertices of ``def:dfiltbc`` by solving
 every basis of its rows, and the convergence test of one sequence against
@@ -33,7 +35,7 @@ from filterbench.errors import (
 from filterbench.filter_algebra import (
     IndicatorFilter,
     _b_polytope_system,
-    _raise_first_violation,
+    _violation_message,
 )
 from filterbench.finite_topology import FiniteTopology, PointMap, set_of
 from filterbench.geometry import angle_between, point_segment_distance, unit
@@ -41,6 +43,23 @@ from filterbench.metric_filters import DIR_TOL, GENERATOR_GRID, SequenceVerdict
 
 GRADED_TOL = 1e-12
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
+
+
+# --- topologies --------------------------------------------------------------
+
+def is_closed_family(n: int, masks: set[int]) -> bool:
+    """A family of point sets on n points is a topology: it holds the
+    empty and the full set, and every pair of its members has its union
+    and its intersection in it."""
+    full = (1 << n) - 1
+    if 0 not in masks or full not in masks:
+        return False
+    ordered = list(masks)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a | b not in masks or a & b not in masks:
+                return False
+    return True
 
 
 # --- point maps --------------------------------------------------------------
@@ -54,6 +73,16 @@ def preimage_mask(f: PointMap, target_mask: int) -> int:
     return m
 
 
+def point_hull(t: FiniteTopology, mask: int) -> int:
+    """The smallest open containing the point set ``mask``, one point at a
+    time: the OR of the minimal opens of its points."""
+    out = 0
+    for p, m in enumerate(t.minimal_opens):
+        if mask >> p & 1:
+            out |= m
+    return out
+
+
 def image_hull(f: PointMap, mask: int) -> int:
     """The smallest target open containing the image of the source point
     set ``mask``."""
@@ -61,7 +90,7 @@ def image_hull(f: PointMap, mask: int) -> int:
     for i, fi in enumerate(f.image):
         if mask >> i & 1:
             image |= 1 << fi
-    return f.target.hull(image)
+    return point_hull(f.target, image)
 
 
 def is_continuous(f: PointMap) -> tuple[bool, frozenset[int] | None]:
@@ -81,6 +110,20 @@ def pushforward(f: PointMap, mu: IndicatorFilter) -> IndicatorFilter:
     if mu.topology != f.source:
         raise TopologyMismatch("filter does not live on the source topology")
     return IndicatorFilter(f.target, image_hull(f, mu.base))
+
+
+# --- filter axioms -----------------------------------------------------------
+
+def _raise_first_violation(values, eps, equalities, pairs) -> None:
+    """Raise FilterAxiomViolation from the first row, equalities before
+    pairs, that values violate by more than eps."""
+    for rows, two_sided in ((equalities, True), (pairs, False)):
+        for terms, b, axiom, witness in rows:
+            excess = -b
+            for i, c in terms:
+                excess += c * values[i]
+            if excess > eps or two_sided and -excess > eps:
+                raise FilterAxiomViolation(axiom, witness, _violation_message(axiom, witness))
 
 
 # --- B-class filters ---------------------------------------------------------

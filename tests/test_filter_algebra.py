@@ -317,6 +317,18 @@ class TestTauE:
             m: e ^ 0b01 for m, e in pull.pushes.items()})
         assert check_pushforward_continuity(t, pull) == (False, frozenset({1}))
 
+    def test_push_outside_the_target_lies_in_no_preimage(self):
+        # each source point set pushed to itself, as under the identity-push
+        # control, along the constant map from the discrete 2-point space to
+        # the one-point space: the pushes of the bases {1} and {0, 1} name
+        # point 1, which the target lacks, so they lie in no preimage, and
+        # the preimage of {0} is not U_X
+        s, t = discrete(2), validate_topology(1, [[], [0]])
+        pull = dataclasses.replace(_pull(PointMap(s, t, (0, 0))),
+                                   pushes={m: m for m in s.opens})
+        assert check_pushforward_continuity(s, pull) \
+            == (False, {"base": {0, 1}, "open": {0}})
+
 
 class TestGraded:
     def test_nan_entry_fails_axiom_a(self):

@@ -14,12 +14,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from filterbench.errors import TopologyMismatch
+from filterbench.errors import FilterAxiomViolation, TopologyMismatch
 from filterbench.filter_algebra import (
     IndicatorFilter,
     Refinement,
+    _b_polytope_system,
     _tau_e_base,
     check_filter_axioms,
+    check_filter_tables,
     check_refinement,
     enumerate_filters,
     enumerate_filters_bruteforce,
@@ -44,6 +46,7 @@ from filterbench.pair_calculus import (
 from filterbench.suites import RunConfig, run_suite
 
 from oracles import (
+    _raise_first_violation,
     b_polytope_vertices_bruteforce,
     is_continuous,
     preimage_mask,
@@ -90,6 +93,45 @@ def test_small_spaces_have_no_other_filters(proper):
         by_table = sorted(_filters(t, proper), key=lambda mu: mu.values)
         assert enumerate_filters_bruteforce(t, proper) == by_table \
             == enumerate_filters(t, proper)
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+def test_batch_matches_the_row_by_row_oracle(proper):
+    # every 0/1 table of every topology on at most 3 points, in one batch
+    # per topology: the filter, or the axiom and witness of the first row
+    # the table violates
+    checked = 0
+    for t in [*enumerate_topologies(0), *SMALL]:
+        tables = list(itertools.product((0, 1), repeat=len(t.opens)))
+        for table, got in zip(tables, check_filter_tables(t, tables, proper),
+                              strict=True):
+            try:
+                _raise_first_violation(table, 0, *_b_polytope_system(t, proper))
+            except FilterAxiomViolation as e:
+                assert type(got) is FilterAxiomViolation
+                assert (got.axiom, got.witness, str(got)) \
+                    == (e.axiom, e.witness, str(e))
+            else:
+                assert got.values == table
+                checked += 1
+    assert checked == sum(len(t.opens) - proper for t in SMALL) + (not proper)
+
+
+def test_mixed_batch_gives_each_table_its_own_result():
+    # a filter, a supermodularity failure, a 0.9 entry and a short table in
+    # one batch, each as check_filter_axioms gives it alone
+    t = discrete(2)
+    tables = [(0, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0.9, 1), (0, 1, 1)]
+    got = check_filter_tables(t, tables, proper=True)
+    assert got[0] == IndicatorFilter(t, 0b10)
+    assert (got[1].axiom, got[1].witness) == ("C", (0b01, 0b10))
+    assert (got[2].axiom, got[2].witness) == ("A", None)
+    assert type(got[3]) is TopologyMismatch
+    assert check_filter_axioms(t, tables[0]) == got[0]
+    for table, error in zip(tables[1:], got[1:]):
+        with pytest.raises(type(error)) as raised:
+            check_filter_axioms(t, table)
+        assert str(raised.value) == str(error)
 
 
 @pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])

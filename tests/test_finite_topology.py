@@ -12,16 +12,22 @@ from filterbench.finite_topology import (
     FiniteTopology,
     PointMap,
     enumerate_topologies,
-    is_closed_family,
     is_t0,
     pull_table,
     set_of,
     validate_topology,
 )
 from filterbench.filter_algebra import point_filter
-from filterbench.suites import RunConfig, run_suite
+from filterbench.pair_calculus import product_topology
+from filterbench.suites import RunConfig, bruteforce_topologies, run_suite
 
-from oracles import image_hull, is_continuous, preimage_mask
+from oracles import (
+    image_hull,
+    is_closed_family,
+    is_continuous,
+    point_hull,
+    preimage_mask,
+)
 
 
 def sierpinski():
@@ -95,6 +101,20 @@ class TestT0:
                         break
                     seen[profile] = x
                 assert is_t0(t) == expected
+
+
+class TestHull:
+    def test_byte_tables_match_the_per_point_or(self):
+        # every point set of every topology on at most 4 points (one short
+        # run of 8 points, none at n = 0) and of the discrete squares on 4,
+        # 9 and 16 points (a short run; a full run and a run of one; two
+        # full runs).  Bits at n and above name no point.
+        spaces = [t for n in range(5) for t in enumerate_topologies(n)]
+        spaces += [product_topology(discrete(n)).topology for n in (2, 3, 4)]
+        for t in spaces:
+            for mask in range(1 << t.n):
+                assert t.hull(mask) == point_hull(t, mask), (t.n, mask)
+            assert t.hull(0xff << t.n) == 0
 
 
 class TestContinuity:
@@ -185,6 +205,8 @@ class TestEnumeration:
                     closed.append(FiniteTopology(n, tuple(sorted(fam))))
             closed.sort(key=lambda t: sum(1 << m for m in t.opens))
             assert all(t.opens[0] == 0 and t.opens[-1] == full for t in closed)
+            # the suite's oracle, which scans every family at once
+            assert bruteforce_topologies(n) == {t.opens for t in closed}
             for t0_only in (False, True):
                 expected = [t.opens for t in closed
                             if not t0_only or is_t0(t)[0]]

@@ -17,6 +17,7 @@ from filterbench import finite_topology as ft
 from filterbench import flows as fl
 from filterbench import metric_filters as mf
 from filterbench import pair_calculus as pc
+from filterbench import suites
 from filterbench.suites import FLOW_NAMES, RunConfig, run_suite
 
 CONFIG = RunConfig(seed=1, samples=50)
@@ -40,11 +41,9 @@ def _identity_swap_table(monkeypatch):
 
 
 def _union_only_closure(monkeypatch):
-    def closed_under_unions(n, masks):
-        full = (1 << n) - 1
-        return (0 in masks and full in masks
-                and all(a | b in masks for a in masks for b in masks))
-    monkeypatch.setattr(ft, "is_closed_family", closed_under_unions)
+    # the closure scan's rule without its intersection half
+    monkeypatch.setattr(suites, "_pair_closed", lambda has_a, has_b, has_union,
+                        has_meet: ~(has_a & has_b) | has_union)
 
 
 def _every_point_set_base(monkeypatch):
