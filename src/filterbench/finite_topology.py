@@ -91,11 +91,13 @@ class FiniteTopology:
 
     @cached_property
     def point_opens(self) -> tuple[int, ...]:
-        """Per point p, the bitset over open indices of the opens containing p."""
-        return tuple(
-            sum(1 << i for i, d in enumerate(self.opens) if d >> p & 1)
-            for p in range(self.n)
-        )
+        """Per point p, the bitset over open indices of the opens containing p.
+
+        Read as one binary numeral per point, the last open's digit first,
+        so the cost is linear in the number of opens."""
+        last_first = self.opens[::-1]
+        return tuple(int("".join("1" if d >> p & 1 else "0" for d in last_first), 2)
+                     for p in range(self.n))
 
     @cached_property
     def minimal_opens(self) -> tuple[int, ...]:

@@ -8,6 +8,9 @@ are sampled and seeded.
 A flow is evaluated at an array of times in one call, the times broadcast
 against the leading axes of the points: per-row times for orbit points,
 a column of times against a batch for orbit arcs.
+The translation and rotation evaluators and the orbit sampler write each
+coordinate along the rows, with the bits of the form that broadcasts over
+the coordinate axis, which ``tests/oracles.py`` keeps.
 Pair membership goes through geometry.arc_membership: each orbit arc is a
 uniform polyline, doubled towards a 2^14 cap, and a row is decided once
 its polyline distance d is further from mu * d(x, y) than the chord bound
@@ -87,9 +90,20 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _empty_points(t: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
+    """Uninitialised output (..., dim) of a flow at times t on points x:
+    t broadcast against the leading axes of x."""
+    return np.empty(np.broadcast_shapes(np.shape(t), x.shape[:-1]) + (dim,))
+
+
 def translation_flow(u) -> Flow:
     u = np.asarray(u, dtype=float)
-    return Flow("translation", len(u), lambda t, x: x + t[..., None] * u,
+    def fn(t, x):
+        out = _empty_points(t, x, len(u))
+        for c in range(len(u)):
+            np.add(x[..., c], t * u[c], out=out[..., c])
+        return out
+    return Flow("translation", len(u), fn,
                 curvature=lambda x, eps: np.zeros(len(x)),
                 speed=lambda x, eps: np.full(len(x), _norms(u)))
 
@@ -98,7 +112,10 @@ def rotation_flow(omega: float = 1.0) -> Flow:
     def fn(t, x):
         c, s = np.cos(omega * t), np.sin(omega * t)
         x0, x1 = x[..., 0], x[..., 1]
-        return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=-1)
+        out = _empty_points(t, x, 2)
+        np.subtract(x0 * c, x1 * s, out=out[..., 0])
+        np.add(x0 * s, x1 * c, out=out[..., 1])
+        return out
     return Flow("rotation", 2, fn,
                 curvature=lambda x, eps: omega ** 2 * _norms(x),
                 speed=lambda x, eps: abs(omega) * _norms(x))
@@ -224,8 +241,11 @@ def _sample_orbit_members(flow: Flow, x: np.ndarray, eps: float, mu: float,
     on_orbit = flow(ts, x)
     d_base = _norms(on_orbit - x)
     w = rng.normal(size=x.shape)
-    w /= np.maximum(_norms(w), 1e-12)[:, None]
-    y = on_orbit + (0.25 * mu * d_base)[:, None] * w
+    norm = np.maximum(_norms(w), 1e-12)
+    slack = 0.25 * mu * d_base
+    y = np.empty_like(on_orbit)
+    for c in range(x.shape[-1]):
+        np.add(on_orbit[:, c], slack * (w[:, c] / norm), out=y[:, c])
     member, converged = flow_pair_contains(flow, eps, mu, x, y)
     return y, member, converged
 

@@ -29,6 +29,14 @@ declared bounds), refinement starts at
 ``|v_(i-1) - 2 v_i + v_(i+1)| / h^2`` over the level's vertices, and never
 lower than the estimate of the level before; such a decision is only as
 good as the estimate.  Both paths pass through the same levels from 17 on.
+
+Temporaries stay within ``BLOCK_ELEMENTS`` elements whatever the batch
+size.  ``arc_membership`` runs its level loop on blocks of at most
+``BLOCK_ELEMENTS // d`` rows, and the polyline scan of a block takes as
+many segments at a time as keep a (segment, row, coordinate) block within
+the budget, so every evaluated vertex block holds at most
+``BLOCK_ELEMENTS`` elements.  Rows are independent, and a shared arc is
+the same for every block, so the blocks change no bit of any distance.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ import numpy as np
 ARC_START_VERTICES = 17  # first level of an arc whose C is estimated
 ARC_CAP = 1 << 14
 ARC_RTOL = 1e-9
-# (segment, row, coordinate) elements per block of the polyline scan; a
-# fixed budget keeps temporaries small whatever the batch size
+# (segment, row, coordinate) elements per block of the polyline scan: rows
+# are blocked to BLOCK_ELEMENTS // d and segments to what fits beside them,
+# so temporaries stay small whatever the batch size
 BLOCK_ELEMENTS = 8192
 
 
@@ -159,34 +168,42 @@ def arc_membership(
     vertices.  Refinement follows the per-row rule of the module docstring,
     from the chord when the bound is certified and from
     ``ARC_START_VERTICES`` when it is estimated; converged is false when
-    some row is still undecided at the cap.
+    some row is still undecided at the cap.  Each block of at most
+    ``BLOCK_ELEMENTS // d`` rows runs its own levels, and ``arc`` receives
+    row indices into z.
     """
     z = np.asarray(z, dtype=float)
     thresh = np.asarray(thresh, dtype=float)
     dist = np.empty(len(z))
     estimate = np.zeros(len(z))
-    rows = np.arange(len(z))
-    evaluate, curvature = arc(rows)
-    k = ARC_START_VERTICES if curvature is None else 2
-    while True:
-        h = eps / (k - 1)
-        sq, turn = _polyline_sq_min(evaluate, z[rows],
-                                    _arc_parameters(eps, sign, k),
-                                    curvature is None)
-        cur = dist[rows] = np.sqrt(sq)
-        if curvature is None:
-            # no turn, no curvature: also when eps = 0 makes h = 0
-            level = np.divide(2.0 * turn, h * h, out=np.zeros(len(rows)),
-                              where=turn > 0)
-            curvature = estimate[rows] = np.maximum(estimate[rows], level)
-        bound = h * h * curvature / 8.0
-        decided = ((np.abs(cur - thresh[rows]) > bound)
-                   | (bound <= ARC_RTOL * (1.0 + cur)))
-        rows = rows[~decided]
-        if len(rows) == 0 or k >= ARC_CAP:
-            return dist, dist < thresh, len(rows) == 0
-        k = 2 * k - 1
+    block = max(1, BLOCK_ELEMENTS // max(1, z.shape[-1]))
+    converged = True
+    # an empty batch runs one empty block, so a bad eps still raises
+    for lo in range(0, max(1, len(z)), block):
+        rows = np.arange(lo, min(lo + block, len(z)))
         evaluate, curvature = arc(rows)
+        k = ARC_START_VERTICES if curvature is None else 2
+        while True:
+            h = eps / (k - 1)
+            sq, turn = _polyline_sq_min(evaluate, z[rows],
+                                        _arc_parameters(eps, sign, k),
+                                        curvature is None)
+            cur = dist[rows] = np.sqrt(sq)
+            if curvature is None:
+                # no turn, no curvature: also when eps = 0 makes h = 0
+                level = np.divide(2.0 * turn, h * h, out=np.zeros(len(rows)),
+                                  where=turn > 0)
+                curvature = estimate[rows] = np.maximum(estimate[rows], level)
+            bound = h * h * curvature / 8.0
+            decided = ((np.abs(cur - thresh[rows]) > bound)
+                       | (bound <= ARC_RTOL * (1.0 + cur)))
+            rows = rows[~decided]
+            if len(rows) == 0 or k >= ARC_CAP:
+                break
+            k = 2 * k - 1
+            evaluate, curvature = arc(rows)
+        converged &= len(rows) == 0
+    return dist, dist < thresh, converged
 
 
 def unit(v: np.ndarray) -> np.ndarray:

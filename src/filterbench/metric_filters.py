@@ -124,10 +124,17 @@ def sample_cone_members(g: ConeGenerator, n: int,
     projected off u, which keeps every point well inside the cone."""
     lam = rng.uniform(0.05 * g.eps, g.eps, n)
     w = rng.normal(size=(n, len(g.u)))
-    w -= (w @ g.u)[:, None] * g.u
-    w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
+    along = w @ g.u
+    x, u = np.asarray(g.x, dtype=float), np.asarray(g.u, dtype=float)
+    # coordinate by coordinate along the rows, with the bits of the
+    # broadcast form: the norm sums its squares in coordinate order
+    across = [w[:, c] - along * u[c] for c in range(len(u))]
+    norm = np.maximum(np.sqrt(_dot(across, across)), 1e-12)
     r = 0.3 * g.sigma * lam
-    return g.x + lam[:, None] * g.u + r[:, None] * w
+    out = np.empty((n, len(u)))
+    for c, a in enumerate(across):
+        np.add(x[..., c] + lam * u[c], r * (a / norm), out=out[:, c])
+    return out
 
 
 def envelope_radius(eps: float, sigma: float) -> float:

@@ -1,17 +1,21 @@
 """Slow definitions of the finite constructions and of sequence
-classification, which the tests hold the fast routes of ``filterbench`` to.
+classification, and the broadcast forms of the flow evaluators and
+samplers, which the tests hold the fast routes of ``filterbench`` to.
 
 Each is the construction as the paper states it, evaluated literally:
-the closure test of one family of point sets, the filter axioms row by
-row on one table, the hull of a point set point by point, the preimage
-of a target open and the image hull under a point map, continuity (every
-target open pulls back to an open), the pushforward
-f* mu (D) = mu(f^-1 D) of one filter (Prop 2.6), the B-class axioms on a
-[0, 1] table, the B-polytope vertices of ``def:dfiltbc`` by solving
-every basis of its rows, and the convergence test of one sequence against
-mu_{x,u} (sec:1:step7) with its cones decided by the distance to their
-segment.  No module of the package imports this one, so a fast route
-cannot lean on the definition it is checked against;
+the closure test of one family of point sets, the opens containing each
+point, the filter axioms row by row on one table, the hull of a point set
+point by point, the preimage of a target open and the image hull under a
+point map, continuity (every target open pulls back to an open), the
+pushforward f* mu (D) = mu(f^-1 D) of one filter (Prop 2.6), the B-class
+axioms on a [0, 1] table, the B-polytope vertices of ``def:dfiltbc`` by
+solving every basis of its rows, and the convergence test of one sequence
+against mu_{x,u} (sec:1:step7) with its cones decided by the distance to
+their segment.  The translation and rotation evaluators and the orbit and
+cone samplers are written as arithmetic broadcast over the coordinate
+axis; the package writes them one coordinate at a time, with the same
+bits.  No module of the package imports this one, so a fast route cannot
+lean on the definition it is checked against;
 ``tests/test_reachability.py`` holds both directions.
 """
 
@@ -38,8 +42,14 @@ from filterbench.filter_algebra import (
     _violation_message,
 )
 from filterbench.finite_topology import FiniteTopology, PointMap, set_of
+from filterbench.flows import Flow, flow_pair_contains
 from filterbench.geometry import angle_between, point_segment_distance, unit
-from filterbench.metric_filters import DIR_TOL, GENERATOR_GRID, SequenceVerdict
+from filterbench.metric_filters import (
+    DIR_TOL,
+    GENERATOR_GRID,
+    ConeGenerator,
+    SequenceVerdict,
+)
 
 GRADED_TOL = 1e-12
 POLYTOPE_BRUTEFORCE_MAX_OPENS = 6
@@ -60,6 +70,13 @@ def is_closed_family(n: int, masks: set[int]) -> bool:
             if a | b not in masks or a & b not in masks:
                 return False
     return True
+
+
+def point_opens(t: FiniteTopology) -> tuple[int, ...]:
+    """Per point p, the sum of 1 << i over the indices i of the opens that
+    contain p."""
+    return tuple(sum(1 << i for i, d in enumerate(t.opens) if d >> p & 1)
+                 for p in range(t.n))
 
 
 # --- point maps --------------------------------------------------------------
@@ -270,3 +287,42 @@ def classify_sequence(seq, x, u) -> SequenceVerdict:
         matches_filter=direct and generator_ok,
         agreement=direct == generator_ok,
     )
+
+
+# --- flows and samplers ------------------------------------------------------
+
+def translation(u, t, x):
+    """F(t, x) = x + t u, with t broadcast against the leading axes of x."""
+    return x + t[..., None] * np.asarray(u, dtype=float)
+
+
+def rotation(omega, t, x):
+    """F(t, x) = R(omega t) x for points x (..., 2)."""
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    x0, x1 = x[..., 0], x[..., 1]
+    return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=-1)
+
+
+def sample_orbit_members(flow: Flow, x, eps, mu, rng):
+    """(y, member, converged): y at a uniform time on [0.2 eps, eps] along
+    the orbit of x, moved by 0.25 mu times its distance from x along a
+    normal unit direction, and its membership in V+(F, eps, mu)."""
+    ts = rng.uniform(0.2 * eps, eps, len(x))
+    on_orbit = flow(ts, x)
+    d_base = np.linalg.norm(on_orbit - x, axis=-1)
+    w = rng.normal(size=x.shape)
+    w /= np.maximum(np.linalg.norm(w, axis=-1), 1e-12)[:, None]
+    y = on_orbit + (0.25 * mu * d_base)[:, None] * w
+    member, converged = flow_pair_contains(flow, eps, mu, x, y)
+    return y, member, converged
+
+
+def sample_cone_members(g: ConeGenerator, n: int, rng):
+    """n points x + lam u + 0.3 sigma lam w of V+(x, u, eps, sigma): lam
+    uniform on [0.05 eps, eps] and w a normal direction projected off u."""
+    lam = rng.uniform(0.05 * g.eps, g.eps, n)
+    w = rng.normal(size=(n, len(g.u)))
+    w -= (w @ g.u)[:, None] * g.u
+    w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)
+    r = 0.3 * g.sigma * lam
+    return g.x + lam[:, None] * g.u + r[:, None] * w

@@ -26,6 +26,7 @@ from oracles import (
     is_closed_family,
     is_continuous,
     point_hull,
+    point_opens,
     preimage_mask,
 )
 
@@ -101,6 +102,16 @@ class TestT0:
                         break
                     seen[profile] = x
                 assert is_t0(t) == expected
+
+
+def test_point_opens_match_the_definition():
+    # every topology on at most 4 points, and the discrete square on 16
+    # points with its 65 536 opens, where the sum of the definition takes
+    # about a second
+    spaces = [t for n in range(5) for t in enumerate_topologies(n)]
+    spaces.append(product_topology(discrete(4)).topology)
+    for t in spaces:
+        assert t.point_opens == point_opens(t), t
 
 
 class TestHull:

@@ -30,6 +30,9 @@ from filterbench.flows import (
 from filterbench.maps import BUILTIN_MAPS, MapSpec, linear_map
 from filterbench.metric_filters import PairDirectionalFilter
 from filterbench.suites import RunConfig
+from oracles import rotation as broadcast_rotation
+from oracles import sample_orbit_members as broadcast_orbit_members
+from oracles import translation as broadcast_translation
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,56 @@ def test_row_norms_equal_numpy_bit_for_bit(d, lead):
     want = np.linalg.norm(x, axis=-1)
     assert got.shape == want.shape == lead
     assert np.array_equal(got, want)
+
+
+# (time shape, point shape) of each evaluator call: one time, a time per
+# row, a column of arc parameters against a batch, and a column of base
+# times against a batch of batches, as check (d) makes it
+EVALUATOR_SHAPES = [((), (300, 2)), ((300,), (300, 2)), ((17, 1), (300, 2)),
+                    ((5, 1), (300, 2)), ((64, 1), (64, 256, 2))]
+
+
+class TestPerCoordinateForms:
+    """The evaluators and the orbit sampler write one coordinate at a time;
+    each equals the broadcast form of tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("t_shape, x_shape", EVALUATOR_SHAPES)
+    def test_evaluators_match_the_broadcast_form(self, t_shape, x_shape):
+        rng = np.random.default_rng(len(x_shape) + sum(t_shape))
+        t = rng.uniform(-fl.T_MAX, fl.T_MAX, t_shape)
+        x = rng.uniform(-1.0, 1.0, x_shape)
+        x3 = rng.uniform(-1.0, 1.0, x_shape[:-1] + (3,))
+        u, u3 = rng.normal(size=2), rng.normal(size=3)
+        cases = [(translation_flow(u), broadcast_translation(u, t, x), x),
+                 (translation_flow(u3), broadcast_translation(u3, t, x3), x3),
+                 (rotation_flow(1.0), broadcast_rotation(1.0, t, x), x),
+                 (rotation_flow(-0.7), broadcast_rotation(-0.7, t, x), x)]
+        for flow, want, points in cases:
+            for got in (flow(t, points), flow.reversed()(-t, points)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", [
+        "translation", "rotation", "scaling", "linear_shear",
+        "exp_stretch*rotation", "translation3d", "linear3d"])
+    def test_orbit_sampler_matches_the_broadcast_form(self, name):
+        flows = {**BUILTIN_FLOWS,
+                 "exp_stretch*rotation": pushforward_flow(
+                     BUILTIN_MAPS["exp_stretch"], BUILTIN_FLOWS["rotation"]),
+                 "translation3d": translation_flow([0.6, 0.0, -0.8]),
+                 "linear3d": linear_flow([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5],
+                                          [0.0, -0.5, 0.0]])}
+        flow = flows[name]
+        for seed in (1, 2):
+            x = np.random.default_rng(seed).uniform(-1.0, 1.0, (400, flow.dim))
+            rngs = [np.random.default_rng(seed + 10) for _ in range(2)]
+            got = fl._sample_orbit_members(flow, x, 0.1, 0.3, rngs[0])
+            want = broadcast_orbit_members(flow, x, 0.1, 0.3, rngs[1])
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1]) and got[1].any()
+            assert got[2] == want[2]
+            # the same draws, in the same order
+            assert rngs[0].random() == rngs[1].random()
 
 
 class TestPairMembership:

@@ -121,11 +121,11 @@ def test_known_misdecisions_near_the_threshold(t0, radius, thresh_of):
 @pytest.mark.parametrize("budget", [2, 6])
 @pytest.mark.parametrize("n", [1, 3, 50, 700])
 def test_block_budget_does_not_change_results(n, budget, monkeypatch):
-    # 2-d rows: budget 2 scans one segment per block, so the first block is
-    # a single segment; budget 6 with one row splits the 16 segments of the
-    # first level into blocks of three with a short last one.  The default
-    # scans that level in one block for n <= 256 and in blocks of five at
-    # n = 700.
+    # 2-d rows: budget 2 scans one row and one segment per block, so the
+    # first block is a single segment; budget 6 refines blocks of three rows
+    # and, with one row, splits the 16 segments of the first level into
+    # blocks of three with a short last one.  The default scans that level
+    # in one block for n <= 256 and in blocks of five at n = 700.
     rng = np.random.default_rng(3)
     z = _parabola(rng.uniform(0.0, 0.4, n)) + rng.normal(scale=0.05, size=(n, 2))
     thresh = rng.uniform(0.0, 0.1, n)
@@ -140,6 +140,93 @@ def test_block_budget_does_not_change_results(n, budget, monkeypatch):
         assert np.array_equal(d0, d1)
         assert np.array_equal(m0, m1)
         assert c0 == c1
+
+
+def _ambiguous_rotation_rows(rng, n):
+    """n rows near the rotation's orbit arcs on [0, 1], thresholds
+    0.3 d(x, y), and last a row no level decides: x = (3, 0) and
+    y = F(1/2, x), which is a vertex of every level from 3 vertices on,
+    against the threshold 0.  Its polyline distance, 3 (1 - cos(1/2)) =
+    0.37 at the chord and 0 after, stays inside the chord bound
+    h^2 |x| / 8: 3/8 at the chord, and 1.4e-9 at the cap, above the
+    tolerance 1e-9."""
+    flow = fl.BUILTIN_FLOWS["rotation"]
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    y = flow(rng.uniform(0.0, 1.0, n), x) + rng.normal(scale=0.05, size=x.shape)
+    x[-1] = (3.0, 0.0)
+    y[-1] = flow(0.5, x[-1:])[0]
+    thresh = 0.3 * np.linalg.norm(y - x, axis=-1)
+    thresh[-1] = 0.0
+    return x, y, thresh
+
+
+def test_row_blocks_are_invisible(monkeypatch):
+    # two full row blocks and three rows more.  One call gives, bit for bit,
+    # the distances and memberships of separate calls on the blocks' rows,
+    # and of one call that scans every row at once; its converged flag is
+    # the AND of the blocks'.  The last row of the certified and the shared
+    # arc is undecided at the cap, so the last block alone is unconverged.
+    per_block = geometry.BLOCK_ELEMENTS // 2
+    n = 2 * per_block + 3
+    rng = np.random.default_rng(12)
+    x, y, thresh = _ambiguous_rotation_rows(rng, n)
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
+                                 fl.BUILTIN_FLOWS["rotation"])
+    xp, yp = _near_orbits(pushed, rng, n)
+    circle = lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1)
+    zc = circle(rng.uniform(0.0, 3.0, n)) * rng.uniform(0.8, 1.2, (n, 1))
+    zc[-1] = 0.0
+    tc = rng.uniform(0.0, 0.3, n)
+    tc[-1] = 1.0
+    cases = [  # (arc of the rows of a batch, z, thresh, eps, converged)
+        (lambda rows: fl._orbit_arcs(fl.BUILTIN_FLOWS["rotation"], x[rows],
+                                     1.0), y, thresh, 1.0, [True, True, False]),
+        (lambda rows: fl._orbit_arcs(pushed, xp[rows], 0.1), yp,
+         0.3 * np.linalg.norm(yp - xp, axis=-1), 0.1, [True, True, True]),
+        (lambda rows: _curve_arc(circle), zc, tc, 3.0, [True, True, False]),
+    ]
+    blocks = [slice(0, per_block), slice(per_block, 2 * per_block),
+              slice(2 * per_block, n)]
+    for arc_of, z, th, eps, block_converged in cases:
+        everything = np.arange(n)
+        dist, member, converged = arc_membership(arc_of(everything), z, th, eps)
+        parts = [arc_membership(arc_of(everything[b]), z[b], th[b], eps)
+                 for b in blocks]
+        assert dist.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert np.array_equal(member, np.concatenate([p[1] for p in parts]))
+        assert [p[2] for p in parts] == block_converged
+        assert converged == all(block_converged)
+        assert 0 < member.sum() < n
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "BLOCK_ELEMENTS", 1 << 40)
+            whole = arc_membership(arc_of(everything), z, th, eps)
+        assert whole[0].tobytes() == dist.tobytes()
+        assert whole[2] == converged
+
+
+def test_vertex_blocks_stay_within_the_budget():
+    # BLOCK_ELEMENTS bounds every vertex block the evaluator returns, here
+    # for 20 000 rows on certified and on estimated arcs
+    rng = np.random.default_rng(13)
+    pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
+                                 fl.BUILTIN_FLOWS["rotation"])
+    for flow in (fl.BUILTIN_FLOWS["rotation"], pushed):
+        x, y = _near_orbits(flow, rng, 20_000)
+        sizes = []
+
+        def arc(rows, bind=fl._orbit_arcs(flow, x, 0.1)):
+            evaluate, curvature = bind(rows)
+
+            def recorded(ts):
+                vertices = evaluate(ts)
+                sizes.append(vertices.size)
+                return vertices
+            return recorded, curvature
+
+        _, member, converged = arc_membership(
+            arc, y, 0.3 * np.linalg.norm(y - x, axis=-1), 0.1)
+        assert converged and 0 < member.sum() < len(x)
+        assert sizes and max(sizes) <= geometry.BLOCK_ELEMENTS
 
 
 def test_empty_batch_converges():

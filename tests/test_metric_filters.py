@@ -21,6 +21,7 @@ from filterbench.metric_filters import (
     envelope_radius,
     euclidean,
     metric_uniformity_contains,
+    sample_cone_members,
     transport_via_sequences,
     uniformity_refinement_certificate,
     v_plus_contains,
@@ -28,6 +29,7 @@ from filterbench.metric_filters import (
 )
 from filterbench.suites import SEQUENCE_BATCH_ELEMENTS, SEQUENCE_TERMS
 from oracles import classify_sequence as classify_sequence_oracle
+from oracles import sample_cone_members as broadcast_cone_members
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -135,6 +137,22 @@ class TestConeMembership:
             d_xy = np.linalg.norm(yi - xi, axis=-1)
             d_seg = point_segment_distance(yi, xi, xi + eps * ui)
             assert row.tolist() == (d_seg < sigma * d_xy).tolist()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sampler_matches_the_broadcast_form(self, dim):
+        # written one coordinate at a time, with the bits and the draws of
+        # the form that broadcasts over the coordinate axis
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            g = ConeGenerator(rng.uniform(-1, 1, dim), unit(rng.normal(size=dim)),
+                              0.5, 0.3)
+            rngs = [np.random.default_rng(seed + 10) for _ in range(2)]
+            got = sample_cone_members(g, 1000, rngs[0])
+            want = broadcast_cone_members(g, 1000, rngs[1])
+            assert got.shape == want.shape == (1000, dim)
+            assert got.tobytes() == want.tobytes()
+            assert v_plus_contains(g, got).all()
+            assert rngs[0].random() == rngs[1].random()
 
     def test_per_row_cones_check_every_direction(self):
         u = np.array([[[1.0, 0.0]], [[0.0, 2.0]]])
