@@ -108,6 +108,10 @@ class InverseResidualTooLarge(WorkbenchError):
     pass
 
 
+class UndeclaredBounds(WorkbenchError):
+    pass
+
+
 # --- cli / io ----------------------------------------------------------------
 
 class UnknownSuite(WorkbenchError):

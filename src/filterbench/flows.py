@@ -12,21 +12,16 @@ The translation and rotation evaluators and the orbit sampler write each
 coordinate along the rows, with the bits of the form that broadcasts over
 the coordinate axis, which ``tests/oracles.py`` keeps.
 Pair membership goes through geometry.arc_membership: each orbit arc is a
-uniform polyline, doubled towards a 2^14 cap, and a row is decided once
-its polyline distance d is further from mu * d(x, y) than the chord bound
-h^2 C / 8 for parameter step h, or once that bound is at most
-1e-9 (1 + d).  C bounds the orbit's sup|c''|.  Each built-in constructor
-declares it in closed form, together with a speed bound S on sup|c'|, so
-those decisions are certified and start at the chord (2 vertices, then 3,
-5, 9, 17, ...); translation and linear_shear orbits (C = 0) are decided at
-the chord, and a reversed flow keeps its flow's bounds.  A flow pushed
-forward by a map that declares its derivative bounds (maps.MapSpec: every
-linear map, parabolic_shear and sine_shear) is certified too, with C built
-from the map's bounds and the flow's S and C (pushforward_flow).  Any other
-pushed-forward flow has no bound: its arcs start at 17 vertices, and the
-kernel estimates C from second differences of the polyline.  Rows still
-undecided at the cap are reported through the converged flag, never
-silently passed.
+uniform polyline, doubled from the chord (2, 3, 5, 9, ... vertices) towards
+a 2^14 cap, and a row is decided once its polyline distance d is further
+from mu * d(x, y) than the chord bound h^2 C / 8 for parameter step h, or
+once that bound is at most 1e-9 (1 + d).  Every flow declares C >= sup|c''|
+and a speed bound S >= sup|c'|, so every decision is certified: each
+built-in constructor in closed form (C = 0 for translation and linear_shear,
+decided at the chord), a reversal by keeping its flow's bounds, and a
+pushforward from the map's derivative bounds (pushforward_flow), which
+refuses a map that declares none.  Rows still undecided at the cap are
+reported through the converged flag, never silently passed.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ import numpy as np
 from .errors import (
     DomainViolation,
     RecipeUnsatisfiable,
+    UndeclaredBounds,
 )
 from .geometry import arc_membership
 from .maps import MapSpec, estimate_lipschitz
@@ -56,15 +52,14 @@ class Flow:
     by its own time and t (B, 1) with x (N, dim) gives (B, N, dim).
 
     ``curvature(x, eps)`` bounds sup |d^2/dt^2 F(t, x)| and ``speed(x, eps)``
-    bounds sup |d/dt F(t, x)| over |t| <= eps for each row of x (N, dim);
-    each is None when no bound is known.
+    bounds sup |d/dt F(t, x)| over |t| <= eps for each row of x (N, dim).
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    curvature: Callable[[np.ndarray, float], np.ndarray] | None = None
-    speed: Callable[[np.ndarray, float], np.ndarray] | None = None
+    curvature: Callable[[np.ndarray, float], np.ndarray]
+    speed: Callable[[np.ndarray, float], np.ndarray]
 
     def __call__(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -174,12 +169,11 @@ BUILTIN_FLOWS: dict[str, Flow] = {
 
 def _orbit_arcs(flow: Flow, x: np.ndarray, eps: float):
     """Arc evaluator of geometry.arc_membership: the orbit arcs of x[rows]
-    on |t| <= eps, with the flow's curvature bound when it has one."""
-    bound = None if flow.curvature is None else flow.curvature(x, eps)
+    on |t| <= eps, with the flow's curvature bound."""
+    bound = flow.curvature(x, eps)
     def bind(rows):
         xr = x[rows]
-        return ((lambda ts: flow(ts[:, None], xr)),
-                None if bound is None else bound[rows])
+        return (lambda ts: flow(ts[:, None], xr)), bound[rows]
     return bind
 
 
@@ -192,12 +186,8 @@ def flow_pair_contains(flow: Flow, eps: float, mu: float,
     geometry.arc_membership until the chord bound h^2 C / 8 can no longer
     flip the comparison against mu * d(x, y).  C is the flow's declared
     curvature bound, which makes the decision certified and lets
-    refinement start at the chord (2 vertices).  Every built-in flow, its
-    reversal and its pushforward by a map with declared derivative bounds
-    has one.  For a flow without one (a pushforward by a map without those
-    bounds), C is estimated from the polyline's second differences, and
-    refinement starts at 17 vertices.  Rows still ambiguous at the
-    subdivision cap make the converged flag false.
+    refinement start at the chord (2 vertices).  Rows still ambiguous at
+    the subdivision cap make the converged flag false.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -486,11 +476,11 @@ def pushforward_flow(f: MapSpec, flow: Flow, seed: int = 0) -> Flow:
     """Conjugated flow f*F(t, x) = f(F(t, f^-1(x))).
 
     Its orbit through x is c = f(p) along the orbit p of q = f^-1(x), so
-    c'' = D^2 f[p', p'] + Df p''.  With |p'| <= S = speed(q, eps), p stays in
-    B(q, S eps), and when f declares H and J (maps.MapSpec) and F declares
-    S and C, the pushed flow declares
-    C(x, eps) = H S^2 + J(q, S eps) C_F(q, eps).  Otherwise it declares no
-    curvature bound, and its arcs are decided with an estimated one.
+    c' = Df p' and c'' = D^2 f[p', p'] + Df p''.  With |p'| <= S =
+    speed(q, eps), p stays in B(q, S eps), on which f declares H and J
+    (maps.MapSpec), so the pushed flow declares the speed J(q, S eps) S and
+    the curvature C(x, eps) = H(q, S eps) S^2 + J(q, S eps) C_F(q, eps).
+    A map without an inverse or without those bounds is refused.
     """
     if f.dim != flow.dim:
         raise DomainViolation(
@@ -498,17 +488,23 @@ def pushforward_flow(f: MapSpec, flow: Flow, seed: int = 0) -> Flow:
             f"on dimension {flow.dim}")
     rng = np.random.default_rng(seed)
     f.check_inverse(rng.uniform(-1.0, 1.0, size=(256, f.dim)))
-    curvature = None
-    if all(b is not None for b in (f.hessian_bound, f.jacobian_bound,
-                                   flow.speed, flow.curvature)):
-        def curvature(x, eps):
-            q = f.inverse(x)
-            s = flow.speed(q, eps)
-            return (f.hessian_bound * s * s
-                    + f.jacobian_bound(q, s * eps) * flow.curvature(q, eps))
+    if f.hessian_bound is None or f.jacobian_bound is None:
+        raise UndeclaredBounds(f"map {f.name} declares no derivative bounds")
+
+    def curvature(x, eps):
+        q = f.inverse(x)
+        s = flow.speed(q, eps)
+        return (f.hessian_bound(q, s * eps) * s * s
+                + f.jacobian_bound(q, s * eps) * flow.curvature(q, eps))
+
+    def speed(x, eps):
+        q = f.inverse(x)
+        s = flow.speed(q, eps)
+        return f.jacobian_bound(q, s * eps) * s
+
     return Flow(
         f"{f.name}_pushforward_{flow.name}", flow.dim,
-        lambda t, x: f(flow.fn(t, f.inverse(x))), curvature)
+        lambda t, x: f(flow.fn(t, f.inverse(x))), curvature, speed)
 
 
 def check_flow_transport(

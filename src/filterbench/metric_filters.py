@@ -35,6 +35,7 @@ from .errors import (
     SingularJacobian,
 )
 from .geometry import (
+    ARC_CAP,
     _dot,
     angle_between,
     arc_membership,
@@ -332,17 +333,21 @@ class CurveFilter:
         """Membership of y (..., d) in the tube generator of (eps, mu), and
         whether every point was decided below the subdivision cap.
 
-        Decided by geometry.arc_membership on the curve's arc.  A CurveSpec
-        declares no curvature bound, so the chord bound h^2 C / 8 uses C
-        estimated from the polyline's second differences: the decision is
-        as good as that estimate, not certified."""
+        Decided by geometry.arc_membership on the curve's arc, with C
+        estimated once per call as twice the largest |Delta^2 c| / h^2 over
+        ARC_CAP + 1 uniform vertices: a CurveSpec declares no bound, so the
+        decision is only as good as that estimate, not certified."""
         y = np.asarray(y, dtype=float)
         d_xy = np.linalg.norm(y - self.x, axis=-1)
-        c = self.curve
-        # one arc for every row, no declared curvature bound
-        arc = lambda rows: ((lambda ts: c(ts)[:, None]), None)
+        c, eps = self.curve, min(eps, self.curve.b)
+        grid = np.linspace(0.0, eps, ARC_CAP + 1)
+        turn = np.linalg.norm(np.diff(c(grid), n=2, axis=0), axis=-1).max()
+        # eps = 0 leaves every vertex at c(0): no turn, no curvature
+        estimate = 2.0 * turn / grid[1] ** 2 if turn > 0 else 0.0
+        arc = lambda rows: ((lambda ts: c(ts)[:, None]),
+                            np.full(len(rows), estimate))
         _, member, converged = arc_membership(
-            arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), min(eps, c.b))
+            arc, y.reshape(-1, y.shape[-1]), (mu * d_xy).ravel(), eps)
         return (d_xy > 0) & member.reshape(d_xy.shape), converged
 
     def contains(self, eps: float, mu: float, y: np.ndarray) -> np.ndarray:

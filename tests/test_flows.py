@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from filterbench import flows as fl
-from filterbench import geometry
 from filterbench import suites
 from filterbench.cli import main
 from filterbench.errors import (
     DomainViolation,
     InverseResidualTooLarge,
     RecipeUnsatisfiable,
+    UndeclaredBounds,
 )
 from filterbench.flows import (
     BUILTIN_FLOWS,
@@ -343,8 +343,12 @@ class TestPushforward:
         f = BUILTIN_MAPS["parabolic_shear"]
         g = BUILTIN_MAPS["shear_half"]
         flow = BUILTIN_FLOWS["translation"]
+        # g is linear, so D(g f) = Dg Df and D^2(g f) = Dg D^2 f
+        norm = np.linalg.norm(g.jacobian(np.zeros(2)), 2)
         gf = MapSpec("gf", 2, lambda p: g(f(p)), f.jacobian,
-                     lambda p: f.inverse(g.inverse(p)))
+                     lambda p: f.inverse(g.inverse(p)),
+                     hessian_bound=lambda p, r: norm * f.hessian_bound(p, r),
+                     jacobian_bound=lambda p, r: norm * f.jacobian_bound(p, r))
         lhs = pushforward_flow(gf, flow)
         rhs = pushforward_flow(g, pushforward_flow(f, flow))
         rng = np.random.default_rng(4)
@@ -362,6 +366,61 @@ class TestPushforward:
         assert np.allclose(rot(0.7, x), rotation_flow(1.0)(0.7, x), atol=1e-12)
         scale = linear_flow([[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(scale(0.4, x), scaling_flow(1.0)(0.4, x), atol=1e-12)
+
+
+# every built-in flow, and two 3-d flows for the 3-d maps
+FLOWS_BY_DIM = {2: BUILTIN_FLOWS,
+                3: {"translation3d": translation_flow([0.6, 0.0, -0.8]),
+                    "linear3d": linear_flow([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5],
+                                             [0.0, -0.5, 0.0]])}}
+INVERTIBLE_MAPS = sorted(m for m, spec in BUILTIN_MAPS.items()
+                         if spec.inverse is not None)
+
+
+class TestDeclaredBounds:
+    """Every flow that can be pushed forward carries both bounds, and a map
+    that declares none is refused."""
+
+    @pytest.mark.parametrize("mname", INVERTIBLE_MAPS)
+    def test_every_pushed_flow_declares_both_bounds(self, mname):
+        f = BUILTIN_MAPS[mname]
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (50, f.dim))
+        for flow in FLOWS_BY_DIM[f.dim].values():
+            pushed = pushforward_flow(f, flow)
+            for bound in (pushed.curvature, pushed.speed):
+                value = bound(x, 0.1)
+                assert value.shape == (len(x),)
+                assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+
+    @pytest.mark.parametrize("missing", [("hessian_bound", "jacobian_bound"),
+                                         ("hessian_bound",),
+                                         ("jacobian_bound",)])
+    def test_map_without_bounds_is_refused(self, missing):
+        spec = dataclasses.replace(BUILTIN_MAPS["shear_half"], name="unbounded",
+                                   **dict.fromkeys(missing))
+        with pytest.raises(UndeclaredBounds, match="unbounded"):
+            pushforward_flow(spec, BUILTIN_FLOWS["translation"])
+
+    def test_cli_refuses_a_map_without_bounds(self, capsys, monkeypatch):
+        # shear_half without its derivative bounds, as a built-in map
+        monkeypatch.setitem(BUILTIN_MAPS, "unbounded", dataclasses.replace(
+            BUILTIN_MAPS["shear_half"], name="unbounded", hessian_bound=None,
+            jacobian_bound=None))
+        code = main(["flow", "transport", "unbounded", "translation"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "UndeclaredBounds"
+        assert "unbounded" in err["message"]
+
+    @pytest.mark.parametrize("mname", ["cubic_shear",
+                                       "vertical_parabolic_shear",
+                                       "exp_stretch"])
+    def test_cli_transport_through_a_newly_bounded_map(self, mname, capsys):
+        code = main(["flow", "transport", mname, "translation",
+                     "--samples", "200"])
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert code == 0
+        assert rec["verdict"] == "pass"
 
 
 class TestTransport:
@@ -384,29 +443,25 @@ class TestTransport:
     def test_every_pushed_flow_a_suite_builds_is_certified(self,
                                                           monkeypatch):
         # pushforward-conditions and the transport maps push flows whose
-        # curvature the maps' declared bounds certify: none of their arcs
-        # is decided with an estimated C, so none starts at 17 vertices
-        built, estimated = [], []
+        # curvature and speed the maps' declared bounds certify: both are
+        # finite on the sampled region, so every arc has a certified C
+        built = []
         pushforward = fl.pushforward_flow
-        scan = geometry._polyline_sq_min
 
         def recording(f, flow, seed=0):
             built.append(pushforward(f, flow, seed))
             return built[-1]
 
-        def scanning(vertices, z, ts, turns):
-            estimated.append(turns)
-            return scan(vertices, z, ts, turns)
-
         monkeypatch.setattr(fl, "pushforward_flow", recording)
-        monkeypatch.setattr(geometry, "_polyline_sq_min", scanning)
         suites.run_suite("flows", RunConfig(seed=1, samples=50))
         assert {p.name for p in built} == {
             f"{BUILTIN_MAPS[m].name}_pushforward_{flow}" for m, flow in
             [("shear_half", "rotation")]
             + [(m, "translation") for m in suites.TRANSPORT_MAPS]}
-        assert all(p.curvature is not None for p in built)
-        assert estimated and not any(estimated)
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (100, 2))
+        for p in built:
+            assert np.all(np.isfinite(p.curvature(x, 0.1)))
+            assert np.all(np.isfinite(p.speed(x, 0.1)))
 
     def test_collapse_map_rejected(self):
         collapse = MapSpec("collapse", 2,

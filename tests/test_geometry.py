@@ -19,12 +19,11 @@ from filterbench.maps import BUILTIN_MAPS
 CAP_VERTICES = geometry.ARC_CAP + 1
 
 
-def _curve_arc(c, curvature=None):
-    """One shared arc for every row: vertices (B, 1, d), with a declared
-    curvature bound, or None to have the kernel estimate it."""
-    bound = None if curvature is None else np.array([curvature])
+def _curve_arc(c, curvature):
+    """One shared arc for every row: vertices (B, 1, d), with the declared
+    curvature bound for every row."""
     return lambda rows: ((lambda ts: c(ts)[:, None]),
-                         None if bound is None else bound.repeat(len(rows)))
+                         np.full(len(rows), curvature))
 
 
 def _params(eps, sign, k=CAP_VERTICES):
@@ -66,16 +65,23 @@ def _assert_matches_oracle(arc, z, thresh, eps, sign, oracle):
     assert np.array_equal(member[clear], (oracle < thresh)[clear])
 
 
-@pytest.mark.parametrize("curve,eps,sign", [
-    (_line, 0.5, "+"), (_parabola, 0.4, "+"), (_parabola, 0.3, "-"),
-    (_circle, 1.0, "+"), (_circle, 0.7, "-"),
+# each curve with its exact sup|c''|
+CURVES = {"line": (_line, 0.0), "parabola": (_parabola, 2.0),
+          "circle": (_circle, 1.0)}
+
+
+@pytest.mark.parametrize("name,eps,sign", [
+    ("line", 0.5, "+"), ("parabola", 0.4, "+"), ("parabola", 0.3, "-"),
+    ("circle", 1.0, "+"), ("circle", 0.7, "-"),
 ])
-def test_curve_membership_matches_cap_oracle(curve, eps, sign):
+def test_curve_membership_matches_cap_oracle(name, eps, sign):
+    curve, curvature = CURVES[name]
     rng = np.random.default_rng(1)
     on_arc = curve(rng.uniform(0.0, eps, 300) * (1 if sign == "+" else -1))
     z, thresh = _members_and_not(on_arc, curve(np.zeros(1)), rng)
     oracle = point_polyline_distance(z, curve(_params(eps, sign)))
-    _assert_matches_oracle(_curve_arc(curve), z, thresh, eps, sign, oracle)
+    _assert_matches_oracle(_curve_arc(curve, curvature), z, thresh, eps, sign,
+                           oracle)
 
 
 @pytest.mark.parametrize("name", ["translation", "rotation", "scaling"])
@@ -111,8 +117,9 @@ def test_known_misdecisions_near_the_threshold(t0, radius, thresh_of):
     z = np.array([[0.0, 1.0]]) + radius * np.array([[np.sin(t0), -np.cos(t0)]])
     oracle = point_polyline_distance(z, _circle(_params(1.0, "+")))
     thresh = thresh_of(oracle)
-    # estimated curvature, and the unit circle's exact sup|c''| = 1
-    for arc in (_curve_arc(_circle), _curve_arc(_circle, 1.0)):
+    # the unit circle's exact sup|c''| = 1, and twice that, the margin
+    # metric_filters.CurveFilter gives its estimate
+    for arc in (_curve_arc(_circle, 1.0), _curve_arc(_circle, 2.0)):
         _, member, converged = arc_membership(arc, z, thresh, 1.0)
         assert converged
         assert member[0] == (oracle[0] < thresh[0])
@@ -121,17 +128,17 @@ def test_known_misdecisions_near_the_threshold(t0, radius, thresh_of):
 @pytest.mark.parametrize("budget", [2, 6])
 @pytest.mark.parametrize("n", [1, 3, 50, 700])
 def test_block_budget_does_not_change_results(n, budget, monkeypatch):
-    # 2-d rows: budget 2 scans one row and one segment per block, so the
-    # first block is a single segment; budget 6 refines blocks of three rows
-    # and, with one row, splits the 16 segments of the first level into
-    # blocks of three with a short last one.  The default scans that level
-    # in one block for n <= 256 and in blocks of five at n = 700.
+    # 2-d rows: budget 2 scans one row and one segment per block, so every
+    # block is a single segment; budget 6 refines blocks of three rows and,
+    # with one row, splits the 2^j segments of each level past the chord
+    # into blocks of three with a short last one.  The default scans 16
+    # segments in one block for n <= 256 and in blocks of five at n = 700.
     rng = np.random.default_rng(3)
     z = _parabola(rng.uniform(0.0, 0.4, n)) + rng.normal(scale=0.05, size=(n, 2))
     thresh = rng.uniform(0.0, 0.1, n)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     flow = fl.BUILTIN_FLOWS["rotation"]
-    cases = [(_curve_arc(_parabola), z, thresh, 0.4, "+"),
+    cases = [(_curve_arc(_parabola, 2.0), z, thresh, 0.4, "+"),
              (fl._orbit_arcs(flow, x, 0.3), z, thresh, 0.3, "-")]
     default = [arc_membership(*case) for case in cases]
     monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
@@ -164,8 +171,9 @@ def test_row_blocks_are_invisible(monkeypatch):
     # two full row blocks and three rows more.  One call gives, bit for bit,
     # the distances and memberships of separate calls on the blocks' rows,
     # and of one call that scans every row at once; its converged flag is
-    # the AND of the blocks'.  The last row of the certified and the shared
-    # arc is undecided at the cap, so the last block alone is unconverged.
+    # the AND of the blocks'.  The last row of the rotation and of the
+    # shared circle arc is undecided at the cap, so the last block alone is
+    # unconverged; the orbits pushed by exp_stretch all converge.
     per_block = geometry.BLOCK_ELEMENTS // 2
     n = 2 * per_block + 3
     rng = np.random.default_rng(12)
@@ -183,7 +191,8 @@ def test_row_blocks_are_invisible(monkeypatch):
                                      1.0), y, thresh, 1.0, [True, True, False]),
         (lambda rows: fl._orbit_arcs(pushed, xp[rows], 0.1), yp,
          0.3 * np.linalg.norm(yp - xp, axis=-1), 0.1, [True, True, True]),
-        (lambda rows: _curve_arc(circle), zc, tc, 3.0, [True, True, False]),
+        (lambda rows: _curve_arc(circle, 2.0), zc, tc, 3.0,
+         [True, True, False]),
     ]
     blocks = [slice(0, per_block), slice(per_block, 2 * per_block),
               slice(2 * per_block, n)]
@@ -206,7 +215,8 @@ def test_row_blocks_are_invisible(monkeypatch):
 
 def test_vertex_blocks_stay_within_the_budget():
     # BLOCK_ELEMENTS bounds every vertex block the evaluator returns, here
-    # for 20 000 rows on certified and on estimated arcs
+    # for 20 000 rows on rotation orbits and on their images under
+    # exp_stretch
     rng = np.random.default_rng(13)
     pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
                                  fl.BUILTIN_FLOWS["rotation"])
@@ -229,6 +239,24 @@ def test_vertex_blocks_stay_within_the_budget():
         assert sizes and max(sizes) <= geometry.BLOCK_ELEMENTS
 
 
+@pytest.mark.parametrize("n", [1, 300, 4096])
+def test_polyline_scan_blocks_stay_within_the_budget(n):
+    # one deep level of 1025 vertices for up to the BLOCK_ELEMENTS // 2 rows
+    # of one arc_membership block: the scan splits it into vertex blocks
+    # within the budget
+    z = np.random.default_rng(14).uniform(-1.0, 1.0, (n, 2))
+    sizes = []
+
+    def vertices(ts):
+        sizes.append(len(ts) * n * 2)
+        return np.broadcast_to(_circle(ts)[:, None], (len(ts), n, 2))
+
+    best = geometry._polyline_sq_min(vertices, z, np.linspace(0.0, 1.0, 1025))
+    assert max(sizes) <= geometry.BLOCK_ELEMENTS and len(sizes) > 1
+    assert np.allclose(best, point_polyline_distance(
+        z, _circle(np.linspace(0.0, 1.0, 1025))) ** 2)
+
+
 def test_empty_batch_converges():
     dist, member, converged = arc_membership(
         fl._orbit_arcs(fl.BUILTIN_FLOWS["translation"], np.empty((0, 2)), 0.1),
@@ -237,7 +265,7 @@ def test_empty_batch_converges():
     assert converged
 
 
-@pytest.mark.parametrize("curvature", [None, 2.0])
+@pytest.mark.parametrize("curvature", [0.0, 2.0])
 def test_zero_length_arc_is_decided(curvature):
     # eps = 0: every vertex is the base point, so the polyline is exact
     z = np.array([[0.1, 0.2], [0.0, 0.0]])
@@ -250,19 +278,20 @@ def test_zero_length_arc_is_decided(curvature):
 
 def test_row_ambiguous_at_the_cap_is_not_converged():
     # from the centre of the unit circle every inscribed polyline lies
-    # strictly inside, at cos(h/2) ~ 1 - h^2/8 for step h.  The estimated
-    # curvature is about twice sup|c''| = 1, so the chord bound h^2/4 never
-    # clears the threshold at the exact distance 1, and at the cap
-    # (h = 3/2^14) it is still 8e-9, above the tolerance 1e-9 (1 + d): no
-    # level can decide the row
+    # strictly inside, at cos(h/2) ~ 1 - h^2/8 for step h.  With the bound
+    # C = 2, twice sup|c''| = 1, the chord bound h^2/4 never clears the
+    # threshold at the exact distance 1, and at the cap (h = 3/2^14) it is
+    # still 8e-9, above the tolerance 1e-9 (1 + d): no level can decide the
+    # row.  (With C = 1 the margin h^2/8 - (1 - cos(h/2)) = h^4/384 falls
+    # below the rounding of d near h = 4e-4, and rounding decides the row.)
     z = np.zeros((1, 2))
-    circle = lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1)
-    dist, _, converged = arc_membership(_curve_arc(circle), z, np.ones(1), 3.0)
+    circle = _curve_arc(lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
+                        2.0)
+    dist, _, converged = arc_membership(circle, z, np.ones(1), 3.0)
     assert not converged
     assert 1.0 - 1e-7 < dist[0] < 1.0
     # the same row with a threshold clear of the distance is decided
-    _, member, converged = arc_membership(_curve_arc(circle), z,
-                                          np.array([0.9]), 3.0)
+    _, member, converged = arc_membership(circle, z, np.array([0.9]), 3.0)
     assert converged and not member[0]
 
 
@@ -310,8 +339,17 @@ def _parabola_orbit(x, y, lo, hi):
     return np.array(best)
 
 
+def _swapped(exact):
+    """Exact distance to the mirror images of ``exact``'s orbits under
+    (u, v) -> (v, u)."""
+    return lambda x, y, lo, hi: exact(x[::-1], y[:, ::-1], lo, hi)
+
+
 PARABOLIC_TRANSLATION = fl.pushforward_flow(BUILTIN_MAPS["parabolic_shear"],
                                             fl.translation_flow([0.0, 1.0]))
+# (x_0 + t, x_1 + 2 x_0 t + t^2): the mirror image of the orbit above
+VERTICAL_PARABOLIC_TRANSLATION = fl.pushforward_flow(
+    BUILTIN_MAPS["vertical_parabolic_shear"], fl.translation_flow([1.0, 0.0]))
 
 
 EXACT_ORBITS = {
@@ -326,6 +364,8 @@ EXACT_ORBITS = {
     # a curved pushed orbit, c'' = (2, 0), whose declared C = 2 is exact
     "parabolic_shear*translation(0,1)": (PARABOLIC_TRANSLATION,
                                          _parabola_orbit),
+    "vertical_parabolic_shear*translation(1,0)": (
+        VERTICAL_PARABOLIC_TRANSLATION, _swapped(_parabola_orbit)),
 }
 ORBIT_EPS = 0.5
 
@@ -387,7 +427,7 @@ def test_exact_orbit_check_detects_a_false_hessian_bound():
     # its pushed translation orbits straight, C = 0, though they bend with
     # |c''| = 2
     flat = dataclasses.replace(BUILTIN_MAPS["parabolic_shear"],
-                               hessian_bound=0.0)
+                               hessian_bound=lambda p, r: np.zeros(len(p)))
     pushed = fl.pushforward_flow(flat, fl.translation_flow([0.0, 1.0]))
     assert np.all(pushed.curvature(np.zeros((3, 2)), ORBIT_EPS) == 0.0)
     wrong, _, _ = _exact_side_errors(pushed, _parabola_orbit, "+", False, 6)
@@ -403,16 +443,22 @@ CURVATURE_FLOWS = {
     "linear_spiral": fl.linear_flow([[0.3, -1.0], [1.0, -0.2]]),
     "linear_shear": fl.BUILTIN_FLOWS["linear_shear"],
 }
-# every map that declares its derivative bounds
+# every map that declares its derivative bounds: every map with an inverse
 BOUNDED_MAPS = sorted(m for m, spec in BUILTIN_MAPS.items()
                       if spec.hessian_bound is not None)
+FLOWS_BY_DIM = {
+    2: {"translation(1,0)": fl.translation_flow([1.0, 0.0]),
+        "translation(0.3,-0.8)": fl.translation_flow([0.3, -0.8]),
+        "rotation(2)": fl.rotation_flow(2.0),
+        "scaling(-1.5)": fl.scaling_flow(-1.5)},
+    3: {"translation(0.3,-0.5,0.8)": fl.translation_flow([0.3, -0.5, 0.8]),
+        "linear_twist": fl.linear_flow([[0.0, -1.0, 0.0], [1.0, 0.0, 0.5],
+                                        [0.0, -0.5, 0.2]])},
+}
 PUSHED_FLOWS = {
     f"{m}*{name}": fl.pushforward_flow(BUILTIN_MAPS[m], flow)
     for m in BOUNDED_MAPS
-    for name, flow in {"translation(1,0)": fl.translation_flow([1.0, 0.0]),
-                       "translation(0.3,-0.8)": fl.translation_flow([0.3, -0.8]),
-                       "rotation(2)": fl.rotation_flow(2.0),
-                       "scaling(-1.5)": fl.scaling_flow(-1.5)}.items()}
+    for name, flow in FLOWS_BY_DIM[BUILTIN_MAPS[m].dim].items()}
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -438,49 +484,78 @@ def test_declared_curvature_dominates_the_sampled_one(name, sign, reverse):
         assert np.allclose(sampled, declared, rtol=1e-5)
 
 
-def test_declared_speed_dominates_the_sampled_one():
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize("name", sorted(CURVATURE_FLOWS) + sorted(PUSHED_FLOWS)
+                         + sorted(fl.BUILTIN_FLOWS))
+def test_declared_speed_dominates_the_sampled_one(name):
+    flow = {**CURVATURE_FLOWS, **PUSHED_FLOWS, **fl.BUILTIN_FLOWS}[name]
     ts = np.linspace(-ORBIT_EPS, ORBIT_EPS, 2001)
-    for flow in [*CURVATURE_FLOWS.values(), *fl.BUILTIN_FLOWS.values()]:
-        x = rng.uniform(-1.0, 1.0, (20, flow.dim))
-        for f in (flow, flow.reversed()):
-            c = f(ts[:, None], x)
-            sampled = np.linalg.norm(np.diff(c, axis=0), axis=-1).max(axis=0)
-            sampled /= ts[1] - ts[0]
-            assert np.all(sampled <= f.speed(x, ORBIT_EPS) * (1 + 1e-6) + 1e-9)
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, (20, flow.dim))
+    for f in (flow, flow.reversed()):
+        c = f(ts[:, None], x)
+        sampled = np.linalg.norm(np.diff(c, axis=0), axis=-1).max(axis=0)
+        sampled /= ts[1] - ts[0]
+        declared = f.speed(x, ORBIT_EPS)
+        assert declared.shape == (len(x),)
+        assert np.all(sampled <= declared * (1 + 1e-6) + 1e-9)
+
+
+def test_reversed_flows_keep_their_bounds():
+    for flow in [*fl.BUILTIN_FLOWS.values(), *PUSHED_FLOWS.values()]:
+        assert flow.reversed().curvature is flow.curvature
+        assert flow.reversed().speed is flow.speed
+
+
+def _map_bound_excesses(f, seed=12, step=1e-3):
+    """Largest excess of the sampled |Df|_2 over the declared J, and of the
+    sampled |D^2 f[v, v]| over the declared H, over points q of 50 balls
+    B(p, r) and unit directions v.  The balls reach |q_i| = 4, so a bound
+    that holds only near the origin fails.
+
+    The second difference (f(q + h v) - 2 f(q) + f(q - h v)) / h^2 is an
+    average of D^2 f[v, v] over [q - h v, q + h v], so each q is drawn from
+    B(p, r - h), which keeps that segment inside the ball."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-3.0, 3.0, (50, f.dim))
+    r = rng.uniform(step, 1.0, len(p))
+    w = rng.normal(size=(len(p), 40, f.dim))
+    w *= ((r[:, None] - step) * rng.uniform(0.0, 1.0, w.shape[:2])
+          / np.linalg.norm(w, axis=-1))[..., None]
+    q = p[:, None] + w                                     # (50, 40, d)
+    norms = np.array([[np.linalg.norm(f.jacobian(qi), 2) for qi in ball]
+                      for ball in q]).max(axis=1)
+    v = rng.normal(size=q.shape)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v[:, :f.dim] = np.eye(f.dim)        # and each axis at points of each ball
+    second = np.linalg.norm(f(q + step * v) - 2 * f(q) + f(q - step * v),
+                            axis=-1).max(axis=1) / (step * step)
+    return (float(np.max(norms - f.jacobian_bound(p, r) * (1 + 1e-12))),
+            float(np.max(second - f.hessian_bound(p, r) - 1e-6)))
 
 
 @pytest.mark.parametrize("name", BOUNDED_MAPS)
 def test_declared_map_bounds_dominate_the_sampled_ones(name):
     # |Df|_2 at points of each ball B(p, r), and second differences of f
-    # along unit directions, against the declared J and H
-    f = BUILTIN_MAPS[name]
-    rng = np.random.default_rng(12)
-    p = rng.uniform(-1.0, 1.0, (50, 2))
-    r = rng.uniform(0.0, 0.5, len(p))
-    w = rng.normal(size=(len(p), 40, 2))
-    w *= (r[:, None] * rng.uniform(0.0, 1.0, w.shape[:2])
-          / np.linalg.norm(w, axis=-1))[..., None]
-    sampled = np.array([[np.linalg.norm(f.jacobian(q), 2) for q in ball]
-                        for ball in p[:, None] + w]).max(axis=1)
-    assert np.all(sampled <= f.jacobian_bound(p, r) * (1 + 1e-12))
-    v = rng.normal(size=p.shape)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    h = 1e-3
-    second = np.linalg.norm(f(p + h * v) - 2 * f(p) + f(p - h * v),
-                            axis=-1) / (h * h)
-    assert np.all(second <= f.hessian_bound + 1e-6)
+    # inside each ball along unit directions, against the declared J and H
+    jacobian_excess, hessian_excess = _map_bound_excesses(BUILTIN_MAPS[name])
+    assert jacobian_excess <= 0.0
+    assert hessian_excess <= 0.0
 
 
-def test_only_pushed_forward_flows_estimate_their_curvature():
-    # a flow pushed by a map that declares no derivative bounds
-    for flow in fl.BUILTIN_FLOWS.values():
-        assert flow.curvature is not None and flow.speed is not None
-        assert flow.reversed().curvature is flow.curvature
-        assert flow.reversed().speed is flow.speed
-    pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
-                                 fl.BUILTIN_FLOWS["rotation"])
-    assert pushed.curvature is None
+def test_every_invertible_map_declares_its_bounds():
+    assert len(BOUNDED_MAPS) == 10
+    assert BOUNDED_MAPS == sorted(m for m, spec in BUILTIN_MAPS.items()
+                                  if spec.inverse is not None)
+    assert all(BUILTIN_MAPS[m].jacobian_bound is not None for m in BOUNDED_MAPS)
+
+
+def test_map_bound_check_detects_a_bound_taken_at_the_centre():
+    # negative control: cubic_shear's H = 6 |p_1|, read at the centre of
+    # each ball, misses the larger |q_1| elsewhere in it
+    f = BUILTIN_MAPS["cubic_shear"]
+    central = dataclasses.replace(
+        f, hessian_bound=lambda p, r: 6.0 * np.abs(p[:, 1]))
+    assert _map_bound_excesses(f)[1] <= 0.0
+    assert _map_bound_excesses(central)[1] > 0.0
 
 
 @pytest.fixture
@@ -489,9 +564,9 @@ def passes(monkeypatch):
     seen = []
     real = geometry._polyline_sq_min
 
-    def counting(vertices, z, ts, turns):
+    def counting(vertices, z, ts):
         seen.append((len(z), len(ts)))
-        return real(vertices, z, ts, turns)
+        return real(vertices, z, ts)
 
     monkeypatch.setattr(geometry, "_polyline_sq_min", counting)
     return seen
@@ -536,13 +611,28 @@ def test_certified_rows_start_at_the_chord(passes):
                                       513, 1025]
 
 
-def test_estimated_rows_start_at_17_vertices(passes):
+def test_tolerance_scales_with_the_distance(passes):
+    # the centre of a circle of radius 100, at its exact distance: with the
+    # bound C = 200, twice sup|c''|, the chord bound 25 h^2 never clears the
+    # gap 100 (1 - cos(h/2)) ~ 12.5 h^2, so the row is decided by the
+    # tolerance 1e-9 (1 + d) alone, once 25 h^2 <= 1.01e-7: at h = 0.5/8192
+    circle = _curve_arc(lambda t: 100.0 * np.stack([np.cos(t), np.sin(t)],
+                                                   axis=-1), 200.0)
+    dist, _, converged = arc_membership(circle, np.zeros((1, 2)),
+                                        np.array([100.0]), 0.5)
+    assert converged and 100.0 - 1e-5 < dist[0] < 100.0
+    assert passes[-1] == (1, 8193)
+
+
+def test_pushed_rows_start_at_the_chord(passes):
+    # a map with bounds that vary over the plane certifies its pushed
+    # orbits too, so their first pass is the chord
     pushed = fl.pushforward_flow(BUILTIN_MAPS["exp_stretch"],
                                  fl.BUILTIN_FLOWS["rotation"])
     x, y = _near_orbits(pushed, np.random.default_rng(10))
     _, converged = fl.flow_pair_contains(pushed, 0.1, 0.3, x, y)
     assert converged
-    assert passes[0] == (len(x), 17)
+    assert passes[0] == (len(x), 2)
 
 
 SAMPLED_ORBIT_FLOWS = {

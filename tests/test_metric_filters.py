@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filterbench import metric_filters as mf
 from filterbench.errors import (
     DegenerateTerm,
     InvalidWitness,
@@ -326,9 +327,10 @@ class TestCurveFilters:
         b = curve_filter(LINE).contains(eps ** 3 + eps, 0.4, y)
         assert np.array_equal(a, b)
 
-    def test_membership_matches_arc_distance_oracle(self):
-        c = CurveSpec("arc", lambda t: np.stack([np.sin(t), 1 - np.cos(t)], axis=-1),
-                      -1.0, 0.8)
+    @pytest.mark.parametrize("base", [(0.0, 0.0), (0.3, -0.2)])
+    def test_membership_matches_arc_distance_oracle(self, base):
+        c = CurveSpec("arc", lambda t: np.stack([np.sin(t), 1 - np.cos(t)],
+                                                axis=-1) + base, -1.0, 0.8)
         rng = np.random.default_rng(8)
         y = rng.uniform(-1, 1, size=(400, 2))
         cf = curve_filter(c)
@@ -341,6 +343,31 @@ class TestCurveFilters:
             clear = np.abs(oracle - thresh) > 1e-6
             assert np.array_equal(member[clear], (oracle < thresh)[clear])
             assert 0 < member.sum() < len(y)
+
+    @pytest.mark.parametrize("eps,estimate", [(0.4, 4.0), (0.0, 0.0)])
+    def test_curvature_is_estimated_once_per_call(self, eps, estimate,
+                                                  monkeypatch):
+        # the parabola's |c''| = 2: every level of every row uses C close to
+        # twice that, and a zero-length arc has no curvature
+        seen = []
+        real = mf.arc_membership
+
+        def recording(arc, z, thresh, eps, sign="+"):
+            def spy(rows):
+                evaluate, curvature = arc(rows)
+                seen.append(curvature)
+                return evaluate, curvature
+            return real(spy, z, thresh, eps, sign)
+
+        monkeypatch.setattr(mf, "arc_membership", recording)
+        parabola = CurveSpec("parabola",
+                             lambda t: np.stack([t, t ** 2], axis=-1), -0.5, 0.5)
+        y = np.random.default_rng(9).uniform(-0.5, 0.5, (300, 2))
+        member, converged = curve_filter(parabola).membership(eps, 0.3, y)
+        assert converged and seen[0].shape == (len(y),)
+        assert np.allclose(np.concatenate(seen), estimate, rtol=1e-6)
+        if eps == 0.0:
+            assert not member.any()
 
     def test_membership_keeps_leading_axes(self):
         cf = curve_filter(LINE)
